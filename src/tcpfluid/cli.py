@@ -377,8 +377,6 @@ def cmd_tree(args) -> int:
     failed = False
 
     if args.enumerate:
-        if tau > 10:
-            raise ValueError("--enumerate iterates all histories; needs --tau <= 10")
         exact = enumerate_exact(TreeParams(alpha_t=alpha, tau=tau, seed=0))
         analytic = DistTable.from_analytic(tau, alpha)
         keys = set(exact.values) | set(analytic.values)

@@ -28,9 +28,6 @@ class NumericsConfig:
             sum from the power-series evaluation.
         x_asymptotic: beyond this the loss ratio uses its leading asymptotic.
         level_cap: maximum number of piecewise levels in the finite solver.
-        quad_rtol: relative tolerance for adaptive quadrature cross-checks.
-        cancellation_guard: alternating-sum results smaller than this times
-            the largest term are recomputed in exact rational arithmetic.
     """
 
     product_tail: float = 1e-18
@@ -39,8 +36,6 @@ class NumericsConfig:
     x_switch: float = 30.0
     x_asymptotic: float = 500.0
     level_cap: int = 64
-    quad_rtol: float = 1e-10
-    cancellation_guard: float = 1e-9
 
 
 DEFAULT_NUMERICS = NumericsConfig()
@@ -164,24 +159,6 @@ def pochhammer_signed(x: float, n: float) -> tuple[float, float]:
     sign = float(_sp.gammasgn(x + n) * _sp.gammasgn(x))
     logmag = float(_sp.gammaln(x + n) - _sp.gammaln(x))
     return sign, logmag
-
-
-def signed_exp_sum(signs, logs) -> float:
-    """Stable Σ sign_i · exp(log_i) for alternating Gamma-ratio series.
-
-    Shifts by the largest finite log magnitude before exponentiating, so the
-    result is exact relative to the dominant term even when raw magnitudes
-    overflow a float.
-    """
-    signs = np.asarray(signs, dtype=float)
-    logs = np.asarray(logs, dtype=float)
-    live = signs != 0.0
-    if not np.any(live):
-        return 0.0
-    peak = float(np.max(logs[live]))
-    if peak == -math.inf:
-        return 0.0
-    return float(np.sum(signs[live] * np.exp(logs[live] - peak))) * math.exp(peak)
 
 
 def stirling_first_unsigned(n: int, k: int) -> int:

@@ -94,13 +94,6 @@ class TcpParams:
             link_delay=delay,
         )
 
-    @classmethod
-    def from_loss_ratio(
-        cls, p: float, alpha: float = 1.0, m: float = 1.0, beta: float = 0.5
-    ) -> "TcpParams":
-        """Dimensionless construction: only p = lambda/alpha matters."""
-        return cls(alpha=alpha, loss_rate=p * alpha, m=m, beta=beta)
-
     @property
     def c(self) -> float:
         """Window-volume decrease factor beta^(m+1)."""

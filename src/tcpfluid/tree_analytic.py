@@ -11,13 +11,15 @@ written with a = alpha_t and the alternating Pochhammer sum
 
     D(n, q) = sum_{k=0}^{q} (-1)^k / (k! (q-k)!) * (-a k)_n.
 
-D cancels catastrophically when n is close to q, so scalar evaluation
-carries it in log space with sign tracking, and entries that lose more
-than nine digits fall back to exact rational arithmetic (alpha_t snapped
-to the nearest small-denominator rational).  Bulk tabulation avoids the
-alternating sum entirely: the same law satisfies a forward recursion in
-tree age with nonnegative coefficients, which is cancellation-free and
-fills the whole support in O(tau^3) vectorized work.
+D and every finite-size correction below are alternating Pochhammer
+sums of one shape, all evaluated by `_alternating_sum`: in log space
+with sign tracking first, and again in exact rational arithmetic
+(alpha_t snapped to the nearest small-denominator rational) whenever the
+float sum loses more than three digits to cancellation, as it does when
+n is close to q.  Bulk tabulation avoids the alternating sum entirely:
+the same law satisfies a forward recursion in tree age with nonnegative
+coefficients, which is cancellation-free and fills the whole support in
+O(tau^3) vectorized work.
 
 Edge betweenness is a deterministic function of the cluster size,
 L = (n+1)(tau-n), so its laws are reparametrizations of the cluster law.
@@ -35,8 +37,6 @@ from fractions import Fraction
 import numpy as np
 
 from .specfun import (
-    DEFAULT_NUMERICS,
-    NumericsConfig,
     digamma,
     log_gamma,
     pochhammer_log,
@@ -60,23 +60,18 @@ __all__ = [
     "betweenness_mean_given_q_finite",
     "unconditional_betweenness_ccdf",
     "finite_size_correction_check",
-    "in_degree_variance_diagnostic",
 ]
 
 EULER_GAMMA = 0.5772156649015328606
-
-# rational fallback is restricted to small q; beyond that the alternating
-# sum is left in float (cancellation there occurs only at negligible mass)
-_EXACT_MAX_Q = 20
 
 # small-alpha stand-in for finite-tau uniform-attachment marginals, which
 # have no printed closed form (they involve a derivative at alpha = 0)
 _ER_ALPHA_EPS = 1e-6
 
-# marginal/CCDF correction sums switch to rational evaluation already at
-# three lost digits: they must be accurate absolutely, not just relatively,
-# and their terms are rational in alpha so the fallback is always available
-_CORRECTION_GUARD = 1e-3
+# an alternating sum smaller than this times its largest term has lost
+# more than three digits; log-space terms carry ~1e-13 relative error
+# each, so such a float sum is recomputed exactly
+_CANCELLATION_GUARD = 1e-3
 
 
 def _is_infinite(tau) -> bool:
@@ -132,69 +127,63 @@ def _alpha_fraction(alpha_t: float) -> Fraction:
     return Fraction(alpha_t).limit_denominator(10**6)
 
 
-def _joint_float(
-    tau: int, alpha: float, n: int, q: int, cfg: NumericsConfig
-) -> tuple[float, bool]:
-    """(value, healthy): healthy=False flags guard-tripping cancellation."""
+def _alternating_sum(
+    alpha: float, top: int, m: int, k_lo: int = 0, x0: int = 0, shifts=()
+) -> tuple[float, float]:
+    """(sign, log|S|) of the alternating Pochhammer sum
+
+        S = sum_{k=k_lo}^{top} (-1)^k (x0 (1-a) - a k)_m
+                               / (k! (top-k)! prod_s (k + s)),
+
+    with a = alpha and each shift s = i + j/a given as an integer pair
+    (i, j) such that every k + s is positive.  The float sum runs in log
+    space; when it keeps fewer than three digits of its largest term it
+    is redone in exact integer arithmetic with alpha snapped to a
+    small-denominator rational.
+    """
     signs: list[float] = []
     logs: list[float] = []
-    for k in range(q + 1):
-        s, lg = pochhammer_signed(-alpha * k, n)
+    for k in range(k_lo, top + 1):
+        s, lg = pochhammer_signed(x0 * (1.0 - alpha) - alpha * k, m)
         if s == 0.0:
             continue
         if k % 2:
             s = -s
+        lg -= log_gamma(k + 1.0) + log_gamma(top - k + 1.0)
+        for i, j in shifts:
+            lg -= math.log(k + i + j / alpha)
         signs.append(s)
-        logs.append(lg - log_gamma(k + 1.0) - log_gamma(q - k + 1.0))
-    sign, log_d, peak = _signed_log_sum(signs, logs)
-    if sign == 0.0:
-        return 0.0, peak == -math.inf
-    healthy = (log_d - peak) >= math.log(cfg.cancellation_guard)
-    s_q, log_q = pochhammer_signed(1.0 / alpha - 1.0, q)
-    if s_q == 0.0:
-        return 0.0, True
-    log_p = (
-        math.log(_prefactor(tau, alpha))
-        + log_q
-        - pochhammer_log(2.0 - alpha, n + 1.0)
-        + log_d
-    )
-    return sign * math.exp(log_p), healthy
-
-
-def _joint_exact(tau: int, alpha: Fraction, n: int, q: int) -> float:
-    """Exact rational joint probability; integer products keep it fast."""
-    num, den = alpha.numerator, alpha.denominator
+        logs.append(lg)
+    sign, log_s, peak = _signed_log_sum(signs, logs)
+    if peak == -math.inf or log_s - peak >= math.log(_CANCELLATION_GUARD):
+        return sign, log_s
+    # exact path: with a = num/den every factor is an integer ratio,
+    #   (x0 (1-a) - a k)_m = prod_j (x0 (den-num) - k num + j den) / den^m
+    #   1 / (k + i + j/a) = num / ((k+i) num + j den),
+    # and the terms are summed over the lcm of the shift denominators
+    snapped = _alpha_fraction(alpha)
+    num, den = snapped.numerator, snapped.denominator
+    ks = range(k_lo, top + 1)
+    shift_den = [math.prod((k + i) * num + j * den for i, j in shifts) for k in ks]
+    common = math.lcm(*shift_den)
     total = 0
-    for k in range(q + 1):
-        prod = 1
-        for j in range(n):
-            prod *= j * den - k * num
-            if prod == 0:
-                break
-        term = math.comb(q, k) * prod
-        total = total - term if k % 2 else total + term
+    for k, d in zip(ks, shift_den):
+        base = x0 * (den - num) - k * num
+        term = math.comb(top, k) * math.prod(range(base, base + m * den, den))
+        total += (-term if k % 2 else term) * (common // d)
     if total == 0:
-        return 0.0
-    d_sum = Fraction(total, math.factorial(q) * den**n)
-    poch_q = 1
-    for j in range(q):
-        poch_q *= den - num + j * num
-    poch_n1 = 1
-    for j in range(n + 1):
-        poch_n1 *= 2 * den - num + j * den
-    value = (
-        Fraction((tau + 1) * den - num, tau * den)
-        * Fraction(poch_q, num**q)
-        * Fraction(den ** (n + 1), poch_n1)
-        * d_sum
+        return 0.0, -math.inf
+    log_s = (
+        math.log(abs(total))
+        + len(shifts) * math.log(num)
+        - math.log(common)
+        - m * math.log(den)
+        - log_gamma(top + 1.0)
     )
-    return float(value)
+    return (1.0 if total > 0 else -1.0), log_s
 
 
-def joint_pnq(
-    tau: int, alpha_t: float, n: int, q: int, cfg: NumericsConfig = DEFAULT_NUMERICS
-) -> float:
+def joint_pnq(tau: int, alpha_t: float, n: int, q: int) -> float:
     """Joint probability P_tau(n, q) of a uniformly chosen edge's state.
 
     Returns 0 outside the support {0 <= q <= n <= tau-1}; the star limit
@@ -208,12 +197,14 @@ def joint_pnq(
         return 0.0
     if alpha == 1.0:
         return 1.0 if (n, q) == (0, 0) else 0.0
-    value, healthy = _joint_float(tau, alpha, n, q, cfg)
-    if not healthy:
-        # mandatory for q <= 20 where it is cheap; kept beyond that too,
-        # since a wrong probability is worse than a slow one
-        return _joint_exact(tau, _alpha_fraction(alpha), n, q)
-    return value if value > 0.0 else 0.0
+    sign, log_d = _alternating_sum(alpha, q, n)
+    log_p = (
+        math.log(_prefactor(tau, alpha))
+        + pochhammer_log(1.0 / alpha - 1.0, q)
+        - pochhammer_log(2.0 - alpha, n + 1.0)
+        + log_d
+    )
+    return sign * math.exp(log_p)
 
 
 def joint_pnq_er(tau: int, n: int, q: int) -> float:
@@ -299,9 +290,7 @@ class DistTable:
         return out
 
     @classmethod
-    def from_analytic(
-        cls, tau: int, alpha_t: float, cfg: NumericsConfig = DEFAULT_NUMERICS
-    ) -> "DistTable":
+    def from_analytic(cls, tau: int, alpha_t: float) -> "DistTable":
         """Tabulate the joint law over the whole support.
 
         Uses the cancellation-free forward recursion of the attachment
@@ -334,38 +323,6 @@ def marginal_n(tau, alpha_t: float, n: int) -> float:
     return pref * (1.0 - alpha) / ((n + 1.0 - alpha) * (n + 2.0 - alpha))
 
 
-def _marginal_q_t2_exact(tau: int, alpha: Fraction, q: int) -> float:
-    """Finite-size correction term of the in-degree marginal, rationally.
-
-    Every factor in the sum is rational in alpha, so catastrophic float
-    cancellation can always be sidestepped here.  Cost grows as q*tau.
-    """
-    num, den = alpha.numerator, alpha.denominator
-    poch_q = 1
-    for j in range(q):
-        poch_q *= den - num + j * num
-    poch_den = 1
-    for j in range(tau):
-        poch_den *= 2 * den - num + j * den
-    inner = Fraction(0)
-    for k in range(1, q + 1):
-        prod = 1
-        for j in range(tau):
-            prod *= j * den - k * num
-            if prod == 0:
-                break
-        if prod == 0:
-            continue
-        term = math.comb(q, k) * Fraction(prod * den, k * num + 2 * den - num)
-        inner = inner - term if k % 2 else inner + term
-    value = (
-        Fraction(poch_q, num**q)
-        * inner
-        / (math.factorial(q) * poch_den)
-    )
-    return float(value)
-
-
 def _marginal_q_positive_alpha(tau, alpha: float, q: int) -> float:
     inv = 1.0 / alpha
     t1 = inv * math.exp(
@@ -373,30 +330,12 @@ def _marginal_q_positive_alpha(tau, alpha: float, q: int) -> float:
     )
     if _is_infinite(tau):
         return t1
-    pref = _prefactor(tau, alpha)
-    signs: list[float] = []
-    logs: list[float] = []
-    log_shift = pochhammer_log(inv - 1.0, q) - pochhammer_log(2.0 - alpha, tau)
-    for k in range(1, q + 1):
-        s, lg = pochhammer_signed(-alpha * k, tau)
-        if s == 0.0:
-            continue
-        if k % 2:
-            s = -s
-        logs.append(
-            lg
-            + log_shift
-            - log_gamma(k + 1.0)
-            - log_gamma(q - k + 1.0)
-            - math.log(alpha * k + 2.0 - alpha)
-        )
-        signs.append(s)
-    sign, log_t2, peak = _signed_log_sum(signs, logs)
-    if sign != 0.0 and (log_t2 - peak) < math.log(_CORRECTION_GUARD):
-        t2 = _marginal_q_t2_exact(int(tau), _alpha_fraction(alpha), q)
-    else:
-        t2 = sign * math.exp(log_t2)
-    return pref * (t1 - t2)
+    # finite-size correction: 1/(a k + 2 - a) = (1/a) / (k - 1 + 2/a)
+    sign, log_s = _alternating_sum(alpha, q, tau, k_lo=1, shifts=((-1, 2),))
+    t2 = sign * inv * math.exp(
+        pochhammer_log(inv - 1.0, q) - pochhammer_log(2.0 - alpha, tau) + log_s
+    )
+    return _prefactor(tau, alpha) * (t1 - t2)
 
 
 def marginal_q(tau, alpha_t: float, q: int) -> float:
@@ -436,36 +375,6 @@ def ccdf_n(tau, alpha_t: float, n: int) -> float:
     return _prefactor(tau, alpha) * head - (1.0 - alpha) / tau
 
 
-def _ccdf_q_t3_exact(tau: int, alpha: Fraction, q: int) -> float:
-    """Rational evaluation of the tail-sum term of the in-degree CCDF."""
-    num, den = alpha.numerator, alpha.denominator
-    poch_q = 1
-    for j in range(q):
-        poch_q *= den - num + j * num
-    poch_den = 1
-    for j in range(tau):
-        poch_den *= 2 * den - num + j * den
-    inner = Fraction(0)
-    for k in range(q - 1):
-        prod = 1
-        for j in range(tau - 1):
-            prod *= den - num - k * num + j * den
-            if prod == 0:
-                break
-        if prod == 0:
-            continue
-        term = math.comb(q - 2, k) * Fraction(
-            prod * num**2, (k * num + den) * (k * num + 2 * den)
-        )
-        inner = inner - term if k % 2 else inner + term
-    value = (
-        Fraction(poch_q * den, num**q)
-        * inner
-        / (math.factorial(q - 2) * poch_den)
-    )
-    return float(value)
-
-
 def _ccdf_q_positive_alpha(tau, alpha: float, q: int) -> float:
     inv = 1.0 / alpha
     head = math.exp(
@@ -474,30 +383,11 @@ def _ccdf_q_positive_alpha(tau, alpha: float, q: int) -> float:
     if _is_infinite(tau):
         return head
     pref = _prefactor(tau, alpha)
-    signs: list[float] = []
-    logs: list[float] = []
-    if q >= 2:
-        log_shift = pochhammer_log(inv - 1.0, q) - pochhammer_log(2.0 - alpha, tau)
-        for k in range(q - 1):
-            s, lg = pochhammer_signed(1.0 - alpha - alpha * k, tau - 1.0)
-            if s == 0.0:
-                continue
-            if k % 2:
-                s = -s
-            logs.append(
-                lg
-                + log_shift
-                - log_gamma(k + 1.0)
-                - log_gamma(q - 1.0 - k)
-                - math.log(k + inv)
-                - math.log(k + 2.0 * inv)
-            )
-            signs.append(s)
-    sign, log_t3, peak = _signed_log_sum(signs, logs)
-    if sign != 0.0 and (log_t3 - peak) < math.log(_CORRECTION_GUARD):
-        t3 = _ccdf_q_t3_exact(int(tau), _alpha_fraction(alpha), q)
-    else:
-        t3 = sign * math.exp(log_t3)
+    # the tail sum is empty, hence zero, for q < 2
+    sign, log_s = _alternating_sum(alpha, q - 2, tau - 1, x0=1, shifts=((0, 1), (0, 2)))
+    t3 = sign * math.exp(
+        pochhammer_log(inv - 1.0, q) - pochhammer_log(2.0 - alpha, tau) + log_s
+    )
     return pref * head - (1.0 - alpha) / tau + pref * t3
 
 
@@ -521,36 +411,41 @@ def ccdf_q(tau, alpha_t: float, q: int) -> float:
 
 
 def _g_tau(tau: int, alpha: float, q: int) -> float:
-    """Finite-size factor G_tau(q) of the conditional cluster-size mean."""
+    """Finite-size factor G_tau(q) of the conditional cluster-size mean.
+
+    Raises ValueError when either bracket 1 - x cancels to fewer than
+    three digits; the alternating sum inside is exact, the subtraction
+    outside it is not.
+    """
     inv = 1.0 / alpha
 
-    def bracket(shift: float, order_x: float) -> float:
-        # 1 - (x)_{q+1} / (order_x)_tau * sum_k (...) / (k + shift)
-        log_front = pochhammer_log(shift, q + 1.0) - pochhammer_log(order_x, float(tau))
-        signs: list[float] = []
-        logs: list[float] = []
-        for k in range(q + 1):
-            s, lg = pochhammer_signed(-alpha * k, tau)
-            if s == 0.0:
-                continue
-            if k % 2:
-                s = -s
-            logs.append(
-                lg
-                + log_front
-                - log_gamma(k + 1.0)
-                - log_gamma(q - k + 1.0)
-                - math.log(k + shift)
+    def bracket(j: int, order_x: float) -> float:
+        # 1 - (j/a - 1)_{q+1} / (order_x)_tau * sum_k (...) / (k - 1 + j/a)
+        sign, log_s = _alternating_sum(alpha, q, tau, shifts=((-1, j),))
+        x = sign * math.exp(
+            pochhammer_log(j * inv - 1.0, q + 1.0)
+            - pochhammer_log(order_x, float(tau))
+            + log_s
+        )
+        value = 1.0 - x
+        if abs(value) < _CANCELLATION_GUARD * max(1.0, abs(x)):
+            raise ValueError(
+                f"E[n|q] finite-size bracket cancels to {value:.3e} "
+                f"(tau={tau}, alpha_t={alpha}, q={q}); fewer than three "
+                "digits survive"
             )
-            signs.append(s)
-        sign, log_sum, _ = _signed_log_sum(signs, logs)
-        return 1.0 - sign * math.exp(log_sum)
+        return value
 
-    return bracket(inv - 1.0, 1.0 - alpha) / bracket(2.0 * inv - 1.0, 2.0 - alpha)
+    return bracket(1, 1.0 - alpha) / bracket(2, 2.0 - alpha)
 
 
 def cond_mean_n_given_q(tau, alpha_t: float, q: int) -> float:
-    """E[n | q]: expected cluster size at known younger-endpoint in-degree."""
+    """E[n | q]: expected cluster size at known younger-endpoint in-degree.
+
+    Raises ValueError at finite tau where the finite-size factor cancels
+    to fewer than three digits, which happens as q nears the tail of the
+    in-degree law.
+    """
     alpha = _check_alpha(alpha_t, allow_er=True)
     if not _is_infinite(tau):
         tau = _check_tau(tau)
@@ -588,9 +483,7 @@ def cond_mean_q_given_n(alpha_t: float, n: int) -> float:
     return 1.0 + (x - 1.0) / alpha
 
 
-def betweenness_ccdf_given_q(
-    Lambda: int, q: int, alpha_t: float, cfg: NumericsConfig = DEFAULT_NUMERICS
-) -> float:
+def betweenness_ccdf_given_q(Lambda: int, q: int, alpha_t: float) -> float:
     """Infinite-tree CCDF of rescaled betweenness Lambda = L/(tau+1) given q."""
     alpha = _check_alpha(alpha_t)
     Lambda = _check_index("Lambda", Lambda)
@@ -600,58 +493,12 @@ def betweenness_ccdf_given_q(
     if Lambda < q + 1:
         raise ValueError(f"need Lambda >= q+1, got Lambda={Lambda}, q={q}")
     inv = 1.0 / alpha
-    log_front = pochhammer_log(2.0 * inv - 1.0, q + 1.0) - pochhammer_log(
-        2.0 - alpha, Lambda - 1.0
+    sign, log_s = _alternating_sum(alpha, q, Lambda - 1, shifts=((-1, 2),))
+    return sign * math.exp(
+        pochhammer_log(2.0 * inv - 1.0, q + 1.0)
+        - pochhammer_log(2.0 - alpha, Lambda - 1.0)
+        + log_s
     )
-    signs: list[float] = []
-    logs: list[float] = []
-    for k in range(q + 1):
-        s, lg = pochhammer_signed(-alpha * k, Lambda - 1.0)
-        if s == 0.0:
-            continue
-        if k % 2:
-            s = -s
-        logs.append(
-            lg
-            + log_front
-            - log_gamma(k + 1.0)
-            - log_gamma(q - k + 1.0)
-            - math.log(k + 2.0 * inv - 1.0)
-        )
-        signs.append(s)
-    sign, log_v, peak = _signed_log_sum(signs, logs)
-    if sign == 0.0:
-        return 0.0
-    if (log_v - peak) < math.log(cfg.cancellation_guard) and q <= _EXACT_MAX_Q:
-        return _betweenness_ccdf_exact(Lambda, q, _alpha_fraction(alpha))
-    return min(max(sign * math.exp(log_v), 0.0), 1.0)
-
-
-def _betweenness_ccdf_exact(Lambda: int, q: int, alpha: Fraction) -> float:
-    num, den = alpha.numerator, alpha.denominator
-    total = Fraction(0)
-    for k in range(q + 1):
-        prod = 1
-        for j in range(Lambda - 1):
-            prod *= j * den - k * num
-            if prod == 0:
-                break
-        if prod == 0:
-            continue
-        term = Fraction(math.comb(q, k) * prod, den ** (Lambda - 1)) / (
-            k + 2 / alpha - 1
-        )
-        total = total - term if k % 2 else total + term
-    poch_front = 1
-    x = 2 / alpha - 1
-    for j in range(q + 1):
-        poch_front *= x + j
-    poch_den = 1
-    y = 2 - alpha
-    for j in range(Lambda - 1):
-        poch_den *= y + j
-    value = poch_front / poch_den * total / math.factorial(q)
-    return min(max(float(value), 0.0), 1.0)
 
 
 def betweenness_ccdf_asymptotic(Lambda: float, q: int, alpha_t: float) -> float:
@@ -725,25 +572,11 @@ def betweenness_mean_given_q_finite(tau: int, alpha_t: float, q: int) -> float:
             - EULER_GAMMA
         )
     )
-    signs: list[float] = []
-    logs: list[float] = []
-    log_shift = -pochhammer_log(2.0 - alpha, tau - 2.0) - math.log(alpha)
-    for k in range(2, q + 1):
-        s, lg = pochhammer_signed(-alpha * k, tau)
-        if s == 0.0:
-            continue
-        if k % 2:
-            s = -s
-        logs.append(
-            lg
-            + log_shift
-            - log_gamma(k + 1.0)
-            - log_gamma(q - k + 1.0)
-            - math.log(k - 1.0)
-        )
-        signs.append(s)
-    sign, log_tail, _ = _signed_log_sum(signs, logs)
-    inner = head - sign * math.exp(log_tail)
+    sign, log_s = _alternating_sum(alpha, q, tau, k_lo=2, shifts=((-1, 0),))
+    tail = sign * math.exp(
+        log_s - pochhammer_log(2.0 - alpha, tau - 2.0) - math.log(alpha)
+    )
+    inner = head - tail
 
     m2_shifted = (
         _prefactor(tau, alpha)
@@ -774,8 +607,7 @@ def unconditional_betweenness_ccdf(tau: int, alpha_t: float, L: float) -> float:
 
 
 def finite_size_correction_check(
-    tau: int, alpha_t: float, Lambda: int, q: int,
-    cfg: NumericsConfig = DEFAULT_NUMERICS,
+    tau: int, alpha_t: float, Lambda: int, q: int
 ) -> float:
     """F_tau(Lambda|q) - F_inf(Lambda|q): finite-size CCDF deviation.
 
@@ -791,24 +623,12 @@ def finite_size_correction_check(
     alpha = _check_alpha(alpha_t)
     Lambda = _check_index("Lambda", Lambda)
     q = _check_index("q", q)
-    f_inf = betweenness_ccdf_given_q(Lambda, q, alpha_t, cfg)
+    f_inf = betweenness_ccdf_given_q(Lambda, q, alpha_t)
     lo = max(Lambda - 1, 0)
     hi = min(tau - Lambda, tau - 1)
     if hi < lo:
         return -f_inf
     p_q = marginal_q(tau, alpha_t, q)
-    mass = math.fsum(joint_pnq(tau, alpha_t, n, q, cfg) for n in range(lo, hi + 1))
+    mass = math.fsum(joint_pnq(tau, alpha_t, n, q) for n in range(lo, hi + 1))
     return mass / p_q - f_inf
 
-
-def in_degree_variance_diagnostic(alpha_t: float) -> float:
-    """The claimed infinite-tree value of E[(q-1)^2], namely 2/|1-2a|.
-
-    Diagnostic only: the in-degree tail exponent is 1+1/a, so the second
-    moment actually diverges for alpha_t >= 1/2; the formula matches the
-    summed series only below that point.
-    """
-    alpha = _check_alpha(alpha_t)
-    if alpha == 0.5:
-        raise ValueError("the diagnostic value diverges at alpha_t = 1/2")
-    return 2.0 / abs(1.0 - 2.0 * alpha)

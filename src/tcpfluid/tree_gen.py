@@ -125,11 +125,6 @@ class EdgeMeasurements:
     q_older: np.ndarray
     betweenness: np.ndarray
 
-    @property
-    def q_min(self) -> np.ndarray:
-        """min(q_younger, q_older): stand-in for q when edge ends are unordered."""
-        return np.minimum(self.q_younger, self.q_older)
-
 
 _BLOCK = 65536
 

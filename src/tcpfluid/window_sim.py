@@ -25,7 +25,6 @@ from scipy import stats as _stats
 from .tcp_finite import FiniteBufferParams
 
 _CHUNK = 8192
-_CLOCK_MODES = ("resample", "residual")
 
 
 @dataclass(frozen=True)
@@ -34,9 +33,7 @@ class SimConfig:
 
     horizon counts recorded loss events; a further 1% warm-up is run and
     discarded first.  w_max defaults to the buffer limit, or to the point
-    where the infinite-buffer tail is below 1e-16.  clock_mode "residual"
-    keeps the unexpired part of the exponential clock across a buffer
-    loss instead of redrawing; the two modes agree in law.
+    where the infinite-buffer tail is below 1e-16.
     """
 
     params: FiniteBufferParams
@@ -46,14 +43,11 @@ class SimConfig:
     enable_wan_idle: bool = False
     n_bins: int = 100
     w_max: float | None = None
-    clock_mode: str = "resample"
 
     def __post_init__(self) -> None:
         tcp = self.params.tcp
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1 loss event")
-        if self.clock_mode not in _CLOCK_MODES:
-            raise ValueError(f"clock_mode must be one of {_CLOCK_MODES}")
         if self.n_bins < 2:
             raise ValueError("need at least 2 histogram bins")
         if tcp.loss_rate == 0 and math.isinf(self.params.effective_limit):
@@ -125,7 +119,6 @@ def _window_path(cfg: SimConfig, total: int, rng: np.random.Generator):
     g = (tcp.m + 1) * tcp.alpha
     cap = cfg.params.effective_limit ** (tcp.m + 1)
     c = tcp.c
-    residual = cfg.clock_mode == "residual"
     v_start = np.empty(total)
     v_end = np.empty(total)
     at_buffer = np.zeros(total, dtype=bool)
@@ -133,26 +126,22 @@ def _window_path(cfg: SimConfig, total: int, rng: np.random.Generator):
     scale = g / tcp.loss_rate if tcp.loss_rate > 0 else math.inf
     block: np.ndarray = np.empty(0)
     ptr = 0
-    budget = 0.0
     v = 1.0
     for i in range(total):
-        if budget == 0.0:
-            if tcp.loss_rate == 0:
-                budget = math.inf
-            else:
-                if ptr >= len(block):
-                    block = rng.exponential(scale, size=65536)
-                    ptr = 0
-                budget = block[ptr]
-                ptr += 1
-        room = cap - v
-        if budget >= room:
+        # a fresh exponential clock per cycle; a buffer loss discards the rest
+        if tcp.loss_rate == 0:
+            budget = math.inf
+        else:
+            if ptr >= len(block):
+                block = rng.exponential(scale, size=65536)
+                ptr = 0
+            budget = block[ptr]
+            ptr += 1
+        if budget >= cap - v:
             u = cap
             at_buffer[i] = True
-            budget = budget - room if residual else 0.0
         else:
             u = v + budget
-            budget = 0.0
         v_start[i] = v
         v_end[i] = u
         v = c * u

@@ -112,9 +112,12 @@ def test_tree_enumerate_small(tmp_path, capsys):
 
 
 def test_tree_enumerate_refuses_large_tau(tmp_path, capsys):
-    rc = main(["tree", "--tau", "20", "--enumerate", "--outdir", str(tmp_path)])
-    assert rc == 2
-    assert capsys.readouterr().err != ""
+    # enumerate_exact owns the limit; tau = 9 once slipped past a looser
+    # CLI-side check and failed with a different message
+    for tau in ("9", "20"):
+        rc = main(["tree", "--tau", tau, "--enumerate", "--outdir", str(tmp_path)])
+        assert rc == 2
+        assert "tau <= 8" in capsys.readouterr().err
 
 
 def test_tree_ccdf_check_against_simulation(tmp_path):

@@ -14,7 +14,6 @@ from tcpfluid.specfun import (
     log_gamma,
     pochhammer_log,
     pochhammer_signed,
-    signed_exp_sum,
     stirling_first_unsigned,
     upper_incomplete_gamma,
 )
@@ -125,14 +124,6 @@ def test_euler_product_rejects_bad_c():
         euler_product_L(1.0)
     with pytest.raises(ValueError):
         euler_product_L(-0.2)
-
-
-def test_signed_exp_sum_cancellation():
-    # 1e300 - 1e300 + 2.5, carried as parallel sign/log arrays
-    big = 300.0 * math.log(10.0)
-    total = signed_exp_sum([1.0, -1.0, 1.0], [big, big, math.log(2.5)])
-    assert total == pytest.approx(2.5, rel=1e-9)
-    assert signed_exp_sum([], []) == 0.0
 
 
 def test_kronecker_expansion_check_small():

@@ -1,6 +1,7 @@
 """Joint (n, q) law of growing trees and the induced betweenness laws."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,13 +19,13 @@ from tcpfluid.tree_analytic import (
     cond_mean_n_given_q,
     cond_mean_q_given_n,
     finite_size_correction_check,
-    in_degree_variance_diagnostic,
     joint_pnq,
     joint_pnq_er,
     marginal_n,
     marginal_q,
     unconditional_betweenness_ccdf,
 )
+from tcpfluid.tree_analytic import _alternating_sum, _signed_log_sum
 from tcpfluid.tree_gen import TreeParams, enumerate_exact, grow, measure
 
 
@@ -39,10 +40,76 @@ def test_joint_matches_enumeration_small():
             ), (alpha, n, q)
 
 
+# (k_lo, x0, shifts) of every caller of the alternating sum: joint_pnq,
+# marginal_q, ccdf_q, the two _g_tau brackets (the second shared with
+# betweenness_ccdf_given_q) and betweenness_mean_given_q_finite
+_SUM_SHAPES = [
+    (0, 0, ()),
+    (1, 0, ((-1, 2),)),
+    (0, 1, ((0, 1), (0, 2))),
+    (0, 0, ((-1, 1),)),
+    (0, 0, ((-1, 2),)),
+    (2, 0, ((-1, 0),)),
+]
+
+
+def _reference_sum(alpha, top, m, k_lo, x0, shifts) -> Fraction:
+    a = Fraction(alpha).limit_denominator(10**6)
+    total = Fraction(0)
+    for k in range(k_lo, top + 1):
+        x = x0 * (1 - a) - a * k
+        term = Fraction((-1) ** k, math.factorial(k) * math.factorial(top - k))
+        for j in range(m):
+            term *= x + j
+        for i, j in shifts:
+            term /= k + i + j / a
+        total += term
+    return total
+
+
+@pytest.mark.parametrize(
+    "shape",
+    _SUM_SHAPES,
+    ids=["joint", "marginal_q", "ccdf_q", "g_tau_1", "g_tau_2", "between_mean"],
+)
+def test_alternating_sum_matches_fraction_reference(shape):
+    # empty sums, m = 0 (an exact zero without shifts once top >= 1), the
+    # m ~ top corner where the float sum cancels and the exact path runs,
+    # and m well above top
+    pairs = ((0, 0), (1, 0), (3, 1), (2, 5), (7, 7), (12, 13), (20, 20),
+             (25, 40), (33, 34), (40, 40), (40, 60))
+    for alpha in (0.1, 0.3, 0.5, 0.7, 0.9):
+        for top, m in pairs:
+            want = _reference_sum(alpha, top, m, *shape)
+            sign, log_s = _alternating_sum(alpha, top, m, *shape)
+            where = (alpha, top, m, shape)
+            if want == 0:
+                assert sign == 0.0, where
+                continue
+            assert sign == (1.0 if want > 0 else -1.0), where
+            log_want = math.log(abs(want.numerator)) - math.log(want.denominator)
+            assert abs(math.expm1(log_s - log_want)) <= 1e-9, where
+
+
+def test_signed_log_sum_cancellation():
+    # 1e300 - 1e300 + 2.5, carried as parallel sign/log arrays
+    big = 300.0 * math.log(10.0)
+    sign, log_s, peak = _signed_log_sum([1.0, -1.0, 1.0], [big, big, math.log(2.5)])
+    assert sign * math.exp(log_s) == pytest.approx(2.5, rel=1e-9)
+    assert peak == big
+    assert _signed_log_sum([], [])[0] == 0.0
+
+
 def test_joint_pnq_matches_table():
-    table = DistTable.from_analytic(40, 0.5)
-    for n, q in ((0, 0), (1, 1), (5, 2), (12, 1), (30, 3)):
-        assert joint_pnq(40, 0.5, n, q) == pytest.approx(table.prob(n, q), rel=1e-10)
+    # the whole support, including the n ~ q corner where D(n, q) cancels
+    tau = 60
+    for alpha in (0.1, 0.3, 0.5, 0.7):
+        table = DistTable.from_analytic(tau, alpha)
+        for n in range(tau):
+            for q in range(n + 1):
+                assert joint_pnq(tau, alpha, n, q) == pytest.approx(
+                    table.prob(n, q), rel=1e-9, abs=0.0
+                ), (alpha, n, q)
 
 
 def test_table_normalization_moderate_sizes():
@@ -58,14 +125,19 @@ def test_joint_er_matches_uniform_attachment_enumeration():
 
 
 def test_marginals_sum_joint():
-    tau, alpha = 60, 0.5
-    table = DistTable.from_analytic(tau, alpha)
-    by_n = table.marginal_over_q()
-    by_q = table.marginal_over_n()
-    for k in (0, 1, 2, 7, 30):
-        assert marginal_n(tau, alpha, k) == pytest.approx(by_n[k], rel=1e-9, abs=1e-15)
-    for k in (0, 1, 2, 7, 20):
-        assert marginal_q(tau, alpha, k) == pytest.approx(by_q[k], rel=1e-9, abs=1e-15)
+    tau = 60
+    for alpha in (0.1, 0.3, 0.5, 0.7, 0.9):
+        table = DistTable.from_analytic(tau, alpha)
+        by_n = table.marginal_over_q()
+        by_q = table.marginal_over_n()
+        tail_q = np.cumsum(by_q[::-1])[::-1]
+        for k in (0, 1, 2, 7, 30):
+            assert marginal_n(tau, alpha, k) == pytest.approx(
+                by_n[k], rel=1e-9, abs=1e-15
+            )
+        for k in range(tau):
+            assert abs(marginal_q(tau, alpha, k) - by_q[k]) <= 1e-12, (alpha, k)
+            assert abs(ccdf_q(tau, alpha, k) - tail_q[k]) <= 1e-12, (alpha, k)
 
 
 def test_ccdf_consistency_with_marginals():
@@ -122,6 +194,23 @@ def test_cond_mean_n_given_q_matches_table():
         assert cond_mean_n_given_q(tau, 0.5, q) == pytest.approx(num / den, abs=1e-9)
 
 
+def test_cond_mean_n_given_q_accurate_or_raises():
+    # the outer 1 - x of each finite-size bracket cancels as q grows; a
+    # value that comes back must be accurate, the rest must raise
+    tau = 60
+    n = np.arange(tau)
+    for alpha in (0.1, 0.3, 0.5):
+        grid = DistTable.from_analytic(tau, alpha)
+        for q in range(45):
+            col = np.array([grid.prob(k, q) for k in range(tau)])
+            want = float(n @ col / col.sum())
+            try:
+                got = cond_mean_n_given_q(tau, alpha, q)
+            except ValueError:
+                continue
+            assert abs(got - want) <= 1e-8 * max(1.0, want), (alpha, q, got, want)
+
+
 def test_mean_in_degree_equals_one_minus_root_share():
     # edges contribute tau in-degree stubs over tau+1 vertices; the edge law
     # therefore carries E[q] = 1 - E[q_root]/tau, not tau/(tau+1)
@@ -134,14 +223,6 @@ def test_mean_in_degree_equals_one_minus_root_share():
     got = sum(q * p for (_, q), p in table.values.items())
     # MC error on the root degree at 4000 reps
     assert got == pytest.approx(want, abs=4e-3)
-
-
-def test_in_degree_variance_diagnostic_range():
-    assert in_degree_variance_diagnostic(0.25) == pytest.approx(4.0)
-    # the summed formula only converges below 1/2; the law itself has a
-    # power tail there and the second moment truly diverges
-    with pytest.raises(ValueError):
-        in_degree_variance_diagnostic(0.5)
 
 
 def test_er_betweenness_mean_doubles_plus_one():
@@ -185,6 +266,17 @@ def test_betweenness_tail_slope_is_minus_two():
         c2 = betweenness_ccdf_given_q(1000, q, 0.5)
         slope = math.log(c2 / c1) / math.log(10.0)
         assert slope == pytest.approx(-2.0, abs=0.1)
+
+
+def test_betweenness_ccdf_starts_at_one_and_never_rises():
+    # Lambda = q+1 is the smallest attainable value, so F(q+1 | q) = 1;
+    # the sum cancels hardest there
+    for alpha in (0.1, 0.3, 0.5):
+        for q in range(40):
+            F = [betweenness_ccdf_given_q(L, q, alpha) for L in range(q + 1, q + 201)]
+            assert abs(F[0] - 1.0) <= 1e-10, (alpha, q, F[0])
+            rise = max(np.diff(F))
+            assert rise <= 1e-12, (alpha, q, rise)
 
 
 def test_finite_size_deviation_scales_inverse_square():
