@@ -49,14 +49,14 @@ from .tcp_finite import (
     buffer_loss_ratio_A,
     effective_loss,
     finite_frfr_pdf,
+    finite_window_ccdf,
+    finite_window_mean,
     finite_window_pdf,
-    phi_moment,
     solve_finite_distribution,
 )
 from .tcp_infinite import (
     AnalyticWindowDistribution,
     TcpParams,
-    frfr_mean_correction,
     window_moment,
 )
 from .tree_analytic import DistTable, ccdf_n, ccdf_q, marginal_n, marginal_q
@@ -66,6 +66,9 @@ from .window_sim import SimConfig, compare_histogram, merge_results, simulate
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_CHECK = 3
+
+# `validate` simulates its events in chunks of at most this many, one seed each
+_VALIDATE_CHUNK_EVENTS = 5000
 
 
 @dataclass(frozen=True)
@@ -97,6 +100,9 @@ def _prepare_outdir(path: str) -> None:
 
 
 def _fmt(value) -> str:
+    if isinstance(value, np.generic):
+        # numpy 2 scalars repr as "np.float64(...)", which no CSV reader parses
+        value = value.item()
     if isinstance(value, float):
         return repr(value)
     return str(value)
@@ -182,16 +188,11 @@ def cmd_tcp_dist(args) -> int:
         ccdf = dist.ccdf(w)
         mean_plain = window_moment(params, 1.0 / (params.m + 1.0))
         second_plain = window_moment(params, 2.0 / (params.m + 1.0))
-        mean = mean_plain
-        if args.variant == "frfr":
-            mean = mean_plain + frfr_mean_correction(params)
-        elif args.variant == "wan":
-            mean = float(np.trapezoid(w * pdf, w))
         summary = {
             "A": None,
             "lambda_eff": params.loss_rate,
             "moments": {
-                "mean": mean,
+                "mean": dist.mean(),
                 "mean_plain": mean_plain,
                 "second_moment_plain": second_plain,
                 "stdev_plain": math.sqrt(second_plain - mean_plain**2),
@@ -202,28 +203,18 @@ def cmd_tcp_dist(args) -> int:
         sol = solve_finite_distribution(fb)
         top = fb.effective_limit
         w = np.linspace(0.0, top, args.grid_points)
-        if args.variant == "frfr":
-            pdf, atom_at, atom_weight = finite_frfr_pdf(sol, w)
-        else:
-            pdf = finite_window_pdf(sol, w)
-            atom_at, atom_weight = None, 0.0
-        # cumulative trapezoid of the density plus the atom
-        below = np.concatenate(
-            [[0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * np.diff(w))]
-        )
-        ccdf = 1.0 - below
-        if atom_at is not None:
-            ccdf = np.where(w <= atom_at, ccdf, ccdf - atom_weight)
-            mean = float(np.trapezoid(w * pdf, w)) + atom_at * atom_weight
-        else:
-            mean = phi_moment(sol, 1.0) / (1.0 - sol.A)
+        frfr = args.variant == "frfr"
         summary = {
             "A": sol.A,
             "lambda_eff": effective_loss(fb),
-            "moments": {"mean": mean, "effective_limit": top},
+            "moments": {"mean": finite_window_mean(sol, frfr), "effective_limit": top},
         }
-        if atom_at is not None:
+        if frfr:
+            pdf, atom_at, atom_weight = finite_frfr_pdf(sol, w)
             summary["point_mass"] = {"at": atom_at, "weight": atom_weight}
+        else:
+            pdf = finite_window_pdf(sol, w)
+        ccdf = finite_window_ccdf(sol, w, frfr)
 
     _emit_table(cfg, "tcp_dist_pdf", {"w": list(w), "pdf": list(pdf), "ccdf": list(ccdf)})
     _write_json(
@@ -280,11 +271,10 @@ def cmd_validate(args) -> int:
     buffer_size = math.inf if args.buffer is None else args.buffer
     fb_sim = FiniteBufferParams(sim_params, buffer_size=buffer_size)
     chunk = {"fb": fb_sim, "variant": args.variant, "bins": args.bins}
-    per_job = [args.events // args.jobs] * args.jobs
-    per_job[-1] += args.events - sum(per_job)
-    payloads = [
-        (chunk, per_job[i], _child_seed(args.seed, i)) for i in range(args.jobs)
-    ]
+    # the chunking depends on --events only, so any --jobs merges the same runs
+    n_chunks = -(-args.events // _VALIDATE_CHUNK_EVENTS)
+    sizes = [(args.events + i) // n_chunks for i in range(n_chunks)]
+    payloads = [(chunk, size, _child_seed(args.seed, i)) for i, size in enumerate(sizes)]
     result = merge_results(*_run_parallel(_validate_chunk, payloads, args.jobs))
 
     analytic_params = _tcp_params(args, beta=analytic_beta)

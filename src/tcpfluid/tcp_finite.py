@@ -11,6 +11,8 @@ geometry through c = beta^(m+1):
   all-positive power series) plus a large-x asymptotic.
 - A level recursion generates coefficient rows h_{n,k} for the piecewise
   stationary density, one row per halving level below B_eff.
+- Every tail mass and mean of the plain and fast-recovery laws is a sum of
+  incomplete Gamma functions over rows and levels (`phi_moment`).
 
 Every exponential is arranged to have a nonpositive argument, so the
 evaluation never overflows regardless of x.
@@ -270,38 +272,38 @@ def _phi(sol: FiniteBufferSolution, w: np.ndarray) -> np.ndarray:
     return out
 
 
-def phi_moment(
-    sol: FiniteBufferSolution, s: float = 0.0, lo: float = 0.0, hi: float | None = None
-) -> float:
+def phi_moment(sol: FiniteBufferSolution, s: float = 0.0, lo=0.0, hi: float | None = None):
     """Exact integral of w^s·phi(w) over (lo, hi) via incomplete Gamma.
 
     s = 0 gives the phi mass (1 - A over the full range); s = m feeds the
-    fast-recovery normalizer.
+    fast-recovery normalizer.  lo may be an array, giving one integral per
+    entry.
     """
     tcp = sol.params.tcp
     p, m, c, B = tcp.p, tcp.m, sol.c, sol.effective_limit
     if hi is None:
         hi = B
     hi = min(hi, B)
-    if lo >= hi:
-        return 0.0
     nu = 1.0 + s / (m + 1)
     if nu <= 0:
         raise ValueError(f"integral diverges at the origin for s={s}")
     scale = ((m + 1) / p) ** (s / (m + 1)) * math.gamma(nu)
     edges = sol.level_edges()
-    total = 0.0
+    total = np.zeros(np.shape(lo))
     for n in range(sol.N_levels + 1):
         b = min(hi, edges[n])
-        a = max(lo, edges[n + 1]) if n < sol.N_levels else lo
-        if a >= b:
+        a = np.maximum(lo, edges[n + 1]) if n < sol.N_levels else lo
+        if np.all(a >= b):
             continue
         h = np.asarray(sol.h_matrix[n])
         k = np.arange(len(h))
         a_k = p * c ** -k.astype(float) / (m + 1)
-        seg = _sp.gammainc(nu, a_k * b ** (m + 1)) - _sp.gammainc(nu, a_k * a ** (m + 1))
-        total += float(np.sum(h * c ** (k * nu) * seg))
-    return scale * total
+        # entries with a >= b integrate over nothing
+        lower = np.multiply.outer(np.minimum(a, b) ** (m + 1), a_k)
+        seg = _sp.gammainc(nu, a_k * b ** (m + 1)) - _sp.gammainc(nu, lower)
+        total += np.sum(h * c ** (k * nu) * seg, axis=-1)
+    out = scale * total
+    return out if np.ndim(lo) else float(out)
 
 
 def finite_window_pdf(sol: FiniteBufferSolution, w):
@@ -311,6 +313,15 @@ def finite_window_pdf(sol: FiniteBufferSolution, w):
         raise ValueError("finite_window_pdf requires w >= 0")
     out = _phi(sol, w_arr) / (1.0 - sol.A)
     return out if np.ndim(w) else float(out[0])
+
+
+def _frfr_normalizers(sol: FiniteBufferSolution) -> tuple[float, float, float]:
+    """(1-A, Z, atom weight) of the fast-recovery law."""
+    tcp = sol.params.tcp
+    p, m, B = tcp.p, tcp.m, sol.effective_limit
+    share = 1.0 - sol.A
+    Z = 1.0 + p * (phi_moment(sol, m) + sol.A * B ** m) / share
+    return share, Z, p * B ** m * sol.A / (share * Z)
 
 
 def finite_frfr_pdf(sol: FiniteBufferSolution, w):
@@ -326,23 +337,41 @@ def finite_frfr_pdf(sol: FiniteBufferSolution, w):
     w_arr = np.atleast_1d(np.asarray(w, dtype=float))
     if np.any(w_arr < 0):
         raise ValueError("finite_frfr_pdf requires w >= 0")
-    share = 1.0 - sol.A
-    Z = 1.0 + p * (phi_moment(sol, m) + sol.A * B ** m) / share
+    share, Z, weight = _frfr_normalizers(sol)
     base = _phi(sol, w_arr) / share
     plateau = p * beta ** -(m + 1) * w_arr ** m * _phi(sol, w_arr / beta) / share
     density = (base + plateau) / Z
-    weight = p * B ** m * sol.A / (share * Z)
     if np.ndim(w):
         return density, beta * B, weight
     return float(density[0]), beta * B, weight
 
 
-def before_loss_pdf(sol: FiniteBufferSolution, w):
-    """Law of the window just before a loss: phi(w) plus atom A at B_eff."""
+def finite_window_ccdf(sol: FiniteBufferSolution, w, frfr: bool = False):
+    """P(W > w) of the plain law, or with frfr of the fast-recovery law.
+
+    The plain tail is phi's mass above w over 1-A.  With frfr the plateau
+    density above w integrates to p·∫ v^m phi(v) over v > w/beta, and the
+    atom at beta·B_eff counts for every w below it.
+    """
+    tcp = sol.params.tcp
     w_arr = np.atleast_1d(np.asarray(w, dtype=float))
     if np.any(w_arr < 0):
-        raise ValueError("before_loss_pdf requires w >= 0")
-    density = _phi(sol, w_arr)
-    if np.ndim(w):
-        return density, sol.effective_limit, sol.A
-    return float(density[0]), sol.effective_limit, sol.A
+        raise ValueError("finite_window_ccdf requires w >= 0")
+    if frfr:
+        share, Z, weight = _frfr_normalizers(sol)
+        tail = phi_moment(sol, 0.0, w_arr) + tcp.p * phi_moment(sol, tcp.m, w_arr / tcp.beta)
+        out = tail / (share * Z) + np.where(w_arr < tcp.beta * sol.effective_limit, weight, 0.0)
+    else:
+        out = phi_moment(sol, 0.0, w_arr) / (1.0 - sol.A)
+    out = np.clip(out, 0.0, 1.0)
+    return out if np.ndim(w) else float(out[0])
+
+
+def finite_window_mean(sol: FiniteBufferSolution, frfr: bool = False) -> float:
+    """E[W] of the plain law, or with frfr of the fast-recovery law (atom included)."""
+    if not frfr:
+        return phi_moment(sol, 1.0) / (1.0 - sol.A)
+    tcp = sol.params.tcp
+    share, Z, weight = _frfr_normalizers(sol)
+    density_part = phi_moment(sol, 1.0) + tcp.p * tcp.beta * phi_moment(sol, tcp.m + 1.0)
+    return density_part / (share * Z) + tcp.beta * sol.effective_limit * weight

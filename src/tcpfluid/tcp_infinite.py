@@ -6,17 +6,19 @@ multiply W by beta.  The stationary density is a finite mixture of
 stretched exponentials whose coefficients h_k come from a partial-fraction
 expansion; everything else here (moments, fast-recovery plateaus, idle-mode
 reweighting for long-delay links, the parallel-flow mean-field fixed point)
-is built from that mixture.  All laws depend on lambda and alpha only
-through the loss ratio p = lambda/alpha.
+is built from that mixture.  Every tail and mean of every variant is a sum
+of incomplete Gamma functions over the mixture terms (`_truncated_moment`),
+so nothing here integrates numerically.  All laws depend on lambda and alpha
+only through the loss ratio p = lambda/alpha.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
-from scipy import integrate as _integrate
 from scipy import special as _sp
 
 from .specfun import DEFAULT_NUMERICS, NumericsConfig, euler_product_L
@@ -127,11 +129,6 @@ class ResidueTable:
         return len(self.h) - 1
 
     @property
-    def truncation_error(self) -> float:
-        """Normalization defect 1 - sum_k c^k h_k of the truncated table."""
-        return 1.0 - float(np.sum(self.weights))
-
-    @property
     def weights(self) -> np.ndarray:
         """Mixture weights c^k h_k (sum to 1 up to truncation)."""
         k = np.arange(len(self.h))
@@ -201,6 +198,15 @@ class AnalyticWindowDistribution:
     def ccdf(self, w):
         return window_ccdf(self, w)
 
+    def mean(self) -> float:
+        """E[W]: moment closed forms for plain and frfr, num/den for wan."""
+        params, K = self.params, self.residues.K
+        if self.variant == "wan":
+            num, den = _wan_mean_terms(params, self.residues, params.bdp)
+            return num / den
+        shift = frfr_mean_correction(params, K) if self.variant == "frfr" else 0.0
+        return window_moment(params, 1.0 / (params.m + 1.0), K) + shift
+
     def support_cutoff(self) -> float:
         """w beyond which the plain-law CCDF is below 1e-13."""
         p, m = self.params.p, self.params.m
@@ -227,10 +233,8 @@ def _mixture_ccdf(params: TcpParams, res: ResidueTable, w: np.ndarray) -> np.nda
     return weights @ np.exp(-np.outer(a, w ** (m + 1)))
 
 
-def _truncated_moment(
-    params: TcpParams, res: ResidueTable, s: float, limit: float = math.inf
-) -> float:
-    """E[W^s · 1{W <= limit}] under the plain law.
+def _truncated_moment(params: TcpParams, res: ResidueTable, s: float, limit=math.inf):
+    """E[W^s · 1{W <= limit}] under the plain law; limit may be an array.
 
     Closed form through the lower incomplete Gamma: with nu = 1 + s/(m+1),
     E[W^s·1{W<=T}] = ((m+1)/p)^(s/(m+1)) · sum_k h_k c^(k·nu) γ(nu, a_k T^(m+1)).
@@ -244,17 +248,24 @@ def _truncated_moment(
     h = np.asarray(res.h)
     scale = ((m + 1) / p) ** (s / (m + 1))
     gamma_nu = math.gamma(nu)
-    if math.isinf(limit):
+    if np.ndim(limit) == 0 and math.isinf(limit):
         return scale * gamma_nu * float(np.sum(h * res.c ** (k * nu)))
-    x = p * res.c ** -k / (m + 1) * limit ** (m + 1)
-    return scale * gamma_nu * float(np.sum(h * res.c ** (k * nu) * _sp.gammainc(nu, x)))
+    x = np.multiply.outer(limit ** (m + 1), p * res.c ** -k / (m + 1))
+    out = scale * gamma_nu * np.sum(h * res.c ** (k * nu) * _sp.gammainc(nu, x), axis=-1)
+    return out if np.ndim(limit) else float(out)
 
 
-def _wan_denominator(params: TcpParams, res: ResidueTable, T: float) -> float:
-    p, m = params.p, params.m
+def _wan_mean_terms(params: TcpParams, res: ResidueTable, T: float) -> tuple[float, float]:
+    """(num, den) with E[W] = num/den for the wan law idling below T.
+
+    den = P(W > T) + p·E[W^m] + T·E[W^-1·1{W <= T}] also normalizes its pdf.
+    """
+    p, m, beta = params.p, params.m, params.beta
+    moment = partial(_truncated_moment, params, res)
     fbar = float(_mixture_ccdf(params, res, np.array([T]))[0]) if T > 0 else 1.0
-    inv_trunc = _truncated_moment(params, res, -1.0, T) if T > 0 else 0.0
-    return fbar + p * _truncated_moment(params, res, m) + T * inv_trunc
+    num = moment(1.0) + p * beta * moment(m + 1.0) + T * (1.0 - fbar) - moment(1.0, T)
+    den = fbar + p * moment(m) + T * moment(-1.0, T)
+    return num, den
 
 
 def window_pdf(dist: AnalyticWindowDistribution, w):
@@ -280,30 +291,36 @@ def window_pdf(dist: AnalyticWindowDistribution, w):
             idle = np.zeros_like(w_arr)
             below = (w_arr < T) & (w_arr > 0)
             idle[below] = (T - w_arr[below]) / w_arr[below] * base[below]
-            out = (base + plateau + idle) / _wan_denominator(params, res, T)
+            out = (base + plateau + idle) / _wan_mean_terms(params, res, T)[1]
     out = np.maximum(out, 0.0)
     return out if np.ndim(w) else float(out[0])
 
 
 def window_ccdf(dist: AnalyticWindowDistribution, w):
-    """P(W > w).  Closed form for the plain variant, quadrature otherwise."""
+    """P(W > w) in closed form for every variant.
+
+    frfr adds the plateau tail p·E[W^m·1{W > w/beta}]; wan also adds, below
+    T = bdp, the idle tail T·E[W^-1·1{w < W <= T}] - P(w < W <= T).  Both
+    then divide by the normalizer of their pdf.
+    """
     params, res = dist.params, dist.residues
     w_arr = np.atleast_1d(np.asarray(w, dtype=float))
     if np.any(w_arr < 0):
         raise ValueError("window_ccdf requires w >= 0")
-    if dist.variant == "plain":
-        out = np.clip(_mixture_ccdf(params, res, w_arr), 0.0, 1.0)
-    else:
-        w_max = dist.support_cutoff()
-        out = np.empty_like(w_arr)
-        for i, wi in enumerate(w_arr):
-            if wi >= w_max:
-                out[i] = 0.0
-                continue
-            mass, _ = _integrate.quad(
-                lambda u: window_pdf(dist, u), wi, w_max, limit=200
-            )
-            out[i] = min(max(mass, 0.0), 1.0)
+    fbar = partial(_mixture_ccdf, params, res)
+    moment = partial(_truncated_moment, params, res)
+    out = fbar(w_arr)
+    if dist.variant != "plain":
+        p, m, T = params.p, params.m, params.bdp
+        out += p * (moment(m) - moment(m, w_arr / params.beta))
+        if dist.variant == "frfr":
+            out /= 1.0 + p * moment(m)
+        else:
+            below = w_arr < T
+            idle_mass = T * (moment(-1.0, T) - moment(-1.0, w_arr[below]))
+            out[below] += idle_mass - (fbar(w_arr[below]) - fbar(np.array([T])))
+            out /= _wan_mean_terms(params, res, T)[1]
+    out = np.clip(out, 0.0, 1.0)
     return out if np.ndim(w) else float(out[0])
 
 
@@ -362,35 +379,6 @@ def frfr_mean_correction(
     return -p * (ew * ewm - params.beta * ewm1) / (1.0 + p * ewm)
 
 
-def wan_truncated_inverse_moment(
-    params: TcpParams,
-    threshold: float,
-    K: int | None = None,
-    cfg: NumericsConfig = DEFAULT_NUMERICS,
-) -> float:
-    """E[(1/W) · 1{W <= threshold}] under the plain law.
-
-    This is the idle-time weight in the wan denominator; threshold is
-    normally the bandwidth-delay product.  Needs m > 0, else the inverse
-    moment diverges at the origin.
-    """
-    if params.m <= 0:
-        raise ValueError("inverse moment requires m > 0")
-    if params.loss_rate <= 0:
-        raise ValueError("wan_truncated_inverse_moment requires loss_rate > 0")
-    if threshold < 0:
-        raise ValueError("threshold must be nonnegative")
-    res = compute_residues(params.c, K, cfg)
-    if abs(res.truncation_error) > 1e-8:
-        raise ValueError(
-            f"residue table truncated too early (defect {res.truncation_error:.2e}); "
-            "increase K"
-        )
-    if threshold == 0:
-        return 0.0
-    return _truncated_moment(params, res, -1.0, threshold)
-
-
 def mean_field_fixed_point(
     params: TcpParams,
     N: int,
@@ -415,16 +403,9 @@ def mean_field_fixed_point(
     if params.m <= 0:
         raise ValueError("mean_field_fixed_point requires m > 0")
     res = compute_residues(params.c, K, cfg)
-    p, m, beta = params.p, params.m, params.beta
-    ew = _truncated_moment(params, res, 1.0)
-    ewm = _truncated_moment(params, res, m)
-    ewm1 = _truncated_moment(params, res, m + 1.0)
-    inv_w = _truncated_moment(params, res, -1.0)
-    T = N / inv_w
+    T = N / _truncated_moment(params, res, -1.0)
     for _ in range(max_iter):
-        fbar = float(_mixture_ccdf(params, res, np.array([T]))[0])
-        num = ew + p * beta * ewm1 + T * (1.0 - fbar) - _truncated_moment(params, res, 1.0, T)
-        den = fbar + p * ewm + T * _truncated_moment(params, res, -1.0, T)
+        num, den = _wan_mean_terms(params, res, T)
         T_new = N * num / den
         if abs(T_new - T) <= 1e-10 * max(1.0, abs(T_new)):
             return T_new

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy import stats as _stats
+from scipy import special as _sp
 
 from .tcp_finite import FiniteBufferParams
 
@@ -315,5 +315,5 @@ def compare_histogram(
     exp = np.array(merged_exp)
     chi2 = float(np.sum((obs - exp) ** 2 / exp))
     dof = max(len(obs) - 1, 1)
-    pvalue = float(_stats.chi2.sf(chi2, dof))
+    pvalue = float(_sp.chdtrc(dof, chi2))
     return HistogramFit(chi2, ks, pvalue, dof, len(obs), events)

@@ -1,9 +1,15 @@
 """Command-line interface: exit codes, file outputs, reproducibility."""
 
+import csv
 import json
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
+import tcpfluid
 from tcpfluid.cli import main
 from tcpfluid.tcp_finite import FiniteBufferParams, solve_finite_distribution
 from tcpfluid.tcp_infinite import TcpParams, window_moment
@@ -17,6 +23,30 @@ def _read_json(path):
 def _data_rows(path):
     with open(path) as fh:
         return [line for line in fh if not line.startswith("#")]
+
+
+def _numeric_columns(path) -> dict[str, np.ndarray]:
+    """Every column of a CSV table that is not the strategy label, parsed
+    with float()."""
+    rows = list(csv.reader(_data_rows(path)))
+    return {
+        name: np.array([float(row[i]) for row in rows[1:]])
+        for i, name in enumerate(rows[0])
+        if name != "strategy"
+    }
+
+
+def test_import_skips_scipy_stats_and_integrate():
+    code = (
+        "import sys, tcpfluid.cli; "
+        "print(sorted(m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules))"
+    )
+    # a fresh interpreter, so modules other tests imported do not count
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tcpfluid.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    ).stdout
+    assert out.strip() == "[]"
 
 
 def test_specfun_selftest_passes(capsys):
@@ -60,6 +90,37 @@ def test_tcp_dist_finite_frfr_summary(tmp_path):
     assert summary["point_mass"]["at"] == pytest.approx(0.5 * fb.effective_limit)
 
 
+@pytest.mark.parametrize("variant", ["plain", "frfr"])
+def test_tcp_dist_finite_ccdf_stays_a_ccdf_on_coarse_grid(tmp_path, variant):
+    # a cumulative trapezoid of the density once read -0.034 here
+    rc = main([
+        "tcp-dist", "--p", "0.01", "--buffer", "60", "--grid-points", "8",
+        "--variant", variant, "--outdir", str(tmp_path),
+    ])
+    assert rc == 0
+    ccdf = _numeric_columns(tmp_path / "tcp_dist_pdf.csv")["ccdf"]
+    assert len(ccdf) == 8
+    assert ccdf.min() >= 0.0 and ccdf.max() <= 1.0
+    assert np.max(np.diff(ccdf)) <= 1e-12
+
+
+def test_every_csv_table_parses_as_numbers(tmp_path):
+    runs = {
+        "d": ["tcp-dist", "--p", "0.01"],
+        "t": ["tree", "--tau", "200", "--realizations", "2", "--check", "ccdf",
+              "--check-tolerance", "1.0"],
+        "n": ["netsim", "--nodes", "30", "--flows", "8", "--epochs", "100",
+              "--strategy", "uniform"],
+    }
+    for sub, args in runs.items():
+        assert main(args + ["--outdir", str(tmp_path / sub)]) == 0
+    tables = sorted(tmp_path.glob("*/*.csv"))
+    assert len(tables) == 6
+    for path in tables:
+        for name, column in _numeric_columns(path).items():
+            assert column.size > 0 and np.all(np.isfinite(column)), (path.name, name)
+
+
 def test_tcp_dist_missing_p_is_usage_error():
     with pytest.raises(SystemExit) as err:
         main(["tcp-dist"])
@@ -95,6 +156,18 @@ def test_validate_rerun_is_byte_identical(tmp_path):
     ra = (a / "validate_report.json").read_bytes()
     rb = (b / "validate_report.json").read_bytes()
     assert ra == rb
+
+
+def test_validate_jobs_do_not_change_results(tmp_path):
+    reports = []
+    for jobs in ("1", "2", "3"):
+        out = tmp_path / jobs
+        main(["validate", "--p", "0.02", "--events", "12000", "--jobs", jobs,
+              "--outdir", str(out)])
+        report = _read_json(out / "validate_report.json")
+        report["meta"].pop("jobs")
+        reports.append(report)
+    assert reports[0] == reports[1] == reports[2]
 
 
 def test_validate_too_few_events_rejected(tmp_path):

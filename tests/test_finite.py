@@ -6,13 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 
 from tcpfluid.tcp_finite import (
     FiniteBufferParams,
-    before_loss_pdf,
     buffer_loss_ratio_A,
     effective_loss,
     finite_frfr_pdf,
+    finite_window_ccdf,
+    finite_window_mean,
     finite_window_pdf,
     phi_moment,
     solve_finite_distribution,
@@ -22,6 +24,19 @@ from tcpfluid.tcp_infinite import AnalyticWindowDistribution, TcpParams
 
 def _fb(p: float, B: float, **kw) -> FiniteBufferParams:
     return FiniteBufferParams(TcpParams(alpha=1.0, loss_rate=p, **kw), buffer_size=B)
+
+
+def _level_quad(f, sol, lo: float) -> float:
+    """Integral of f over (lo, B_eff], split at every level edge and at the
+    plateau images beta·edge, where the densities have jumps or kinks."""
+    edges = sol.level_edges()
+    breaks = np.concatenate((edges, sol.params.tcp.beta * edges))
+    top = sol.effective_limit
+    bounds = [lo, *sorted(b for b in set(breaks) if lo < b < top), top]
+    return sum(
+        integrate.quad(f, a, b, epsabs=1e-15, epsrel=1e-13, limit=200)[0]
+        for a, b in zip(bounds[:-1], bounds[1:])
+    )
 
 
 def test_A_dual_paths_agree():
@@ -122,15 +137,30 @@ def test_frfr_atom_and_density_normalize():
     assert mass == pytest.approx(1.0, abs=5e-5)
 
 
-def test_before_loss_density_normalizes():
-    sol = solve_finite_distribution(_fb(8e-4, 50.0))
+@pytest.mark.parametrize("p, B", [(1e-2, 60.0), (5e-3, 40.0), (2e-2, 40.0)])
+def test_finite_ccdfs_match_level_quadrature(p, B):
+    sol = solve_finite_distribution(_fb(p, B))
     top = sol.params.effective_limit
-    w = np.linspace(0.0, top, 30001)
-    density, loc, weight = before_loss_pdf(sol, w)
-    # the buffer-loss fraction A sits as an atom at B~
-    assert loc == pytest.approx(top)
-    assert weight == pytest.approx(sol.A, rel=1e-12)
-    assert np.trapezoid(density, w) + weight == pytest.approx(1.0, abs=5e-5)
+    w = np.linspace(0.0, top, 40)
+    _, loc, weight = finite_frfr_pdf(sol, 0.0)
+    plain = [_level_quad(lambda u: finite_window_pdf(sol, u), sol, wi) for wi in w]
+    frfr = [
+        _level_quad(lambda u: finite_frfr_pdf(sol, u)[0], sol, wi)
+        + (weight if wi < loc else 0.0)
+        for wi in w
+    ]
+    assert np.max(np.abs(finite_window_ccdf(sol, w) - plain)) <= 1e-10
+    assert np.max(np.abs(finite_window_ccdf(sol, w, frfr=True) - frfr)) <= 1e-10
+    mean = _level_quad(lambda u: u * finite_frfr_pdf(sol, u)[0], sol, 0.0) + loc * weight
+    assert finite_window_mean(sol, frfr=True) == pytest.approx(mean, rel=1e-12)
+
+
+def test_phi_moment_array_matches_scalar_calls():
+    sol = solve_finite_distribution(_fb(1e-2, 60.0))
+    lo = np.linspace(0.0, 1.2 * sol.params.effective_limit, 33)
+    for s in (0.0, 1.0, 2.0):
+        want = [phi_moment(sol, s, float(x)) for x in lo]
+        np.testing.assert_allclose(phi_moment(sol, s, lo), want, rtol=1e-14, atol=0.0)
 
 
 def test_x_control_parameter():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 
 from tcpfluid.tcp_infinite import (
     AnalyticWindowDistribution,
@@ -14,8 +15,8 @@ from tcpfluid.tcp_infinite import (
     frfr_mean_correction,
     mean_field_fixed_point,
     sqrt_law_throughput,
-    wan_truncated_inverse_moment,
     window_moment,
+    window_pdf,
 )
 
 # published residue coefficients h_k(1/4); six significant digits each
@@ -34,6 +35,31 @@ H_TABLE = (
 
 def _p(p: float, **kw) -> TcpParams:
     return TcpParams(alpha=1.0, loss_rate=p, **kw)
+
+
+def _variants(p: float):
+    """The plain, frfr and wan (bandwidth-delay product 170.67) laws at p."""
+    for variant in ("plain", "frfr", "wan"):
+        yield AnalyticWindowDistribution.build(_p(p, link_delay=85.335), variant)
+
+
+def _quad_ccdf(dist, w):
+    """Reference P(W > w): adaptive quadrature of the pdf up to the cutoff.
+
+    The wan pdf has a kink at T = bdp, so the interval is split there.
+    """
+    w_max, T = dist.support_cutoff(), dist.params.bdp
+    out = np.empty_like(w)
+    for i, wi in enumerate(w):
+        if wi >= w_max:
+            out[i] = 0.0
+            continue
+        points = [T] if dist.variant == "wan" and wi < T < w_max else None
+        mass, _ = integrate.quad(
+            lambda u: window_pdf(dist, u), wi, w_max, limit=200, points=points
+        )
+        out[i] = min(max(mass, 0.0), 1.0)
+    return out
 
 
 def test_residue_table_values():
@@ -103,11 +129,11 @@ def test_pdf_normalization_and_ccdf_limits():
 
 
 def test_pdf_matches_ccdf_derivative():
-    dist = AnalyticWindowDistribution.build(_p(1e-2), "plain")
     h = 1e-5
-    for w in (3.0, 10.0, 21.0, 40.0):
-        num = (dist.ccdf(w - h) - dist.ccdf(w + h)) / (2 * h)
-        assert dist.pdf(w) == pytest.approx(num, rel=1e-5)
+    for dist in _variants(1e-2):
+        for w in (3.0, 10.0, 21.0, 40.0):
+            num = (dist.ccdf(w - h) - dist.ccdf(w + h)) / (2 * h)
+            assert dist.pdf(w) == pytest.approx(num, rel=1e-5), (dist.variant, w)
 
 
 def test_pdf_mean_matches_moment_route():
@@ -120,9 +146,31 @@ def test_pdf_mean_matches_moment_route():
 @given(st.floats(1e-4, 5e-2), st.floats(0.1, 60.0))
 @settings(max_examples=60, deadline=None)
 def test_pdf_nonnegative_and_ccdf_monotone(p, w):
-    dist = AnalyticWindowDistribution.build(_p(p), "plain")
-    assert dist.pdf(w) >= 0.0
-    assert dist.ccdf(w) >= dist.ccdf(w + 0.5) - 1e-15
+    for dist in _variants(p):
+        assert dist.pdf(w) >= 0.0
+        assert dist.ccdf(w) >= dist.ccdf(w + 0.5) - 1e-15
+
+
+@pytest.mark.parametrize(
+    "p, variant, bdp",
+    [(1e-2, "frfr", 0.0), (1e-3, "frfr", 0.0), (1e-2, "wan", 170.67), (1e-2, "wan", 0.0)],
+)
+def test_ccdf_closed_form_matches_quadrature(p, variant, bdp):
+    # the CLI's 512-point grid; the wan case at bdp = 170.67 also checks
+    # the truncated inverse moment E[W^-1 1{W <= T}] inside its idle tail
+    dist = AnalyticWindowDistribution.build(_p(p, link_delay=bdp / 2.0), variant)
+    w = np.linspace(0.0, dist.support_cutoff(), 512)
+    got = dist.ccdf(w)
+    assert np.max(np.abs(got - _quad_ccdf(dist, w))) <= 1e-10
+    assert got.min() >= 0.0 and got.max() <= 1.0
+    assert np.max(np.diff(got)) <= 1e-12
+
+
+def test_mean_matches_grid_for_every_variant():
+    for dist in _variants(1e-2):
+        w = np.linspace(0.0, dist.support_cutoff(), 40001)
+        grid_mean = np.trapezoid(w * dist.pdf(w), w)
+        assert dist.mean() == pytest.approx(grid_mean, rel=1e-6), dist.variant
 
 
 def test_frfr_correction_limit():
@@ -152,17 +200,6 @@ def test_wan_needs_positive_m():
         AnalyticWindowDistribution.build(
             TcpParams(alpha=1.0, loss_rate=1e-2, m=0.0, link_delay=10.0), "wan"
         )
-
-
-def test_wan_truncated_inverse_moment_against_quadrature():
-    # E[(1/W) 1{W <= t}] under the plain law, checked on a dense grid
-    params = _p(1e-2, link_delay=85.335)
-    t = 30.0
-    got = wan_truncated_inverse_moment(params, t)
-    dist = AnalyticWindowDistribution.build(params, "plain")
-    w = np.linspace(1e-9, t, 400001)
-    grid = np.trapezoid(dist.pdf(w) / w, w)
-    assert got == pytest.approx(grid, rel=1e-5)
 
 
 def test_mean_field_published_points():
