@@ -7,11 +7,15 @@ one flow must lose), losers cut their throughput by beta, and growth
 resumes.  Buffers are taken as zero: the congestion event is
 instantaneous and only the congested link's flows are disturbed.
 
-Event times are maintained as absolute hitting times per link.  Between
-events every throughput is linear in t, so each link's hitting time is
-constant until one of its flows is halved; an event therefore updates
-only the links touched by the halved flows' routes, and the per-flow
-time average Q integrates exactly over the linear segments.
+Between events every throughput is linear in t, so each link keeps an
+absolute hitting time that stays fixed until one of its flows is cut.
+`run_simulation` indexes its state by the links some flow grows on and
+updates, per event, only the links on the losers' routes; Q integrates
+exactly over the linear segments.  Congested links with at most seven
+members take a scalar Python path, larger ones a numpy path.  Both give
+the bits one vectorized step over every link would: numpy sums fewer
+than eight terms sequentially, as the scalar loop does, and pairwise
+from eight on.
 
 Capacity allocation strategies weight links uniformly, by endpoint
 in-degrees (max, min, product), or by edge betweenness (the mean-field
@@ -21,7 +25,7 @@ profile of offered load on the unique tree paths).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,8 +37,6 @@ __all__ = [
     "SyncModel",
     "PerformanceReport",
     "StagnationError",
-    "next_congestion",
-    "apply_congestion",
     "run_simulation",
     "assign_capacities",
     "uniform_tree_flows",
@@ -154,9 +156,6 @@ class FlowSet:
         """Linear throughput growth alpha*P/R of each flow, bits/sec^2."""
         return self.alphas * self.packet_sizes / self.rtts
 
-    def with_throughputs(self, X) -> "FlowSet":
-        return replace(self, X=np.asarray(X, float))
-
 
 def uniform_tree_flows(
     tree: GrowingTree,
@@ -208,58 +207,17 @@ class SyncModel:
         """Loss indicators for the congested link's flows; at least one set."""
         while True:
             xi = rng.random(pi_on_edge.size) < pi_on_edge
-            if xi.any():
+            if np.count_nonzero(xi):
                 return xi
-
-
-def _edge_loads(network: FluidNetwork, flows: FlowSet, values: np.ndarray):
-    """Per-link sums of a per-flow quantity, by brute-force accumulation."""
-    out = np.zeros(network.n_edges)
-    for i, route in enumerate(flows.routes):
-        out[route] += values[i]
-    return out
-
-
-def next_congestion(network: FluidNetwork, flows: FlowSet) -> tuple[float, int]:
-    """Time to the next capacity hit and the link where it happens.
-
-    Brute-force scan over links; the simulation loop keeps an
-    incrementally updated copy of the same quantities.
-    """
-    loads = _edge_loads(network, flows, flows.X)
-    growth = _edge_loads(network, flows, flows.growth_rates)
-    slack = network.capacities - loads
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tau = np.where(growth > 0.0, slack / growth, np.inf)
-    tau = np.maximum(tau, 0.0)
-    edge = int(np.argmin(tau))  # argmin takes the lowest id on ties
-    if not np.isfinite(tau[edge]):
-        raise StagnationError("no link accumulates load; no congestion ever")
-    return float(tau[edge]), edge
-
-
-def apply_congestion(
-    flows: FlowSet,
-    edge: int,
-    tau: float,
-    sync: SyncModel,
-    rng: np.random.Generator,
-) -> FlowSet:
-    """Advance all flows by tau, then cut the losers on the congested link."""
-    x = flows.X + flows.growth_rates * tau
-    on_edge = np.array([edge in set(r.tolist()) for r in flows.routes])
-    idx = np.nonzero(on_edge)[0]
-    if idx.size == 0:
-        raise ValueError(f"no flow crosses link {edge}")
-    xi = sync.draw(rng, sync.propensities(flows.n_flows)[idx])
-    losers = idx[xi]
-    x[losers] *= flows.betas[losers]
-    return flows.with_throughputs(x)
 
 
 @dataclass(frozen=True)
 class PerformanceReport:
-    """Time averages and event statistics of one simulation run."""
+    """Time averages and event statistics of one simulation run.
+
+    congested_edges holds the link id of each event; members per event
+    and per-link congestion counts follow from it and the routes.
+    """
 
     per_flow_q: np.ndarray
     mean_q: float
@@ -270,6 +228,12 @@ class PerformanceReport:
     duration: float
     taus: np.ndarray
     post_event_means: np.ndarray
+    congested_edges: np.ndarray
+
+
+# Largest member count on the scalar path: numpy's add.reduce sums fewer
+# than 8 terms sequentially from 0.0, and from 8 on pairwise
+_SCALAR_MAX_MEMBERS = 7
 
 
 def run_simulation(
@@ -281,99 +245,130 @@ def run_simulation(
 ) -> PerformanceReport:
     """Run `epochs` congestion events and report per-flow time averages.
 
-    Each throughput is linear between its own halvings, so X is stored as
-    intercept-at-t0 plus rate, Q accumulates closed-form segment
-    integrals, and link hitting times are recomputed from per-link load
-    intercepts.  Matches the next_congestion/apply_congestion pair
-    event for event under the same seed.
+    X is stored per flow as intercept-at-t0 plus rate, and Q accumulates
+    closed-form segment integrals.  Each link some flow grows on keeps
+    its load intercept b and hitting time (C - b) / growth; an event
+    recomputes both only on the links its members' routes touch, so it
+    costs the touched entries, not the link count.  Each touched link's
+    cuts are summed in member order from 0.0 and subtracted once, as one
+    bincount over every link would.  The post-event mean sums members
+    sequentially on the scalar path (at most seven members, numpy's own
+    order below eight terms) and with np.add.reduce on the numpy path.
+    One SyncModel.draw per event keeps the random stream unchanged.
     """
     if epochs < 1:
         raise ValueError("epochs must be positive")
     rng = np.random.default_rng(seed)
     n_flows = flows.n_flows
-    n_edges = network.n_edges
-    g = flows.growth_rates
-    betas = flows.betas
+    g, betas = flows.growth_rates, flows.betas
     pi = sync.propensities(n_flows)
 
-    # flows per link, for the congestion-side draw
-    edge_flows: list[list[int]] = [[] for _ in range(n_edges)]
-    for i, route in enumerate(flows.routes):
-        for e in route.tolist():
-            edge_flows[e].append(i)
-    edge_flows_arr = [np.array(lst, dtype=np.int64) for lst in edge_flows]
-    # static flattened member routes per link, so one event updates every
-    # touched link with a single weighted bincount instead of a concat
-    flat_edges = [
-        np.concatenate([flows.routes[i] for i in lst])
-        if lst else np.empty(0, dtype=np.int64)
-        for lst in edge_flows
-    ]
-    flat_owner = [
-        np.repeat(
-            np.arange(len(lst)), [flows.routes[i].size for i in lst]
-        )
-        for lst in edge_flows
-    ]
-
-    growth_per_edge = _edge_loads(network, flows, g)
-    intercept_per_edge = _edge_loads(network, flows, flows.X)
-    if np.any(intercept_per_edge > network.capacities):
+    # every (flow, link) pair in flow order; per-link sums by bincount add
+    # in that order from 0.0, the same bits as adding route by route
+    sizes = [r.size for r in flows.routes]
+    flat = np.concatenate(flows.routes) if n_flows else np.empty(0, np.int64)
+    owner = np.repeat(np.arange(n_flows), sizes)
+    growth = np.bincount(flat, weights=g[owner], minlength=network.n_edges)
+    b = np.bincount(flat, weights=flows.X[owner], minlength=network.n_edges)
+    if np.any(b > network.capacities):
         raise ValueError("initial throughputs already exceed a link capacity")
-    live = growth_per_edge > 0.0
-    if not np.any(live):
+    live_ids = np.flatnonzero(growth > 0.0)
+    if live_ids.size == 0:
         raise StagnationError("no link accumulates load; no congestion ever")
-    live_ids = np.nonzero(live)[0]
-    cap_live = network.capacities[live_ids]
-    inv_growth_live = 1.0 / growth_per_edge[live_ids]
+    # compact positions in ascending link id, so argmin ties still go to
+    # the lowest link id
+    pos = np.full(network.n_edges, -1)
+    pos[live_ids] = np.arange(live_ids.size)
+    cap = network.capacities[live_ids]
+    inv_growth = 1.0 / growth[live_ids]
+    # load intercepts at t = 0 stay exact between events: growth is constant
+    b = b[live_ids]
+    t_hit = (cap - b) * inv_growth
+    routes = [r[r >= 0].tolist() for r in np.split(pos[flat], np.cumsum(sizes)[:-1])]
+    link_members = [[] for _ in range(live_ids.size)]
+    for i, route in enumerate(routes):
+        for j in route:
+            link_members[j].append(i)
+    links = {}
 
+    def link(h: int) -> tuple:
+        """Link h's members, the links their routes touch, static terms."""
+        member_list = link_members[h]
+        touched = sorted(set().union(*(routes[i] for i in member_list)))
+        where = {j: n for n, j in enumerate(touched)}
+        at = [[where[j] for j in routes[i]] for i in member_list]
+        members, t = np.array(member_list), np.array(touched)
+        links[h] = out = (
+            member_list, members, pi[members], t, cap[t], inv_growth[t], at,
+            np.concatenate(at), np.array([len(a) for a in at]), g[members],
+        )
+        return out
+
+    g_list, beta_list = g.tolist(), betas.tolist()
     # per-flow linear segment: X(t) = x_base + g*(t - t_base) for t >= t_base
     x_base = flows.X.copy()
     t_base = np.zeros(n_flows)
     q_integral = np.zeros(n_flows)
-    # per-link intercept of the aggregate load line at absolute t = 0;
-    # stays exact between events because every growth rate is constant
-    b_edge = intercept_per_edge.copy()
-
     taus = np.empty(epochs)
     post_means = np.empty(epochs)
-    losses = 0
-    draws = 0
+    hits = np.empty(epochs, dtype=np.int64)
+    losses = draws = 0
     t_now = 0.0
     for k in range(epochs):
-        t_hit_live = (cap_live - b_edge[live_ids]) * inv_growth_live
-        hit = int(np.argmin(t_hit_live))
-        edge = int(live_ids[hit])
-        t_event = t_hit_live[hit]
+        h = int(t_hit.argmin())
+        t_event = float(t_hit[h])
         taus[k] = t_event - t_now
         t_now = t_event
-
-        members = edge_flows_arr[edge]
-        xi = sync.draw(rng, pi[members])
-        losers = members[xi]
-        draws += members.size
-        losses += losers.size
-
-        x_at_event = x_base[losers] + g[losers] * (t_now - t_base[losers])
-        dt = t_now - t_base[losers]
-        q_integral[losers] += x_base[losers] * dt + 0.5 * g[losers] * dt * dt
-        x_new = betas[losers] * x_at_event
-        x_base[losers] = x_new
-        t_base[losers] = t_now
-
-        # post-event mean throughput across the congested link's flows
-        post_members = x_base[members] + g[members] * (t_now - t_base[members])
-        post_means[k] = post_members.mean()
-
-        # every link on a loser's route loses that flow's throughput cut
-        # from its load intercept
-        cut_by_member = np.zeros(members.size)
-        cut_by_member[xi] = x_at_event - x_new
-        b_edge -= np.bincount(
-            flat_edges[edge],
-            weights=cut_by_member[flat_owner[edge]],
-            minlength=n_edges,
-        )
+        hits[k] = h
+        (member_list, members, pi_m, touched, cap_t, inv_growth_t, at,
+         at_flat, at_sizes, g_m) = links.get(h) or link(h)
+        xi = sync.draw(rng, pi_m)
+        n_m = len(member_list)
+        draws += n_m
+        if n_m <= _SCALAR_MAX_MEMBERS:
+            cuts = [0.0] * touched.size
+            post_sum = 0.0
+            for i, lost, at_i in zip(member_list, xi.tolist(), at):
+                dt = t_now - t_base.item(i)
+                x_base_i, g_i = x_base.item(i), g_list[i]
+                x_i = x_base_i + g_i * dt
+                if lost:
+                    losses += 1
+                    q_integral[i] = q_integral.item(i) + (
+                        x_base_i * dt + 0.5 * g_i * dt * dt)
+                    x_new = beta_list[i] * x_i
+                    x_base[i] = x_new
+                    t_base[i] = t_now
+                    cut = x_i - x_new
+                    for j in at_i:
+                        cuts[j] += cut
+                    x_i = x_new
+                post_sum += x_i
+            post_means[k] = post_sum / n_m
+            cuts = np.array(cuts)
+        else:
+            # a slice when every member loses: same values, no mask copies
+            lost = xi if np.count_nonzero(xi) < n_m else slice(None)
+            x_m = x_base[members]
+            dt = t_now - t_base[members]
+            x_now = x_m + g_m * dt
+            losers = members[lost]
+            losses += losers.size
+            dt_l = dt[lost]
+            q_integral[losers] += x_m[lost] * dt_l + 0.5 * g_m[lost] * dt_l * dt_l
+            x_at_event = x_now[lost]
+            x_new = betas[losers] * x_at_event
+            x_base[losers] = x_new
+            t_base[losers] = t_now
+            cut_by_member = np.zeros(n_m)
+            cut_by_member[lost] = x_at_event - x_new
+            x_now[lost] = x_new
+            post_means[k] = np.add.reduce(x_now) / n_m
+            cuts = np.bincount(at_flat, weights=np.repeat(cut_by_member, at_sizes),
+                               minlength=touched.size)
+        b_t = b[touched] - cuts
+        b[touched] = b_t
+        t_hit[touched] = (cap_t - b_t) * inv_growth_t
 
     # flush the tail segments into Q
     dt = t_now - t_base
@@ -389,6 +384,7 @@ def run_simulation(
         duration=float(t_now),
         taus=taus,
         post_event_means=post_means,
+        congested_edges=live_ids[hits],
     )
 
 

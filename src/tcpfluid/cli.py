@@ -22,7 +22,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,6 +142,9 @@ def _child_seed(seed: int, index: int) -> int:
 def _run_parallel(worker, payloads, jobs: int) -> list:
     if jobs <= 1 or len(payloads) <= 1:
         return [worker(p) for p in payloads]
+    # imported on first use, so commands that never fork do not load it
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(worker, payloads))
 
@@ -433,39 +435,11 @@ def cmd_tree(args) -> int:
 
 
 def _netsim_one(payload) -> dict:
-    conf, strategy = payload
-    tree = grow(
-        TreeParams(
-            alpha_t=conf["alpha"],
-            tau=conf["nodes"] - 1,
-            seed=_child_seed(conf["seed"], 0),
-        )
-    )
-    stats = measure(tree)
-    base = FluidNetwork.from_tree(
-        tree, np.full(tree.tau, conf["mean_capacity"])
-    )
-    network = assign_capacities(
-        base, strategy, conf["mean_capacity"], tree_stats=stats
-    )
-    flows = uniform_tree_flows(
-        tree,
-        conf["flows"],
-        beta=conf["beta"],
-        seed=_child_seed(conf["seed"], 1),
-    )
-    report = run_simulation(
-        network,
-        flows,
-        SyncModel(pi=conf["pi"]),
-        conf["epochs"],
-        seed=_child_seed(conf["seed"], 2),
-    )
-    caps = np.sort(network.capacities)[::-1]
+    network, flows, sync, epochs, sim_seed = payload
+    report = run_simulation(network, flows, sync, epochs, seed=sim_seed)
     return {
-        "strategy": strategy,
         "per_flow_q": report.per_flow_q.tolist(),
-        "capacities_sorted_desc": caps.tolist(),
+        "capacities_sorted_desc": np.sort(network.capacities)[::-1].tolist(),
         "mean_q": report.mean_q,
         "median_q": float(np.median(report.per_flow_q)),
         "mean_tau": report.mean_tau,
@@ -518,15 +492,36 @@ def cmd_netsim(args) -> int:
     strategies = (
         list(CAPACITY_STRATEGIES) if conf["strategy"] == "all" else [conf["strategy"]]
     )
-    results = _run_parallel(
-        _netsim_one, [(conf, s) for s in strategies], args.jobs
+    # one tree and one flow set, shared by every strategy
+    tree = grow(
+        TreeParams(
+            alpha_t=conf["alpha"],
+            tau=conf["nodes"] - 1,
+            seed=_child_seed(conf["seed"], 0),
+        )
     )
+    stats = measure(tree)
+    base = FluidNetwork.from_tree(tree, np.full(tree.tau, conf["mean_capacity"]))
+    flows = uniform_tree_flows(
+        tree, conf["flows"], beta=conf["beta"], seed=_child_seed(conf["seed"], 1)
+    )
+    sync = SyncModel(pi=conf["pi"])
+    payloads = [
+        (
+            assign_capacities(base, s, conf["mean_capacity"], tree_stats=stats),
+            flows,
+            sync,
+            conf["epochs"],
+            _child_seed(conf["seed"], 2),
+        )
+        for s in strategies
+    ]
+    results = dict(zip(strategies, _run_parallel(_netsim_one, payloads, args.jobs)))
 
     summary: dict = {"meta": cfg.meta(), "strategies": {}}
     cdf_cols: dict[str, list] = {"strategy": [], "q": [], "cdf": []}
     cap_cols: dict[str, list] = {"strategy": [], "capacity": [], "ccdf": []}
-    for res in results:
-        name = res["strategy"]
+    for name, res in results.items():
         summary["strategies"][name] = {
             k: res[k]
             for k in ("mean_q", "median_q", "mean_tau", "realized_r", "duration")
@@ -550,7 +545,7 @@ def cmd_netsim(args) -> int:
 
     failed = False
     if len(strategies) == len(CAPACITY_STRATEGIES):
-        q = {r["strategy"]: r["mean_q"] for r in results}
+        q = {name: res["mean_q"] for name, res in results.items()}
         ordered = (
             q["mean_field"] > q["minimum"] > q["product"] > q["maximum"] > q["uniform"]
         )

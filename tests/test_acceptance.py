@@ -5,6 +5,7 @@ a full run (pytest -s) reads as a checklist.  Stochastic checks run at
 fixed seeds; tolerances are the contract values, not tuned to the seed.
 """
 
+import hashlib
 import math
 import time
 
@@ -332,18 +333,50 @@ def test_c11_homogeneous_closed_forms():
     assert all_ok, worst
 
 
+# SHA-256 of each strategy's raw taus and per_flow_q bytes in criterion
+# 12's run, recorded from the per-link event loop before the compacted
+# kernel replaced it: the kernel must reproduce those runs bit for bit.
+C12_DIGESTS = {
+    "uniform": (
+        "4105b059ec039ea547a01ab331615996621da1cbf7b1d80e829362504f38c9e7",
+        "3a8fd5f4f24a40774a0ead40a7403a37eb38a0f0ca36f8a1a69044eee018db91",
+    ),
+    "maximum": (
+        "3fbaa588c0fce79a2262618705ff07f9710c5a3135b059573be98da3ab8987bb",
+        "42fb34f851dae83ab653a4efbef1a1adcb67cc2e666249688a24a1dbba9026ca",
+    ),
+    "minimum": (
+        "16212887c7bfda4780d24900afe54ab0dbf9636ee06a7eb6a464d6c49568446b",
+        "3c6cd8b4afe8f96591050a7e918e3b1a1f951d4ea45182ed05f2e42cd664c8c5",
+    ),
+    "product": (
+        "83a904a690338ef74ce932305262e1c2e5587678d3c5a409a8e910e0099d268c",
+        "430c140a8d8efcf3f81f366daa759ac4ded73807e8364c5100ce9dde9cb533b4",
+    ),
+    "mean_field": (
+        "42f3853d444342520c8b469757e687f9e1fff933608fa3b4db8eaa10e2464899",
+        "e59c66fbd09667edfbd42c64f820d0506e63a8a72d1e658ebd9a224007026638",
+    ),
+}
+
+
+def _sha256(values: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(values).tobytes()).hexdigest()
+
+
 def test_c12_strategy_ordering_at_scale():
     tree = grow(TreeParams(alpha_t=0.5, tau=9999, seed=101))
     stats = measure(tree)
     base = FluidNetwork.from_tree(tree, np.full(9999, 1e5))
     flows = uniform_tree_flows(tree, 1000, beta=0.5, seed=202)
     sync = SyncModel(pi=1.0)
-    q, med = {}, {}
+    q, med, digests = {}, {}, {}
     for name in CAPACITY_STRATEGIES:
         net = assign_capacities(base, name, 1e5, tree_stats=stats)
         rep = run_simulation(net, flows, sync, 1_000_000, seed=303)
         q[name] = rep.mean_q
         med[name] = float(np.median(rep.per_flow_q))
+        digests[name] = (_sha256(rep.taus), _sha256(rep.per_flow_q))
     order = ("mean_field", "minimum", "product", "maximum", "uniform")
     ordered = all(q[a] > q[b] for a, b in zip(order, order[1:]))
     med_ordered = all(med[a] > med[b] for a, b in zip(order, order[1:]))
@@ -372,3 +405,5 @@ def test_c12_strategy_ordering_at_scale():
         f"mean_field/uniform median-Q ratio {med_ratio:.2f} <= 10 "
         f"(mean ratio {ratio:.2f}, medians {med})"
     )
+    changed = [name for name in CAPACITY_STRATEGIES if digests[name] != C12_DIGESTS[name]]
+    assert not changed, f"taus/per_flow_q digests changed for {changed}"

@@ -1,22 +1,26 @@
 """Multi-link AIMD fluid network: events, closed forms, capacity rules."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tcpfluid.aimd_net import (
     CAPACITY_STRATEGIES,
     FlowSet,
     FluidNetwork,
     SyncModel,
-    apply_congestion,
     assign_capacities,
-    next_congestion,
     run_simulation,
     uniform_tree_flows,
 )
 from tcpfluid.tree_gen import GrowingTree, TreeParams, grow, measure
+
+import aimd_reference
+from aimd_reference import apply_congestion, next_congestion
 
 
 def _single_link(capacity: float = 10.0) -> FluidNetwork:
@@ -179,6 +183,67 @@ def test_fast_path_equals_event_loop():
         cur = nxt
     assert np.allclose(report.taus, taus, rtol=1e-9)
     assert np.allclose(report.per_flow_q, area / sum(taus), rtol=1e-9)
+
+
+def test_congested_edges_name_each_event():
+    # one unit-growth flow per link, full sync: link 1 (capacity 3.2) hits
+    # at 3.2, 4.8, ..., 9.6, 11.2, 12.8 and link 0 (capacity 10) at 10
+    net = FluidNetwork(
+        endpoints=np.array([[0, 1], [1, 2]], dtype=np.int64),
+        capacities=np.array([10.0, 3.2]),
+        n_vertices=3,
+    )
+    routes = (np.array([0], dtype=np.int64), np.array([1], dtype=np.int64))
+    flows = FlowSet(routes=routes, alphas=1.0, betas=0.5, rtts=1.0,
+                    packet_sizes=1.0, X=np.zeros(2))
+    report = run_simulation(net, flows, SyncModel(pi=1.0), 8, seed=0)
+    assert report.congested_edges.dtype == np.int64
+    assert report.congested_edges.tolist() == [1, 1, 1, 1, 1, 0, 1, 1]
+    assert np.allclose(np.cumsum(report.taus), [3.2, 4.8, 6.4, 8.0, 9.6, 10.0, 11.2, 12.8])
+
+
+# The explicit examples put 6 to 9 members on congested links (the first
+# all four).  numpy sums 8 or more terms pairwise, so a kernel that sums
+# 8 members sequentially on its scalar path fails them.
+@settings(max_examples=80, deadline=None)
+@given(
+    tau=st.integers(2, 60),
+    tree_seed=st.integers(0, 2**16),
+    n_flows=st.integers(2, 40),
+    flow_seed=st.integers(0, 2**16),
+    strategy=st.sampled_from(CAPACITY_STRATEGIES),
+    pi=st.sampled_from((0.2, 0.5, 0.7, 1.0)),
+    epochs=st.integers(1, 300),
+    seed=st.integers(0, 2**16),
+)
+@example(tau=30, tree_seed=3, n_flows=40, flow_seed=4, strategy="maximum",
+         pi=0.5, epochs=300, seed=0)
+@example(tau=60, tree_seed=3, n_flows=30, flow_seed=4, strategy="uniform",
+         pi=0.7, epochs=300, seed=1)
+@example(tau=45, tree_seed=2, n_flows=40, flow_seed=3, strategy="uniform",
+         pi=0.2, epochs=300, seed=2)
+def test_kernel_matches_frozen_reference(
+    tau, tree_seed, n_flows, flow_seed, strategy, pi, epochs, seed
+):
+    tree = grow(TreeParams(alpha_t=0.5, tau=tau, seed=tree_seed))
+    base = FluidNetwork.from_tree(tree, np.full(tau, 10.0))
+    net = assign_capacities(base, strategy, 10.0, tree_stats=measure(tree))
+    # unequal growth rates and cuts, so no two members' terms coincide
+    rng = np.random.default_rng(flow_seed)
+    flows = replace(
+        uniform_tree_flows(tree, n_flows, seed=flow_seed),
+        alphas=rng.uniform(0.5, 2.0, n_flows),
+        betas=rng.uniform(0.3, 0.8, n_flows),
+    )
+    sync = SyncModel(pi=pi)
+    got = run_simulation(net, flows, sync, epochs, seed=seed)
+    want = aimd_reference.run_simulation(net, flows, sync, epochs, seed=seed)
+    assert np.array_equal(got.taus, want.taus)
+    assert np.array_equal(got.per_flow_q, want.per_flow_q)
+    assert np.array_equal(got.post_event_means, want.post_event_means)
+    assert got.realized_r == want.realized_r
+    route_cap = np.array([net.capacities[r].min() for r in flows.routes])
+    assert np.all(got.per_flow_q <= route_cap * (1 + 1e-9))
 
 
 def test_feasibility_never_violated():

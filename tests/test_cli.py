@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, file outputs, reproducibility."""
 
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -39,7 +40,8 @@ def _numeric_columns(path) -> dict[str, np.ndarray]:
 def test_import_skips_scipy_stats_and_integrate():
     code = (
         "import sys, tcpfluid.cli; "
-        "print(sorted(m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules))"
+        "print(sorted(m for m in ('scipy.stats', 'scipy.integrate', "
+        "'concurrent.futures.process', 'multiprocessing') if m in sys.modules))"
     )
     # a fresh interpreter, so modules other tests imported do not count
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tcpfluid.__file__)))
@@ -231,6 +233,46 @@ def test_netsim_tiny_run_outputs(tmp_path):
         assert (out / f"netsim_flows_{name}.csv").exists()
     assert (out / "netsim_q_cdf.csv").exists()
     assert (out / "netsim_capacity_ccdf.csv").exists()
+
+# SHA-256 of each file `netsim --nodes 300 --flows 30` writes (default seed
+# and epochs), recorded when every strategy still grew its own tree.
+NETSIM_SMALL_DIGESTS = {
+    "csv": {
+        "netsim_capacity_ccdf.csv": "bb1cb43e5168cb7c2033cd1f40faf2592763c01067379afa0f6d85009b1f5a92",
+        "netsim_flows_maximum.csv": "4ba8d8d3c6bf6847ab38c771ae6c6873e0ac142355d6da7f27738f05bf6252a9",
+        "netsim_flows_mean_field.csv": "8a3a98de77cb91fad0aa2caf1bd49af9bc09ffd5c9d4471e0512b02d0dcc1790",
+        "netsim_flows_minimum.csv": "46dafc4bcc6716b5c4a811da19e320e56fd6fac74fcba78c77a03b9a478530d4",
+        "netsim_flows_product.csv": "ad31a4ac8ec395277f2e3b45764ed01eb6e58db23cdf4e43ad97e054c22e910d",
+        "netsim_flows_uniform.csv": "9134da88d5311ae34e014f3ae58172b880eae1eeda28ff8ccc36a727037e10ba",
+        "netsim_q_cdf.csv": "1dcdd8e47ac3ec02149c3a904ca3c1d4ac4df686ca4acd81a6496c90badf1668",
+        "netsim_summary.json": "488b2a52bd6fb5d0117a0312de6698fd91309ae43dcbf83cad826f3d1837d8c1",
+    },
+    "json": {
+        "netsim_capacity_ccdf.json": "567836406dafa04208cfa64c3bdc2427db6f0afeb38471dc5a940ba3f884ae8a",
+        "netsim_flows_maximum.json": "5629d77924565d642b8f758c01e58f79dda285c38fb697e1ae97788700d2c618",
+        "netsim_flows_mean_field.json": "7a99360927f3f13b95e083ec2adcd48399a02294a68009ed52478000311eec1b",
+        "netsim_flows_minimum.json": "82e2d71dfc23e465d2c24d0d03754af9c9244bbb20dbad424aa72ee4bccd5e8a",
+        "netsim_flows_product.json": "e08b6ca0a92cff4fd3bec8f3d7c336c3c1e466bf8014418db5e38409546fbe9b",
+        "netsim_flows_uniform.json": "3d67e2fffc6307faa7b0482e7677f774fcc747aebbdaac1d2559d0e842e46b93",
+        "netsim_q_cdf.json": "c2c733cf4447682c7e69f458658c04d57be18221555a1623da3218054f3fc7d4",
+        "netsim_summary.json": "adfbcb1077e9d78ebe2f931aa34af5bd77837a1eaffae8513a1e61cfe03c9254",
+    },
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_netsim_outputs_match_across_jobs_and_recorded_digests(tmp_path, fmt):
+    digests = {}
+    for jobs in ("1", "2"):
+        out = tmp_path / jobs
+        rc = main(["netsim", "--nodes", "300", "--flows", "30", "--format", fmt,
+                   "--jobs", jobs, "--outdir", str(out)])
+        assert rc == 0
+        digests[jobs] = {
+            f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()
+        }
+    assert digests["1"] == digests["2"]
+    assert digests["1"] == NETSIM_SMALL_DIGESTS[fmt]
 
 
 def test_netsim_config_file_and_flag_precedence(tmp_path):
