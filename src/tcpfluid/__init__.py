@@ -8,7 +8,7 @@ Subpackages by topic:
 - window_sim: continuous-time Monte Carlo oracle for the window process
 - aimd_net: multi-link AIMD fluid network with capacity strategies
 - tree_gen: growing preferential-attachment trees and measurements
-- tree_analytic: closed-form (cluster size, in-degree, betweenness) laws
+- tree_analytic: exact (cluster size, in-degree, betweenness) edge laws
 """
 
 __version__ = "0.1.0"

@@ -381,8 +381,8 @@ def cmd_tree(args) -> int:
             print(f"tree enumerate: PASS max|exact-analytic| = {gap:.3e}")
 
     # descendant counts n span the whole tree; in-degrees q die off within
-    # a few dozen values, and the analytic q series degrades (and slows
-    # down) far past the support, so the two tables get separate row caps
+    # a few dozen values, and each q-law pass costs O(tau * q), so the two
+    # tables get separate row caps
     n_max = min(tau - 1, args.max_rows - 1)
     q_max = min(tau - 1, args.max_q_rows - 1)
     kn = np.arange(n_max + 1)

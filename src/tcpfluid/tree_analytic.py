@@ -1,53 +1,59 @@
-"""Closed-form edge statistics of preferential-attachment trees.
+"""Edge statistics of preferential-attachment trees.
 
 Distributions below describe the state (n, q) of a uniformly chosen edge
 in a tree grown to tau edges: n is the number of descendants strictly
 below the edge's younger endpoint, q the in-degree of that endpoint.
-Everything derives from the joint law
+With a = alpha_t the joint law factorizes as
+
+    P_tau(n, q) = P_tau(n) * K_n(q),
+    P_tau(n) = ((tau+1-a)/tau) * (1-a) / ((n+1-a)(n+2-a)).
+
+The subtree under an edge carries total attachment weight n+1-a, which
+depends on n alone, so the in-degree of its root is a Markov chain in
+the subtree size and K_n(q) = P(q | n) does not depend on tau:
+
+    K_0 = delta_0,
+    K_{n+1}(q) = K_n(q) (n - a q)/(n+1-a) + K_n(q-1) (1-a+a(q-1))/(n+1-a).
+
+Every coefficient is nonnegative, so the chain never cancels.  At finite
+tau it gives the whole table in O(tau^2) work, and P(q), P(in-degree >=
+q) and E[n | q] in one O(tau * q) pass whose top bin absorbs the rest of
+the in-degree tail.  Uniform attachment, the alpha_t = 0 sentinel, is
+the same chain at a = 0.
+
+The scalar joint law and the infinite-tree laws are closed forms,
 
     P_tau(n, q) = ((tau+1-a)/tau) * (1/a-1)_q / (2-a)_{n+1} * D(n, q),
+    D(n, q) = sum_{k=0}^{q} (-1)^k / (k! (q-k)!) * (-a k)_n,
 
-written with a = alpha_t and the alternating Pochhammer sum
-
-    D(n, q) = sum_{k=0}^{q} (-1)^k / (k! (q-k)!) * (-a k)_n.
-
-D and every finite-size correction below are alternating Pochhammer
-sums of one shape, all evaluated by `_alternating_sum`: in log space
-with sign tracking first, and again in exact rational arithmetic
-(alpha_t snapped to the nearest small-denominator rational) whenever the
-float sum loses more than three digits to cancellation, as it does when
-n is close to q.  Bulk tabulation avoids the alternating sum entirely:
-the same law satisfies a forward recursion in tree age with nonnegative
-coefficients, which is cancellation-free and fills the whole support in
-O(tau^3) vectorized work.
+and D and the betweenness CCDF are alternating Pochhammer sums of one
+shape, evaluated by `_alternating_sum`: in log space with sign tracking
+first, and again in exact rational arithmetic (alpha_t snapped to the
+nearest small-denominator rational) whenever the float sum loses more
+than three digits to cancellation, as it does when n is close to q.
 
 Edge betweenness is a deterministic function of the cluster size,
 L = (n+1)(tau-n), so its laws are reparametrizations of the cluster law.
 The rescaled variable Lambda = L/(tau+1) has a proper infinite-tree
-limit.  The uniform-attachment limit (a -> inf) is exposed through the
-alpha_t = 0 sentinel where a closed form exists.
+limit.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
-from .specfun import (
-    digamma,
-    log_gamma,
-    pochhammer_log,
-    pochhammer_signed,
-    stirling_first_unsigned,
-)
+from .specfun import digamma, log_gamma, pochhammer_log, pochhammer_signed
 
 __all__ = [
     "DistTable",
     "joint_pnq",
-    "joint_pnq_er",
     "marginal_n",
     "marginal_q",
     "ccdf_n",
@@ -55,18 +61,11 @@ __all__ = [
     "cond_mean_n_given_q",
     "cond_mean_q_given_n",
     "betweenness_ccdf_given_q",
-    "betweenness_ccdf_asymptotic",
     "betweenness_mean_given_q",
-    "betweenness_mean_given_q_finite",
     "unconditional_betweenness_ccdf",
-    "finite_size_correction_check",
 ]
 
 EULER_GAMMA = 0.5772156649015328606
-
-# small-alpha stand-in for finite-tau uniform-attachment marginals, which
-# have no printed closed form (they involve a derivative at alpha = 0)
-_ER_ALPHA_EPS = 1e-6
 
 # an alternating sum smaller than this times its largest term has lost
 # more than three digits; log-space terms carry ~1e-13 relative error
@@ -207,105 +206,139 @@ def joint_pnq(tau: int, alpha_t: float, n: int, q: int) -> float:
     return sign * math.exp(log_p)
 
 
-def joint_pnq_er(tau: int, n: int, q: int) -> float:
-    """Uniform-attachment (a -> inf) joint law, via Stirling numbers.
+# chain rows per block: the block's coefficient arrays are built in one
+# vectorized step and stay small even for a full-width table row
+_CHAIN_BLOCK = 256
 
-    Exact integer arithmetic; capped at n <= 65 by the Stirling table.
+
+def _in_degree_chain(
+    alpha: float, n_rows: int, top: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield blocks (lo, K) with K[i, q] = K_{lo+i}(q), covering n < n_rows.
+
+    Bin `top` absorbs every in-degree q >= top.  Requires alpha < 1.
     """
-    tau = _check_tau(tau)
-    n = _check_index("n", n)
-    q = _check_index("q", q)
-    if (n, q) == (0, 0):
-        return (tau + 1.0) / (2.0 * tau)
-    if q < 1 or q > n or n >= tau:
-        return 0.0
-    # signed Stirling numbers cancel the alternating prefactor exactly,
-    # leaving an all-positive sum over the unsigned ones
-    total = sum(
-        stirling_first_unsigned(n - 1, k) * math.comb(k, q - 1)
-        for k in range(q - 1, n)
+    q = np.arange(top + 1.0)
+    rise_weight = 1.0 - alpha + alpha * q[:-1]
+    row = np.zeros(top + 1)
+    row[0] = 1.0
+    for lo in range(0, n_rows, _CHAIN_BLOCK):
+        n = np.arange(lo, min(lo + _CHAIN_BLOCK, n_rows), dtype=float)[:, None]
+        size = n + 1.0 - alpha
+        stay = np.maximum(n - alpha * q, 0.0) / size
+        stay[:, top] = 1.0
+        rise = rise_weight / size
+        out = np.empty((len(n) + 1, top + 1))
+        out[0] = row
+        # row views made once per block: indexing per step costs as much
+        # as the arithmetic on a 65-bin row
+        rows, lows, highs = list(out), list(out[:, :-1]), list(out[:, 1:])
+        stays, rises = list(stay), list(rise)
+        for i in range(len(n)):
+            np.multiply(rows[i], stays[i], out=rows[i + 1])
+            highs[i + 1] += lows[i] * rises[i]
+        row = out[-1]
+        yield lo, out[:-1]
+
+
+def _cluster_pmf(tau: int, alpha: float) -> np.ndarray:
+    """P_tau(n) for n = 0..tau-1, entry by entry as `marginal_n` computes it."""
+    n = np.arange(tau, dtype=float)
+    p = _prefactor(tau, alpha) * (1.0 - alpha) / (
+        (n + 1.0 - alpha) * (n + 2.0 - alpha)
     )
-    return float(Fraction((tau + 1) * total, tau * math.factorial(n + 2)))
+    p[0] = marginal_n(tau, alpha, 0)
+    return p
 
 
-def _forward_table(tau: int, alpha: float) -> np.ndarray:
-    """Edge-state law P_tau[n, q] by evolving the attachment dynamics.
+@lru_cache(maxsize=8)
+def _in_degree_pass(tau: int, alpha: float, top: int) -> tuple[np.ndarray, ...]:
+    """(P(q), P(in-degree >= q), sum_n n P_tau(n, q)) for q = 0..top.
 
-    One growth step sends an edge in state (n, q) to (n+1, q+1) when the
-    new vertex lands on its younger endpoint (weight 1-a+a*q) and to
-    (n+1, q) when it lands strictly below (weight n-a*q), both over the
-    total t+1-a; each step also spawns one edge in state (0, 0).  All
-    coefficients are nonnegative, so the evolution never cancels.
+    Bin `top` holds all of q >= top; the tail is summed from it downward.
     """
-    # accumulates the UNNORMALIZED sum over edge birth times
-    acc = np.zeros((tau, tau))
-    acc[0, 0] = 1.0
-    n_grid = np.arange(tau, dtype=float)[:, None]
-    q_grid = np.arange(tau, dtype=float)[None, :]
-    w_endpoint = 1.0 - alpha + alpha * q_grid + 0.0 * n_grid
-    w_below = np.maximum(n_grid - alpha * q_grid, 0.0)
-    for t in range(1, tau):
-        m = t + 1
-        s = acc[:m, :m]
-        flow1 = s * (w_endpoint[:m, :m] / (t + 1.0 - alpha))
-        flow2 = s * (w_below[:m, :m] / (t + 1.0 - alpha))
-        s -= flow1 + flow2
-        s[1:, 1:] += flow1[:-1, :-1]
-        s[1:, :] += flow2[:-1, :]
-        acc[0, 0] += 1.0
-    return acc / tau
+    p_n = _cluster_pmf(tau, alpha)
+    n_p_n = np.arange(tau) * p_n
+    mass = np.zeros(top + 1)
+    moment = np.zeros(top + 1)
+    for lo, k in _in_degree_chain(alpha, tau, top):
+        mass += p_n[lo : lo + len(k)] @ k
+        moment += n_p_n[lo : lo + len(k)] @ k
+    tail = np.cumsum(mass[::-1])[::-1]
+    for arr in (mass, tail, moment):
+        arr.setflags(write=False)
+    return mass, tail, moment
 
 
-@dataclass(frozen=True)
+def _finite_q_laws(tau: int, alpha: float, q: int) -> tuple[float, float, float]:
+    """P(q), P(in-degree >= q) and sum_n n P_tau(n, q) at finite tau.
+
+    The top bin is a power of two of at least 64 above q, so a column of
+    calls for q = 0, 1, ... shares one cached pass of the chain.
+    """
+    mass, tail, moment = _in_degree_pass(tau, alpha, max(64, 1 << q.bit_length()))
+    return float(mass[q]), float(tail[q]), float(moment[q])
+
+
+@dataclass(frozen=True, eq=False)
 class DistTable:
     """Tabulated P_tau(n, q) over the support 0 <= q <= n <= tau-1.
 
-    `values` maps (n, q) to probability; `exact` optionally carries the
-    rational values when the table came from the exhaustive enumerator.
+    `grid[n, q]` holds the law as a read-only (tau, tau) array; `exact`
+    optionally carries the rational values when the table came from the
+    exhaustive enumerator.
     """
 
     tau: int
     alpha_t: float
-    values: dict
+    grid: np.ndarray
     exact: dict | None = None
 
+    def __post_init__(self) -> None:
+        self.grid.setflags(write=False)
+
+    @property
+    def values(self) -> Mapping[tuple[int, int], float]:
+        """Read-only mapping (n, q) -> probability over the nonzero entries."""
+        ns, qs = np.nonzero(self.grid)
+        keys = zip(ns.tolist(), qs.tolist())
+        return MappingProxyType(dict(zip(keys, self.grid[ns, qs].tolist())))
+
     def prob(self, n: int, q: int) -> float:
-        return self.values.get((n, q), 0.0)
+        if 0 <= n < self.tau and 0 <= q < self.tau:
+            return float(self.grid[n, q])
+        return 0.0
 
     def total(self) -> float:
-        return math.fsum(self.values.values())
+        return math.fsum(self.grid.ravel().tolist())
 
     def marginal_over_q(self) -> np.ndarray:
         """P(n) array for n = 0..tau-1, summing the table over q."""
-        out = np.zeros(self.tau)
-        for (n, _q), p in self.values.items():
-            out[n] += p
-        return out
+        return self.grid.sum(axis=1)
 
     def marginal_over_n(self) -> np.ndarray:
         """P(q) array for q = 0..tau-1, summing the table over n."""
-        out = np.zeros(self.tau)
-        for (_n, q), p in self.values.items():
-            out[q] += p
-        return out
+        return self.grid.sum(axis=0)
 
     @classmethod
     def from_analytic(cls, tau: int, alpha_t: float) -> "DistTable":
         """Tabulate the joint law over the whole support.
 
-        Uses the cancellation-free forward recursion of the attachment
-        dynamics rather than summing the alternating closed form per
-        entry, which loses all precision in the n ~ q corner.  Agrees
-        with the scalar closed form wherever the latter is healthy.
+        Fills P_tau(n) * K_n(q) row by row from the in-degree chain,
+        which has nonnegative coefficients and so never cancels, unlike
+        the alternating closed form in the n ~ q corner.
         """
         tau = _check_tau(tau)
         alpha = _check_alpha(alpha_t, allow_er=True)
+        grid = np.zeros((tau, tau))
         if alpha == 1.0:
-            return cls(tau=tau, alpha_t=1.0, values={(0, 0): 1.0})
-        grid = _forward_table(tau, alpha)
-        ns, qs = np.nonzero(grid)
-        values = dict(zip(zip(ns.tolist(), qs.tolist()), grid[ns, qs].tolist()))
-        return cls(tau=tau, alpha_t=alpha, values=values)
+            grid[0, 0] = 1.0
+            return cls(tau=tau, alpha_t=1.0, grid=grid)
+        p_n = _cluster_pmf(tau, alpha)
+        for lo, k in _in_degree_chain(alpha, tau, tau - 1):
+            hi = lo + len(k)
+            np.multiply(k, p_n[lo:hi, None], out=grid[lo:hi])
+        return cls(tau=tau, alpha_t=alpha, grid=grid)
 
 
 def marginal_n(tau, alpha_t: float, n: int) -> float:
@@ -323,27 +356,8 @@ def marginal_n(tau, alpha_t: float, n: int) -> float:
     return pref * (1.0 - alpha) / ((n + 1.0 - alpha) * (n + 2.0 - alpha))
 
 
-def _marginal_q_positive_alpha(tau, alpha: float, q: int) -> float:
-    inv = 1.0 / alpha
-    t1 = inv * math.exp(
-        pochhammer_log(inv - 1.0, inv) - pochhammer_log(q + inv - 1.0, inv + 1.0)
-    )
-    if _is_infinite(tau):
-        return t1
-    # finite-size correction: 1/(a k + 2 - a) = (1/a) / (k - 1 + 2/a)
-    sign, log_s = _alternating_sum(alpha, q, tau, k_lo=1, shifts=((-1, 2),))
-    t2 = sign * inv * math.exp(
-        pochhammer_log(inv - 1.0, q) - pochhammer_log(2.0 - alpha, tau) + log_s
-    )
-    return _prefactor(tau, alpha) * (t1 - t2)
-
-
 def marginal_q(tau, alpha_t: float, q: int) -> float:
-    """In-degree marginal of the edge ensemble.
-
-    The finite-tau uniform-attachment case (alpha_t = 0) has no printed
-    closed form; it is approximated by evaluating at alpha = 1e-6.
-    """
+    """In-degree marginal of the edge ensemble."""
     alpha = _check_alpha(alpha_t, allow_er=True)
     if not _is_infinite(tau):
         tau = _check_tau(tau)
@@ -352,11 +366,14 @@ def marginal_q(tau, alpha_t: float, q: int) -> float:
         return 0.0
     if alpha == 1.0:
         return 1.0 if q == 0 else 0.0
+    if not _is_infinite(tau):
+        return _finite_q_laws(tau, alpha, q)[0]
     if alpha == 0.0:
-        if _is_infinite(tau):
-            return 2.0 ** -(q + 1)
-        return _marginal_q_positive_alpha(tau, _ER_ALPHA_EPS, q)
-    return _marginal_q_positive_alpha(tau, alpha, q)
+        return 2.0 ** -(q + 1)
+    inv = 1.0 / alpha
+    return inv * math.exp(
+        pochhammer_log(inv - 1.0, inv) - pochhammer_log(q + inv - 1.0, inv + 1.0)
+    )
 
 
 def ccdf_n(tau, alpha_t: float, n: int) -> float:
@@ -367,28 +384,12 @@ def ccdf_n(tau, alpha_t: float, n: int) -> float:
     n = _check_index("n", n)
     if n <= 0:
         return 1.0
-    if not _is_infinite(tau) and n >= tau:
+    if _is_infinite(tau):
+        return (1.0 - alpha) / (n + 1.0 - alpha)
+    if n >= tau:
         return 0.0
-    head = (1.0 - alpha) / (n + 1.0 - alpha)
-    if _is_infinite(tau):
-        return head
-    return _prefactor(tau, alpha) * head - (1.0 - alpha) / tau
-
-
-def _ccdf_q_positive_alpha(tau, alpha: float, q: int) -> float:
-    inv = 1.0 / alpha
-    head = math.exp(
-        pochhammer_log(inv - 1.0, inv) - pochhammer_log(q + inv - 1.0, inv)
-    )
-    if _is_infinite(tau):
-        return head
-    pref = _prefactor(tau, alpha)
-    # the tail sum is empty, hence zero, for q < 2
-    sign, log_s = _alternating_sum(alpha, q - 2, tau - 1, x0=1, shifts=((0, 1), (0, 2)))
-    t3 = sign * math.exp(
-        pochhammer_log(inv - 1.0, q) - pochhammer_log(2.0 - alpha, tau) + log_s
-    )
-    return pref * head - (1.0 - alpha) / tau + pref * t3
+    # prefactor * (1-a)/(n+1-a) - (1-a)/tau, with the difference taken exactly
+    return (1.0 - alpha) * (tau - n) / (tau * (n + 1.0 - alpha))
 
 
 def ccdf_q(tau, alpha_t: float, q: int) -> float:
@@ -403,48 +404,18 @@ def ccdf_q(tau, alpha_t: float, q: int) -> float:
         return 0.0
     if alpha == 1.0:
         return 0.0
+    if not _is_infinite(tau):
+        return _finite_q_laws(tau, alpha, q)[1]
     if alpha == 0.0:
-        if _is_infinite(tau):
-            return 2.0**-q
-        return _ccdf_q_positive_alpha(tau, _ER_ALPHA_EPS, q)
-    return _ccdf_q_positive_alpha(tau, alpha, q)
-
-
-def _g_tau(tau: int, alpha: float, q: int) -> float:
-    """Finite-size factor G_tau(q) of the conditional cluster-size mean.
-
-    Raises ValueError when either bracket 1 - x cancels to fewer than
-    three digits; the alternating sum inside is exact, the subtraction
-    outside it is not.
-    """
+        return 2.0**-q
     inv = 1.0 / alpha
-
-    def bracket(j: int, order_x: float) -> float:
-        # 1 - (j/a - 1)_{q+1} / (order_x)_tau * sum_k (...) / (k - 1 + j/a)
-        sign, log_s = _alternating_sum(alpha, q, tau, shifts=((-1, j),))
-        x = sign * math.exp(
-            pochhammer_log(j * inv - 1.0, q + 1.0)
-            - pochhammer_log(order_x, float(tau))
-            + log_s
-        )
-        value = 1.0 - x
-        if abs(value) < _CANCELLATION_GUARD * max(1.0, abs(x)):
-            raise ValueError(
-                f"E[n|q] finite-size bracket cancels to {value:.3e} "
-                f"(tau={tau}, alpha_t={alpha}, q={q}); fewer than three "
-                "digits survive"
-            )
-        return value
-
-    return bracket(1, 1.0 - alpha) / bracket(2, 2.0 - alpha)
+    return math.exp(pochhammer_log(inv - 1.0, inv) - pochhammer_log(q + inv - 1.0, inv))
 
 
 def cond_mean_n_given_q(tau, alpha_t: float, q: int) -> float:
     """E[n | q]: expected cluster size at known younger-endpoint in-degree.
 
-    Raises ValueError at finite tau where the finite-size factor cancels
-    to fewer than three digits, which happens as q nears the tail of the
-    in-degree law.
+    Raises ValueError at finite tau where P(q) underflows to zero.
     """
     alpha = _check_alpha(alpha_t, allow_er=True)
     if not _is_infinite(tau):
@@ -454,19 +425,24 @@ def cond_mean_n_given_q(tau, alpha_t: float, q: int) -> float:
     q = _check_index("q", q)
     if q < 0:
         raise ValueError(f"q must be nonnegative, got {q}")
-    if alpha == 0.0:
-        # uniform-attachment limit, E[n+2 | q] = 2^{q+1}
-        return 2.0 ** (q + 1) - 2.0
     if alpha == 1.0:
         if q != 0:
             raise ValueError("alpha_t=1 concentrates on q=0")
         return 0.0
+    if not _is_infinite(tau):
+        mass, _, moment = _finite_q_laws(tau, alpha, q)
+        if mass == 0.0:
+            raise ValueError(
+                f"P(q={q}) underflows to 0 at tau={tau}, alpha_t={alpha}"
+            )
+        return moment / mass
+    if alpha == 0.0:
+        # uniform-attachment limit, E[n+2 | q] = 2^{q+1}
+        return 2.0 ** (q + 1) - 2.0
     inv = 1.0 / alpha
-    base = (1.0 - alpha) * math.exp(
+    return (1.0 - alpha) * math.exp(
         pochhammer_log(q + inv, inv) - pochhammer_log(inv - 1.0, inv)
-    )
-    g = 1.0 if _is_infinite(tau) else _g_tau(tau, alpha, q)
-    return base * g - 2.0 + alpha
+    ) - 2.0 + alpha
 
 
 def cond_mean_q_given_n(alpha_t: float, n: int) -> float:
@@ -501,27 +477,6 @@ def betweenness_ccdf_given_q(Lambda: int, q: int, alpha_t: float) -> float:
     )
 
 
-def betweenness_ccdf_asymptotic(Lambda: float, q: int, alpha_t: float) -> float:
-    """Leading 1/Lambda^2 tail of the conditional betweenness CCDF."""
-    alpha = _check_alpha(alpha_t)
-    if alpha == 1.0:
-        raise ValueError("the tail form needs alpha_t < 1")
-    q = _check_index("q", q)
-    if q < 1:
-        raise ValueError(f"the tail form needs q >= 1, got {q}")
-    if Lambda <= 0:
-        raise ValueError(f"Lambda must be positive, got {Lambda}")
-    log_v = (
-        2.0 * math.log(alpha)
-        + math.log(1.0 - alpha)
-        - math.log(2.0)
-        - log_gamma(2.0 / alpha - 1.0)
-        + (2.0 / alpha) * math.log(q)
-        - 2.0 * math.log(Lambda)
-    )
-    return math.exp(log_v)
-
-
 def betweenness_mean_given_q(q: int, alpha_t: float) -> float:
     """Infinite-tree mean of rescaled betweenness, E[Lambda | q]."""
     alpha = _check_alpha(alpha_t, allow_er=True)
@@ -543,51 +498,6 @@ def betweenness_mean_given_q(q: int, alpha_t: float) -> float:
     )
 
 
-def betweenness_mean_given_q_finite(tau: int, alpha_t: float, q: int) -> float:
-    """Exact finite-tree mean E[L | q] of raw betweenness L = (n+1)(tau-n).
-
-    Assembled as tau*E[n+1|q] - E[(n+1)n|q], where the second conditional
-    moment comes from the digamma-bearing sum whose k=1 term is isolated
-    analytically (it would otherwise divide by zero).
-    """
-    tau = _check_tau(tau)
-    alpha = _check_alpha(alpha_t)
-    q = _check_index("q", q)
-    if not 0 <= q < tau:
-        raise ValueError(f"need 0 <= q < tau, got q={q}, tau={tau}")
-    if q == 0:
-        # q=0 forces n=0, hence L = tau deterministically
-        return float(tau)
-    if alpha == 1.0:
-        raise ValueError("alpha_t=1 has no edges with q >= 1 in the ensemble")
-    mean_n = cond_mean_n_given_q(tau, alpha_t, q)
-
-    head = (
-        (1.0 - alpha)
-        * math.exp(-log_gamma(float(q)))
-        * (
-            alpha * digamma(tau - alpha)
-            - alpha * digamma(1.0 - alpha)
-            - digamma(float(q))
-            - EULER_GAMMA
-        )
-    )
-    sign, log_s = _alternating_sum(alpha, q, tau, k_lo=2, shifts=((-1, 0),))
-    tail = sign * math.exp(
-        log_s - pochhammer_log(2.0 - alpha, tau - 2.0) - math.log(alpha)
-    )
-    inner = head - tail
-
-    m2_shifted = (
-        _prefactor(tau, alpha)
-        * math.exp(pochhammer_log(1.0 / alpha - 1.0, q))
-        / marginal_q(tau, alpha_t, q)
-        * inner
-    )
-    second = m2_shifted - (2.0 - 2.0 * alpha) * mean_n - (2.0 - alpha) * (1.0 - alpha)
-    return tau * (mean_n + 1.0) - second
-
-
 def unconditional_betweenness_ccdf(tau: int, alpha_t: float, L: float) -> float:
     """P(betweenness >= L) over all edges, finite tree, closed form."""
     tau = _check_tau(tau)
@@ -604,31 +514,3 @@ def unconditional_betweenness_ccdf(tau: int, alpha_t: float, L: float) -> float:
         * (tau - 2.0 * n_l)
         / ((n_l + 1.0 - alpha) * (tau - n_l + 1.0 - alpha))
     )
-
-
-def finite_size_correction_check(
-    tau: int, alpha_t: float, Lambda: int, q: int
-) -> float:
-    """F_tau(Lambda|q) - F_inf(Lambda|q): finite-size CCDF deviation.
-
-    Compares at fixed rescaled threshold: the finite sum runs over the
-    limiting integer window n in [Lambda-1, tau-Lambda], which is where
-    (n+1)(tau-n)/(tau+1) >= Lambda lands as tau grows.  (Re-rooting the
-    boundary per tau would leave a never-decaying boundary-bin residue.)
-    The deviation is negative and decays like 1/tau^2.
-    """
-    tau = _check_tau(tau)
-    if tau > 10**4:
-        raise ValueError(f"exact-table mode is guarded at tau <= 1e4, got {tau}")
-    alpha = _check_alpha(alpha_t)
-    Lambda = _check_index("Lambda", Lambda)
-    q = _check_index("q", q)
-    f_inf = betweenness_ccdf_given_q(Lambda, q, alpha_t)
-    lo = max(Lambda - 1, 0)
-    hi = min(tau - Lambda, tau - 1)
-    if hi < lo:
-        return -f_inf
-    p_q = marginal_q(tau, alpha_t, q)
-    mass = math.fsum(joint_pnq(tau, alpha_t, n, q) for n in range(lo, hi + 1))
-    return mass / p_q - f_inf
-

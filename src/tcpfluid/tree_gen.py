@@ -257,5 +257,7 @@ def enumerate_exact(params: TreeParams) -> DistTable:
 
     walk(1, Fraction(1))
 
-    values = {key: float(val) for key, val in acc.items()}
-    return DistTable(tau=tau, alpha_t=params.alpha_t, values=values, exact=acc)
+    grid = np.zeros((tau, tau))
+    for (n, k), val in acc.items():
+        grid[n, k] = float(val)
+    return DistTable(tau=tau, alpha_t=params.alpha_t, grid=grid, exact=acc)

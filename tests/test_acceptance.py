@@ -41,10 +41,11 @@ from tcpfluid.tree_analytic import (
     betweenness_mean_given_q,
     cond_mean_n_given_q,
     cond_mean_q_given_n,
-    finite_size_correction_check,
 )
 from tcpfluid.tree_gen import TreeParams, enumerate_exact, grow, measure
 from tcpfluid.window_sim import SimConfig, compare_histogram, simulate
+
+from tree_reference import finite_size_correction_check
 
 H_TABLE = (
     1.4523536,

@@ -1,32 +1,42 @@
 """Joint (n, q) law of growing trees and the induced betweenness laws."""
 
 import math
+import os
+import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tcpfluid
 from tcpfluid.tree_analytic import (
     DistTable,
-    betweenness_ccdf_asymptotic,
     betweenness_ccdf_given_q,
     betweenness_mean_given_q,
-    betweenness_mean_given_q_finite,
     ccdf_n,
     ccdf_q,
     cond_mean_n_given_q,
     cond_mean_q_given_n,
-    finite_size_correction_check,
     joint_pnq,
-    joint_pnq_er,
     marginal_n,
     marginal_q,
     unconditional_betweenness_ccdf,
 )
-from tcpfluid.tree_analytic import _alternating_sum, _signed_log_sum
+from tcpfluid.tree_analytic import _alternating_sum, _in_degree_chain, _signed_log_sum
 from tcpfluid.tree_gen import TreeParams, enumerate_exact, grow, measure
+
+import tree_reference
+from tree_reference import (
+    betweenness_ccdf_asymptotic,
+    betweenness_mean_given_q_finite,
+    finite_size_correction_check,
+    joint_pnq_er,
+)
 
 
 def test_joint_matches_enumeration_small():
@@ -40,9 +50,9 @@ def test_joint_matches_enumeration_small():
             ), (alpha, n, q)
 
 
-# (k_lo, x0, shifts) of every caller of the alternating sum: joint_pnq,
-# marginal_q, ccdf_q, the two _g_tau brackets (the second shared with
-# betweenness_ccdf_given_q) and betweenness_mean_given_q_finite
+# (k_lo, x0, shifts) of every sum shape: joint_pnq, and in tree_reference
+# the frozen marginal_q, ccdf_q and two g_tau brackets (the second shared
+# with betweenness_ccdf_given_q) and betweenness_mean_given_q_finite
 _SUM_SHAPES = [
     (0, 0, ()),
     (1, 0, ((-1, 2),)),
@@ -194,21 +204,124 @@ def test_cond_mean_n_given_q_matches_table():
         assert cond_mean_n_given_q(tau, 0.5, q) == pytest.approx(num / den, abs=1e-9)
 
 
-def test_cond_mean_n_given_q_accurate_or_raises():
-    # the outer 1 - x of each finite-size bracket cancels as q grows; a
-    # value that comes back must be accurate, the rest must raise
+def test_cond_mean_n_given_q_accurate_wherever_q_occurs():
+    # every in-degree the table gives mass to has a conditional mean
     tau = 60
     n = np.arange(tau)
     for alpha in (0.1, 0.3, 0.5):
-        grid = DistTable.from_analytic(tau, alpha)
-        for q in range(45):
-            col = np.array([grid.prob(k, q) for k in range(tau)])
-            want = float(n @ col / col.sum())
-            try:
-                got = cond_mean_n_given_q(tau, alpha, q)
-            except ValueError:
+        grid = tree_reference.forward_table(tau, alpha)
+        for q in range(tau):
+            col = grid[:, q]
+            if col.sum() == 0.0:
                 continue
+            want = float(n @ col / col.sum())
+            got = cond_mean_n_given_q(tau, alpha, q)
             assert abs(got - want) <= 1e-8 * max(1.0, want), (alpha, q, got, want)
+
+
+def test_in_degree_laws_match_frozen_table():
+    # relative accuracy over the whole support, far tail included, where
+    # the finite-tau closed forms turned negative or raised
+    for alpha in (0.0, 0.1, 0.3, 0.5, 0.9):
+        for tau in range(1, 61):
+            grid = tree_reference.forward_table(tau, alpha)
+            p_q = grid.sum(axis=0)
+            tail = np.cumsum(p_q[::-1])[::-1]
+            mean_n = np.arange(tau) @ grid / p_q
+            ccdf = [ccdf_q(tau, alpha, q) for q in range(tau + 1)]
+            for q in range(tau):
+                where = (alpha, tau, q)
+                got = marginal_q(tau, alpha, q)
+                assert got == pytest.approx(p_q[q], rel=1e-12, abs=0.0), where
+                assert ccdf[q] == pytest.approx(tail[q], rel=1e-12, abs=0.0), where
+                got = cond_mean_n_given_q(tau, alpha, q)
+                assert got == pytest.approx(mean_n[q], rel=1e-12, abs=0.0), where
+            assert min(ccdf) >= 0.0 and max(np.diff(ccdf)) <= 0.0, (alpha, tau)
+
+
+def test_uniform_attachment_conditional_mean_is_finite_size():
+    # alpha_t = 0 at finite tau is the chain at a = 0, not the
+    # infinite-tree 2^{q+1} - 2 (62 at q = 5, above tau - 1)
+    tau = 10
+    for q in range(tau):
+        assert q <= cond_mean_n_given_q(tau, 0.0, q) <= tau - 1, q
+    col = tree_reference.forward_table(tau, 0.0)[:, 5]
+    want = float(np.arange(tau) @ col / col.sum())
+    assert cond_mean_n_given_q(tau, 0.0, 5) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_in_degree_laws_match_closed_forms_at_large_tau():
+    # where the alternating closed forms are healthy they are the oracle
+    tau, alpha = 100_000, 0.5
+    for q in range(64):
+        want = tree_reference.marginal_q_closed(tau, alpha, q)
+        assert marginal_q(tau, alpha, q) == pytest.approx(want, rel=1e-12, abs=0.0), q
+        if q >= 1:
+            want = tree_reference.ccdf_q_closed(tau, alpha, q)
+            assert ccdf_q(tau, alpha, q) == pytest.approx(want, rel=1e-12, abs=0.0), q
+
+
+def _exact_mean_in_degree(alpha: float, n_max: int) -> list[Fraction]:
+    """E[q | n] for n = 0..n_max in exact arithmetic at the float alpha:
+    1 + (X_n - 1)/a with X_n = (1-a) prod_{m<=n} m/(m-a), or H_n at a = 0."""
+    a = Fraction(alpha)
+    out, x, h = [Fraction(0)], 1 - a, Fraction(0)
+    for m in range(1, n_max + 1):
+        x *= m / (m - a)
+        h += Fraction(1, m)
+        out.append(h if a == 0 else 1 + (x - 1) / a)
+    return out
+
+
+@given(
+    tau=st.integers(1, 120),
+    alpha=st.one_of(st.just(0.0), st.floats(0.0, 0.98)),
+)
+@settings(max_examples=40, deadline=None)
+def test_in_degree_chain_is_a_conditional_law(tau, alpha):
+    k = np.concatenate([block for _, block in _in_degree_chain(alpha, tau, tau - 1)])
+    assert k.shape == (tau, tau)
+    assert np.min(k) >= 0.0
+    assert np.max(np.abs(k.sum(axis=1) - 1.0)) <= 1e-13
+    mean_q = k @ np.arange(tau)
+    exact = _exact_mean_in_degree(alpha, tau - 1)
+    # cond_mean_q_given_n divides X - 1, taken from log-gamma values with
+    # ~1e-13 absolute error, by alpha: it keeps about 12 + log10(alpha)
+    # digits and none below alpha = 1e-12, so it is held to that, and the
+    # chain to the exact value
+    rel = 1e-12 / alpha if alpha > 0.0 else 1e-12
+    for n in range(tau):
+        assert mean_q[n] == pytest.approx(float(exact[n]), rel=1e-13, abs=0.0), n
+        if rel < 1.0:
+            assert cond_mean_q_given_n(alpha, n) == pytest.approx(
+                mean_q[n], rel=rel, abs=rel
+            ), n
+    by_n = DistTable.from_analytic(tau, alpha).marginal_over_q()
+    want = [marginal_n(tau, alpha, n) for n in range(tau)]
+    np.testing.assert_allclose(by_n, want, rtol=1e-13, atol=0.0)
+
+
+def test_ccdf_n_exact_near_tree_size():
+    # the last bins, where pref*head - (1-a)/tau used to cancel
+    tau = 100_000
+    for alpha in (0.1, 0.5, 0.9):
+        a = Fraction(alpha)
+        for n in range(tau - 50, tau):
+            want = (1 - a) * (tau - n) / (tau * (n + 1 - a))
+            got = ccdf_n(tau, alpha, n)
+            assert abs(Fraction(got) / want - 1) <= 1e-15, (alpha, n)
+
+
+def test_tree_statistics_demo_runs():
+    demo = Path(__file__).resolve().parents[1] / "demos" / "tree_statistics.py"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tcpfluid.__file__)))
+    proc = subprocess.run(
+        [sys.executable, str(demo)], capture_output=True, text=True, timeout=120, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    gap = re.search(r"enumeration vs closed form, max gap = (\S+)", proc.stdout)
+    assert gap is not None, proc.stdout
+    assert float(gap.group(1)) <= 1e-12
 
 
 def test_mean_in_degree_equals_one_minus_root_share():

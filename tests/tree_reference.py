@@ -1,0 +1,245 @@
+"""Reference tree laws, kept as oracles for `tree_analytic`.
+
+`forward_table` evolves the whole edge ensemble in tree age, O(tau^3),
+and was the library's tabulation route before the subtree in-degree
+chain.  `marginal_q_closed`, `ccdf_q_closed` and
+`cond_mean_n_given_q_closed` (with `g_tau`) are the finite-tau closed
+forms the chain replaced: alternating sums that are exact where they do
+not cancel and go wrong in the in-degree tail.  They are frozen here
+unchanged.
+
+`joint_pnq_er`, `betweenness_ccdf_asymptotic`,
+`betweenness_mean_given_q_finite` and `finite_size_correction_check` are
+closed forms that only tests use; criterion 10 imports the last one.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+import numpy as np
+
+from tcpfluid.specfun import digamma, log_gamma, pochhammer_log, stirling_first_unsigned
+from tcpfluid.tree_analytic import (
+    EULER_GAMMA,
+    _CANCELLATION_GUARD,
+    _alternating_sum,
+    _check_alpha,
+    _check_index,
+    _check_tau,
+    _prefactor,
+    betweenness_ccdf_given_q,
+    cond_mean_n_given_q,
+    joint_pnq,
+    marginal_q,
+)
+
+
+def forward_table(tau: int, alpha: float) -> np.ndarray:
+    """Edge-state law P_tau[n, q] by evolving the attachment dynamics.
+
+    One growth step sends an edge in state (n, q) to (n+1, q+1) when the
+    new vertex lands on its younger endpoint (weight 1-a+a*q) and to
+    (n+1, q) when it lands strictly below (weight n-a*q), both over the
+    total t+1-a; each step also spawns one edge in state (0, 0).  All
+    coefficients are nonnegative, so the evolution never cancels.
+    """
+    # accumulates the UNNORMALIZED sum over edge birth times
+    acc = np.zeros((tau, tau))
+    acc[0, 0] = 1.0
+    n_grid = np.arange(tau, dtype=float)[:, None]
+    q_grid = np.arange(tau, dtype=float)[None, :]
+    w_endpoint = 1.0 - alpha + alpha * q_grid + 0.0 * n_grid
+    w_below = np.maximum(n_grid - alpha * q_grid, 0.0)
+    for t in range(1, tau):
+        m = t + 1
+        s = acc[:m, :m]
+        flow1 = s * (w_endpoint[:m, :m] / (t + 1.0 - alpha))
+        flow2 = s * (w_below[:m, :m] / (t + 1.0 - alpha))
+        s -= flow1 + flow2
+        s[1:, 1:] += flow1[:-1, :-1]
+        s[1:, :] += flow2[:-1, :]
+        acc[0, 0] += 1.0
+    return acc / tau
+
+
+def marginal_q_closed(tau: int, alpha: float, q: int) -> float:
+    """Finite-tau P(q) for 0 < alpha < 1 by the alternating closed form."""
+    inv = 1.0 / alpha
+    t1 = inv * math.exp(
+        pochhammer_log(inv - 1.0, inv) - pochhammer_log(q + inv - 1.0, inv + 1.0)
+    )
+    # finite-size correction: 1/(a k + 2 - a) = (1/a) / (k - 1 + 2/a)
+    sign, log_s = _alternating_sum(alpha, q, tau, k_lo=1, shifts=((-1, 2),))
+    t2 = sign * inv * math.exp(
+        pochhammer_log(inv - 1.0, q) - pochhammer_log(2.0 - alpha, tau) + log_s
+    )
+    return _prefactor(tau, alpha) * (t1 - t2)
+
+
+def ccdf_q_closed(tau: int, alpha: float, q: int) -> float:
+    """Finite-tau P(in-degree >= q), q >= 1, by the alternating closed form."""
+    inv = 1.0 / alpha
+    head = math.exp(
+        pochhammer_log(inv - 1.0, inv) - pochhammer_log(q + inv - 1.0, inv)
+    )
+    pref = _prefactor(tau, alpha)
+    # the tail sum is empty, hence zero, for q < 2
+    sign, log_s = _alternating_sum(alpha, q - 2, tau - 1, x0=1, shifts=((0, 1), (0, 2)))
+    t3 = sign * math.exp(
+        pochhammer_log(inv - 1.0, q) - pochhammer_log(2.0 - alpha, tau) + log_s
+    )
+    return pref * head - (1.0 - alpha) / tau + pref * t3
+
+
+def g_tau(tau: int, alpha: float, q: int) -> float:
+    """Finite-size factor G_tau(q) of the conditional cluster-size mean.
+
+    Raises ValueError when either bracket 1 - x cancels to fewer than
+    three digits; the alternating sum inside is exact, the subtraction
+    outside it is not.
+    """
+    inv = 1.0 / alpha
+
+    def bracket(j: int, order_x: float) -> float:
+        # 1 - (j/a - 1)_{q+1} / (order_x)_tau * sum_k (...) / (k - 1 + j/a)
+        sign, log_s = _alternating_sum(alpha, q, tau, shifts=((-1, j),))
+        x = sign * math.exp(
+            pochhammer_log(j * inv - 1.0, q + 1.0)
+            - pochhammer_log(order_x, float(tau))
+            + log_s
+        )
+        value = 1.0 - x
+        if abs(value) < _CANCELLATION_GUARD * max(1.0, abs(x)):
+            raise ValueError(
+                f"E[n|q] finite-size bracket cancels to {value:.3e} "
+                f"(tau={tau}, alpha_t={alpha}, q={q}); fewer than three "
+                "digits survive"
+            )
+        return value
+
+    return bracket(1, 1.0 - alpha) / bracket(2, 2.0 - alpha)
+
+
+def cond_mean_n_given_q_closed(tau: int, alpha: float, q: int) -> float:
+    """Finite-tau E[n | q] for 0 < alpha < 1 by the closed form with `g_tau`."""
+    inv = 1.0 / alpha
+    base = (1.0 - alpha) * math.exp(
+        pochhammer_log(q + inv, inv) - pochhammer_log(inv - 1.0, inv)
+    )
+    return base * g_tau(tau, alpha, q) - 2.0 + alpha
+
+
+def joint_pnq_er(tau: int, n: int, q: int) -> float:
+    """Uniform-attachment (a -> inf) joint law, via Stirling numbers.
+
+    Exact integer arithmetic; capped at n <= 65 by the Stirling table.
+    """
+    tau = _check_tau(tau)
+    n = _check_index("n", n)
+    q = _check_index("q", q)
+    if (n, q) == (0, 0):
+        return (tau + 1.0) / (2.0 * tau)
+    if q < 1 or q > n or n >= tau:
+        return 0.0
+    # signed Stirling numbers cancel the alternating prefactor exactly,
+    # leaving an all-positive sum over the unsigned ones
+    total = sum(
+        stirling_first_unsigned(n - 1, k) * math.comb(k, q - 1)
+        for k in range(q - 1, n)
+    )
+    return float(Fraction((tau + 1) * total, tau * math.factorial(n + 2)))
+
+
+def betweenness_ccdf_asymptotic(Lambda: float, q: int, alpha_t: float) -> float:
+    """Leading 1/Lambda^2 tail of the conditional betweenness CCDF."""
+    alpha = _check_alpha(alpha_t)
+    if alpha == 1.0:
+        raise ValueError("the tail form needs alpha_t < 1")
+    q = _check_index("q", q)
+    if q < 1:
+        raise ValueError(f"the tail form needs q >= 1, got {q}")
+    if Lambda <= 0:
+        raise ValueError(f"Lambda must be positive, got {Lambda}")
+    log_v = (
+        2.0 * math.log(alpha)
+        + math.log(1.0 - alpha)
+        - math.log(2.0)
+        - log_gamma(2.0 / alpha - 1.0)
+        + (2.0 / alpha) * math.log(q)
+        - 2.0 * math.log(Lambda)
+    )
+    return math.exp(log_v)
+
+
+def betweenness_mean_given_q_finite(tau: int, alpha_t: float, q: int) -> float:
+    """Exact finite-tree mean E[L | q] of raw betweenness L = (n+1)(tau-n).
+
+    Assembled as tau*E[n+1|q] - E[(n+1)n|q], where the second conditional
+    moment comes from the digamma-bearing sum whose k=1 term is isolated
+    analytically (it would otherwise divide by zero).
+    """
+    tau = _check_tau(tau)
+    alpha = _check_alpha(alpha_t)
+    q = _check_index("q", q)
+    if not 0 <= q < tau:
+        raise ValueError(f"need 0 <= q < tau, got q={q}, tau={tau}")
+    if q == 0:
+        # q=0 forces n=0, hence L = tau deterministically
+        return float(tau)
+    if alpha == 1.0:
+        raise ValueError("alpha_t=1 has no edges with q >= 1 in the ensemble")
+    mean_n = cond_mean_n_given_q(tau, alpha_t, q)
+
+    head = (
+        (1.0 - alpha)
+        * math.exp(-log_gamma(float(q)))
+        * (
+            alpha * digamma(tau - alpha)
+            - alpha * digamma(1.0 - alpha)
+            - digamma(float(q))
+            - EULER_GAMMA
+        )
+    )
+    sign, log_s = _alternating_sum(alpha, q, tau, k_lo=2, shifts=((-1, 0),))
+    tail = sign * math.exp(
+        log_s - pochhammer_log(2.0 - alpha, tau - 2.0) - math.log(alpha)
+    )
+    inner = head - tail
+
+    m2_shifted = (
+        _prefactor(tau, alpha)
+        * math.exp(pochhammer_log(1.0 / alpha - 1.0, q))
+        / marginal_q(tau, alpha_t, q)
+        * inner
+    )
+    second = m2_shifted - (2.0 - 2.0 * alpha) * mean_n - (2.0 - alpha) * (1.0 - alpha)
+    return tau * (mean_n + 1.0) - second
+
+
+def finite_size_correction_check(
+    tau: int, alpha_t: float, Lambda: int, q: int
+) -> float:
+    """F_tau(Lambda|q) - F_inf(Lambda|q): finite-size CCDF deviation.
+
+    Compares at fixed rescaled threshold: the finite sum runs over the
+    limiting integer window n in [Lambda-1, tau-Lambda], which is where
+    (n+1)(tau-n)/(tau+1) >= Lambda lands as tau grows.  (Re-rooting the
+    boundary per tau would leave a never-decaying boundary-bin residue.)
+    The deviation is negative and decays like 1/tau^2.
+    """
+    tau = _check_tau(tau)
+    if tau > 10**4:
+        raise ValueError(f"exact-table mode is guarded at tau <= 1e4, got {tau}")
+    _check_alpha(alpha_t)
+    Lambda = _check_index("Lambda", Lambda)
+    q = _check_index("q", q)
+    f_inf = betweenness_ccdf_given_q(Lambda, q, alpha_t)
+    lo = max(Lambda - 1, 0)
+    hi = min(tau - Lambda, tau - 1)
+    if hi < lo:
+        return -f_inf
+    p_q = marginal_q(tau, alpha_t, q)
+    mass = math.fsum(joint_pnq(tau, alpha_t, n, q) for n in range(lo, hi + 1))
+    return mass / p_q - f_inf
