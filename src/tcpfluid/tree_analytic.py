@@ -21,16 +21,12 @@ q) and E[n | q] in one O(tau * q) pass whose top bin absorbs the rest of
 the in-degree tail.  Uniform attachment, the alpha_t = 0 sentinel, is
 the same chain at a = 0.
 
-The scalar joint law and the infinite-tree laws are closed forms,
-
-    P_tau(n, q) = ((tau+1-a)/tau) * (1/a-1)_q / (2-a)_{n+1} * D(n, q),
-    D(n, q) = sum_{k=0}^{q} (-1)^k / (k! (q-k)!) * (-a k)_n,
-
-and D and the betweenness CCDF are alternating Pochhammer sums of one
-shape, evaluated by `_alternating_sum`: in log space with sign tracking
-first, and again in exact rational arithmetic (alpha_t snapped to the
-nearest small-denominator rational) whenever the float sum loses more
-than three digits to cancellation, as it does when n is close to q.
+The infinite-tree laws are closed forms.  The betweenness CCDF given q
+is an alternating Pochhammer sum, evaluated by `_alternating_sum`: in
+log space with sign tracking first, and again in exact rational
+arithmetic (alpha_t snapped to the nearest small-denominator rational)
+whenever the float sum loses more than three digits to cancellation, as
+it does when Lambda is close to q.
 
 Edge betweenness is a deterministic function of the cluster size,
 L = (n+1)(tau-n), so its laws are reparametrizations of the cluster law.
@@ -48,12 +44,12 @@ from functools import lru_cache
 from types import MappingProxyType
 
 import numpy as np
+from scipy.special import gamma, polygamma
 
-from .specfun import digamma, log_gamma, pochhammer_log, pochhammer_signed
+from .specfun import log_gamma, pochhammer_log, pochhammer_signed
 
 __all__ = [
     "DistTable",
-    "joint_pnq",
     "marginal_n",
     "marginal_q",
     "ccdf_n",
@@ -64,8 +60,6 @@ __all__ = [
     "betweenness_mean_given_q",
     "unconditional_betweenness_ccdf",
 ]
-
-EULER_GAMMA = 0.5772156649015328606
 
 # an alternating sum smaller than this times its largest term has lost
 # more than three digits; log-space terms carry ~1e-13 relative error
@@ -180,30 +174,6 @@ def _alternating_sum(
         - log_gamma(top + 1.0)
     )
     return (1.0 if total > 0 else -1.0), log_s
-
-
-def joint_pnq(tau: int, alpha_t: float, n: int, q: int) -> float:
-    """Joint probability P_tau(n, q) of a uniformly chosen edge's state.
-
-    Returns 0 outside the support {0 <= q <= n <= tau-1}; the star limit
-    alpha_t = 1 concentrates all mass on (0, 0).
-    """
-    tau = _check_tau(tau)
-    alpha = _check_alpha(alpha_t)
-    n = _check_index("n", n)
-    q = _check_index("q", q)
-    if q < 0 or q > n or n >= tau:
-        return 0.0
-    if alpha == 1.0:
-        return 1.0 if (n, q) == (0, 0) else 0.0
-    sign, log_d = _alternating_sum(alpha, q, n)
-    log_p = (
-        math.log(_prefactor(tau, alpha))
-        + pochhammer_log(1.0 / alpha - 1.0, q)
-        - pochhammer_log(2.0 - alpha, n + 1.0)
-        + log_d
-    )
-    return sign * math.exp(log_p)
 
 
 # chain rows per block: the block's coefficient arrays are built in one
@@ -445,18 +415,34 @@ def cond_mean_n_given_q(tau, alpha_t: float, q: int) -> float:
     ) - 2.0 + alpha
 
 
+# derivative orders m of the series for E[q | n]: its terms fall like
+# (a/2)^m / m, so 56 of them reach 1e-17 relative at a = 1
+_SERIES_ORDERS = np.arange(56)
+
+
 def cond_mean_q_given_n(alpha_t: float, n: int) -> float:
-    """E[q | n]: expected in-degree at known cluster size; tau-independent."""
+    """E[q | n]: expected in-degree at known cluster size; tau-independent.
+
+    E[q | n] = 1 + (X - 1)/a with X = Gamma(2-a) Gamma(n+1) / Gamma(n+1-a).
+    log X / a is the Taylor series in a of the two log-Gamma differences,
+
+        sum_m (-a)^m / (m+1)! * (psi^(m)(n+1) - psi^(m)(2)),
+
+    whose terms all have one sign, and X - 1 comes from expm1, so no
+    digits cancel as a -> 0.  At a = 0 it is H_n, uniform attachment.
+    """
     alpha = _check_alpha(alpha_t, allow_er=True)
     n = _check_index("n", n)
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    if alpha == 0.0:
-        return digamma(n + 1.0) + EULER_GAMMA
-    # 1 + (X-1)/alpha with X = Gamma(2-a)Gamma(n+1)/Gamma(n+1-a); the log
-    # terms cancel identically at n=1, making E[q|n=1]=1 float-exact
-    x = math.exp(log_gamma(2.0 - alpha) + log_gamma(n + 1.0) - log_gamma(n + 1.0 - alpha))
-    return 1.0 + (x - 1.0) / alpha
+    if n == 0:
+        return 0.0
+    m = _SERIES_ORDERS
+    terms = (-alpha) ** m / gamma(m + 2.0) * (polygamma(m, n + 1.0) - polygamma(m, 2.0))
+    # at n = 1 every term is zero and E[q | n=1] = 1 exactly
+    slope = math.fsum(terms.tolist())
+    x = alpha * slope
+    return 1.0 + slope * (math.expm1(x) / x if x else 1.0)
 
 
 def betweenness_ccdf_given_q(Lambda: int, q: int, alpha_t: float) -> float:

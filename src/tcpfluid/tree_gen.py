@@ -132,10 +132,18 @@ _BLOCK = 65536
 def grow(params: TreeParams) -> GrowingTree:
     """Grow a tree of tau edges by sequential preferential attachment.
 
-    Per-step sampling is O(1): the law (a + q_v) / ((1+a)t - 1) over the t
-    existing vertices is realized exactly as a mixture of a uniform vertex
-    draw (total weight a*t) and a uniform draw from the list of edge parent
-    endpoints (each edge contributes 1 to its parent's q, total weight t-1).
+    The law (a + q_v) / ((1+a)t - 1) over the t existing vertices is
+    realized exactly as a mixture: with weight a*t step t attaches to a
+    uniform vertex, parent[t] = int(u_pick * t); with weight t-1 it copies
+    the parent of a uniform earlier vertex s = int(u_pick * (t-1)) + 1
+    (the redirection model of Krapivsky & Redner, PRE 63, 066123, 2001).
+
+    The RNG stream is drawn per `_BLOCK` steps, u_branch then u_pick.  One
+    array expression decides a block's branches with the scalar test's
+    float ops, u_branch * (a*t + (t-1)) < a*t.  Copy chains s -> s' -> ...
+    fall in index to a uniform step or an earlier block, and pointer
+    jumping resolves them in a few doubling rounds.  The parents are the
+    sequential loop's over the same stream, bit for bit.
     """
     tau = params.tau
     parent = np.empty(tau + 1, dtype=np.int64)
@@ -150,20 +158,26 @@ def grow(params: TreeParams) -> GrowingTree:
         parent[1:] = (u * np.arange(1.0, tau + 1.0)).astype(np.int64)
     else:
         a = params.a
-        edge_parent = np.empty(tau, dtype=np.int64)
         for start in range(1, tau + 1, _BLOCK):
             stop = min(start + _BLOCK, tau + 1)
             u_branch = rng.random(stop - start)
             u_pick = rng.random(stop - start)
-            for t in range(start, stop):
-                i = t - start
-                w_uniform = a * t
-                if u_branch[i] * (w_uniform + (t - 1)) < w_uniform:
-                    target = int(u_pick[i] * t)
-                else:
-                    target = int(edge_parent[int(u_pick[i] * (t - 1))])
-                parent[t] = target
-                edge_parent[t - 1] = target
+            steps = np.arange(start, stop)
+            t = steps.astype(float)
+            w_uniform = a * t
+            # t = 1 always takes the uniform branch: u_branch * a < a
+            uniform = u_branch * (w_uniform + (t - 1.0)) < w_uniform
+            # hop[i]: the step whose parent step start+i takes; a uniform
+            # step points at itself and keeps its own draw
+            hop = np.where(uniform, steps, (u_pick * (t - 1.0)).astype(np.int64) + 1)
+            parent[start:stop] = (u_pick * t).astype(np.int64)
+            while True:
+                inside = hop >= start
+                nxt = hop[hop[inside] - start]
+                if np.array_equal(nxt, hop[inside]):
+                    break
+                hop[inside] = nxt
+            parent[start:stop] = parent[hop]
 
     in_degree = np.bincount(parent[1:], minlength=tau + 1)
     return GrowingTree(
@@ -172,12 +186,25 @@ def grow(params: TreeParams) -> GrowingTree:
 
 
 def subtree_sizes(tree: GrowingTree) -> np.ndarray:
-    """Vertex count of the subtree rooted at each vertex (including itself)."""
-    sizes = np.ones(tree.tau + 1, dtype=np.int64)
+    """Vertex count of the subtree rooted at each vertex (including itself).
+
+    Depths come from pointer doubling, O(V log D) for depth D; sizes are
+    then added into parents one level at a time, deepest first, so the
+    whole pass is O(V log D) array work plus one numpy call per level.
+    """
     parent = tree.parent
-    # children always arrive after their parent, so one reverse pass suffices
-    for v in range(tree.tau, 0, -1):
-        sizes[parent[v]] += sizes[v]
+    up = parent.copy()
+    up[0] = 0
+    depth = (np.arange(tree.tau + 1) > 0).astype(np.int64)
+    while np.any(up):
+        depth += depth[up]
+        up = up[up]
+    order = np.argsort(depth, kind="stable")
+    bounds = np.searchsorted(depth[order], np.arange(depth[order[-1]] + 2))
+    sizes = np.ones(tree.tau + 1, dtype=np.int64)
+    for level in range(len(bounds) - 2, 0, -1):
+        vs = order[bounds[level]:bounds[level + 1]]
+        np.add.at(sizes, parent[vs], sizes[vs])
     return sizes
 
 
@@ -202,11 +229,14 @@ def measure(tree: GrowingTree) -> EdgeMeasurements:
 def enumerate_exact(params: TreeParams) -> DistTable:
     """Exact edge-state distribution P_tau(n, q) by exhausting all histories.
 
-    Walks every attachment history with exact rational step probabilities
-    (alpha_t is snapped to the nearest small-denominator rational) and
-    accumulates, for each history, the empirical (n, q) frequency over its
-    tau edges.  Serves as the ground-truth oracle for the closed-form joint
-    distribution at small sizes.
+    Walks every attachment history and accumulates, for each history, the
+    empirical (n, q) frequency over its tau edges.  With alpha_t snapped
+    to the nearest small-denominator rational and a = p/r, step t picks
+    vertex v with probability (p + r q_v) / ((p+r) t - r), and the totals
+    do not depend on the history.  So the walk carries integer products
+    of the numerators, and each (n, q) key becomes one `Fraction` over
+    the common denominator at the end.  Serves as the ground-truth
+    oracle for the closed-form joint distribution at small sizes.
 
     Raises:
         ValueError: if tau > 8; the history space grows like tau!.
@@ -215,49 +245,45 @@ def enumerate_exact(params: TreeParams) -> DistTable:
     if tau > 8:
         raise ValueError(f"enumerate_exact is limited to tau <= 8, got {tau}")
     alpha = Fraction(params.alpha_t).limit_denominator(10**6)
-    a = None if alpha == 0 else 1 / alpha - 1
+    if alpha == 0:
+        # uniform attachment: every vertex has weight 1 out of t
+        p, r = 1, 0
+    else:
+        a = 1 / alpha - 1
+        p, r = a.numerator, a.denominator
+    total = math.prod((p + r) * t - r for t in range(2, tau + 1))
 
     parent = [0] * (tau + 1)
     q = [0] * (tau + 1)
-    acc: dict[tuple[int, int], Fraction] = {}
-    edge_weight = Fraction(1, tau)
+    acc: dict[tuple[int, int], int] = {}
 
-    def tally(prob: Fraction) -> None:
+    def tally(weight: int) -> None:
         sizes = [1] * (tau + 1)
         for v in range(tau, 0, -1):
             sizes[parent[v]] += sizes[v]
         for v in range(1, tau + 1):
             key = (sizes[v] - 1, q[v])
-            acc[key] = acc.get(key, Fraction(0)) + prob * edge_weight
+            acc[key] = acc.get(key, 0) + weight
 
-    def walk(t: int, prob: Fraction) -> None:
+    def walk(t: int, weight: int) -> None:
         if t > tau:
-            tally(prob)
+            tally(weight)
             return
-        if t == 1:
-            # only the root exists; its weight is the whole total
-            parent[1] = 0
-            q[0] += 1
-            walk(2, prob)
-            q[0] -= 1
-            return
-        if a is None:
-            total = Fraction(t)
-            weights = [Fraction(1)] * t
-        else:
-            total = (1 + a) * t - 1
-            weights = [a + q[v] for v in range(t)]
         for v in range(t):
-            if weights[v] == 0:
+            w = p + r * q[v]
+            if w == 0:
                 continue
             parent[t] = v
             q[v] += 1
-            walk(t + 1, prob * weights[v] / total)
+            walk(t + 1, weight * w)
             q[v] -= 1
 
-    walk(1, Fraction(1))
+    # only the root exists at t = 1; it takes the whole total
+    q[0] = 1
+    walk(2, 1)
 
+    exact = {key: Fraction(count, total * tau) for key, count in acc.items()}
     grid = np.zeros((tau, tau))
-    for (n, k), val in acc.items():
+    for (n, k), val in exact.items():
         grid[n, k] = float(val)
-    return DistTable(tau=tau, alpha_t=params.alpha_t, grid=grid, exact=acc)
+    return DistTable(tau=tau, alpha_t=params.alpha_t, grid=grid, exact=exact)

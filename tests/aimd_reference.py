@@ -5,6 +5,8 @@ event at a time by brute force over every link and flow.  `run_simulation`
 and `PerformanceReport` below are the event loop as it stood before the
 compacted kernel, frozen: the kernel must reproduce their `taus`,
 `per_flow_q`, `post_event_means` and `realized_r` bit for bit.
+`connected` is the union-find connectivity check `FluidNetwork` ran
+before root hooking, frozen as the oracle for `aimd_net._connected`.
 """
 
 from __future__ import annotations
@@ -15,6 +17,24 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from tcpfluid.aimd_net import FlowSet, FluidNetwork, StagnationError, SyncModel
+
+
+def connected(n_vertices: int, endpoints: np.ndarray) -> bool:
+    """Union-find with path halving over the (E, 2) edge array."""
+    parent = np.arange(n_vertices)
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, v in endpoints:
+        ru, rv = find(int(u)), find(int(v))
+        if ru != rv:
+            parent[ru] = rv
+    root = find(0)
+    return all(find(v) == root for v in range(n_vertices))
 
 
 def _edge_loads(network: FluidNetwork, flows: FlowSet, values: np.ndarray):

@@ -13,6 +13,7 @@ from tcpfluid.aimd_net import (
     FlowSet,
     FluidNetwork,
     SyncModel,
+    _connected,
     assign_capacities,
     run_simulation,
     uniform_tree_flows,
@@ -244,6 +245,38 @@ def test_kernel_matches_frozen_reference(
     assert got.realized_r == want.realized_r
     route_cap = np.array([net.capacities[r].min() for r in flows.routes])
     assert np.all(got.per_flow_q <= route_cap * (1 + 1e-9))
+
+
+@given(
+    n_vertices=st.integers(1, 40),
+    n_edges=st.integers(0, 80),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_connected_matches_union_find(n_vertices, n_edges, seed):
+    # random multigraphs: repeated edges and self-loops, often disconnected
+    rng = np.random.default_rng(seed)
+    endpoints = rng.integers(0, n_vertices, size=(n_edges, 2))
+    want = aimd_reference.connected(n_vertices, endpoints)
+    assert _connected(n_vertices, endpoints) == want
+
+
+def test_connected_on_long_paths_and_split_graphs():
+    n = 100_000
+    perm = np.random.default_rng(4).permutation(n)
+    path = np.stack([perm[:-1], perm[1:]], axis=1)
+    assert aimd_reference.connected(n, path)
+    assert _connected(n, path)
+    # cut the path once, or leave one vertex isolated: two components
+    assert not _connected(n, np.delete(path, n // 2, axis=0))
+    assert not _connected(n + 1, path)
+    # a grown tree plus self-loops stays connected; minus its last edge not
+    tree = grow(TreeParams(alpha_t=0.5, tau=5000, seed=1))
+    edges = np.stack([np.arange(1, 5001), tree.parent[1:]], axis=1)
+    loops = np.repeat(np.arange(0, 5001, 7)[:, None], 2, axis=1)
+    assert _connected(5001, np.concatenate([loops, edges]))
+    assert not _connected(5001, edges[:-1])
+    assert _connected(1, np.empty((0, 2), dtype=np.int64))
 
 
 def test_feasibility_never_violated():

@@ -22,7 +22,6 @@ from tcpfluid.tree_analytic import (
     ccdf_q,
     cond_mean_n_given_q,
     cond_mean_q_given_n,
-    joint_pnq,
     marginal_n,
     marginal_q,
     unconditional_betweenness_ccdf,
@@ -35,6 +34,7 @@ from tree_reference import (
     betweenness_ccdf_asymptotic,
     betweenness_mean_given_q_finite,
     finite_size_correction_check,
+    joint_pnq,
     joint_pnq_er,
 )
 
@@ -50,8 +50,8 @@ def test_joint_matches_enumeration_small():
             ), (alpha, n, q)
 
 
-# (k_lo, x0, shifts) of every sum shape: joint_pnq, and in tree_reference
-# the frozen marginal_q, ccdf_q and two g_tau brackets (the second shared
+# (k_lo, x0, shifts) of every sum shape: in tree_reference joint_pnq, the
+# frozen marginal_q, ccdf_q and two g_tau brackets (the second shared
 # with betweenness_ccdf_given_q) and betweenness_mean_given_q_finite
 _SUM_SHAPES = [
     (0, 0, ()),
@@ -195,6 +195,21 @@ def test_cond_mean_q_given_n_zero_is_zero():
         assert cond_mean_q_given_n(alpha, 0) == pytest.approx(0.0, abs=1e-14)
 
 
+def test_cond_mean_q_given_n_keeps_digits_at_every_alpha():
+    # E[q|n] = 1 + (X - 1)/a, X = prod_{m=2}^{n} m/(m-a), in exact integers
+    # at dyadic a = p/r; (X - 1)/a from log-gamma values loses log10(1/a)
+    # digits, and a subnormal a leaves none
+    for alpha in (2.0**-1074, 2.0**-100, 2.0**-20, 2.0**-10, 0.5, 0.75, 1.0):
+        p, r = Fraction(alpha).as_integer_ratio()
+        for n in (2, 3, 10, 100, 300):
+            num = math.prod(m * r for m in range(2, n + 1))
+            den = math.prod(m * r - p for m in range(2, n + 1))
+            # int / int rounds once, with no gcd of the huge products
+            want = 1.0 + (num - den) * r / (den * p)
+            got = cond_mean_q_given_n(alpha, n)
+            assert got == pytest.approx(want, rel=1e-14, abs=0.0), (alpha, n)
+
+
 def test_cond_mean_n_given_q_matches_table():
     tau = 200
     table = DistTable.from_analytic(tau, 0.5)
@@ -285,17 +300,11 @@ def test_in_degree_chain_is_a_conditional_law(tau, alpha):
     assert np.max(np.abs(k.sum(axis=1) - 1.0)) <= 1e-13
     mean_q = k @ np.arange(tau)
     exact = _exact_mean_in_degree(alpha, tau - 1)
-    # cond_mean_q_given_n divides X - 1, taken from log-gamma values with
-    # ~1e-13 absolute error, by alpha: it keeps about 12 + log10(alpha)
-    # digits and none below alpha = 1e-12, so it is held to that, and the
-    # chain to the exact value
-    rel = 1e-12 / alpha if alpha > 0.0 else 1e-12
     for n in range(tau):
-        assert mean_q[n] == pytest.approx(float(exact[n]), rel=1e-13, abs=0.0), n
-        if rel < 1.0:
-            assert cond_mean_q_given_n(alpha, n) == pytest.approx(
-                mean_q[n], rel=rel, abs=rel
-            ), n
+        want = float(exact[n])
+        assert mean_q[n] == pytest.approx(want, rel=1e-13, abs=0.0), n
+        # the closed form keeps its digits at every alpha, subnormal too
+        assert cond_mean_q_given_n(alpha, n) == pytest.approx(want, rel=1e-11, abs=0.0), n
     by_n = DistTable.from_analytic(tau, alpha).marginal_over_q()
     want = [marginal_n(tau, alpha, n) for n in range(tau)]
     np.testing.assert_allclose(by_n, want, rtol=1e-13, atol=0.0)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tcpfluid.tree_gen import (
@@ -13,6 +13,8 @@ from tcpfluid.tree_gen import (
     measure,
     subtree_sizes,
 )
+
+import tree_reference
 
 
 def _path_tree(tau: int, alpha_t: float = 0.5) -> GrowingTree:
@@ -148,6 +150,54 @@ def test_enumerate_exact_tiny_case_by_hand():
     table = enumerate_exact(TreeParams(alpha_t=0.5, tau=2, seed=0))
     assert table.prob(1, 1) == pytest.approx(1.0 / 6.0, abs=1e-15)
     assert table.prob(0, 0) == pytest.approx(5.0 / 6.0, abs=1e-15)
+
+
+@given(
+    alpha=st.floats(1e-9, 0.999),
+    tau=st.integers(1, 3000),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+@example(alpha=1e-9, tau=3000, seed=0)
+@example(alpha=0.999, tau=3000, seed=0)
+@example(alpha=0.5, tau=1, seed=3)
+def test_grow_matches_frozen_loop(alpha, tau, seed):
+    params = TreeParams(alpha_t=alpha, tau=tau, seed=seed)
+    got = grow(params)
+    want = tree_reference.grow(params)
+    assert np.array_equal(got.parent, want.parent)
+    assert np.array_equal(got.in_degree, want.in_degree)
+    assert np.array_equal(subtree_sizes(got), tree_reference.subtree_sizes(want))
+
+
+def test_grow_matches_frozen_loop_across_blocks():
+    # 140000 steps span three RNG blocks; copies reach into earlier blocks
+    for alpha in (0.5, 0.9):
+        params = TreeParams(alpha_t=alpha, tau=140_000, seed=7)
+        got = grow(params)
+        want = tree_reference.grow(params)
+        assert np.array_equal(got.parent, want.parent), alpha
+
+
+def test_subtree_sizes_match_frozen_loop():
+    for alpha in (0.0, 0.3, 1.0):
+        tree = grow(TreeParams(alpha_t=alpha, tau=20_000, seed=2))
+        assert np.array_equal(subtree_sizes(tree), tree_reference.subtree_sizes(tree))
+    # a path is as deep as a tree gets: one level per vertex
+    path = _path_tree(20_000)
+    want = tree_reference.subtree_sizes(path)
+    assert np.array_equal(subtree_sizes(path), want)
+    assert np.array_equal(want, np.arange(20_001, 0, -1))
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1 / 3, 0.5, 2 / 3, 1.0])
+def test_enumerate_exact_matches_frozen_fraction_walk(alpha):
+    for tau in range(1, 8):
+        params = TreeParams(alpha_t=alpha, tau=tau, seed=0)
+        got = enumerate_exact(params).exact
+        want = tree_reference.enumerate_exact(params)
+        assert got == want, tau
+        assert list(got) == list(want), tau
 
 
 def test_validation():

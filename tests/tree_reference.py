@@ -8,9 +8,14 @@ forms the chain replaced: alternating sums that are exact where they do
 not cancel and go wrong in the in-degree tail.  They are frozen here
 unchanged.
 
-`joint_pnq_er`, `betweenness_ccdf_asymptotic`,
-`betweenness_mean_given_q_finite` and `finite_size_correction_check` are
-closed forms that only tests use; criterion 10 imports the last one.
+`joint_pnq` (the alternating closed form of P_tau(n, q)), `joint_pnq_er`,
+`betweenness_ccdf_asymptotic`, `betweenness_mean_given_q_finite` and
+`finite_size_correction_check` are closed forms that only tests use;
+criterion 10 imports the last one.
+
+`grow`, `subtree_sizes` and `enumerate_exact` are the per-vertex loops of
+`tree_gen` as they stood before its array rewrite, frozen: the library
+must reproduce their parents, sizes and exact `Fraction` dicts exactly.
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ import numpy as np
 
 from tcpfluid.specfun import digamma, log_gamma, pochhammer_log, stirling_first_unsigned
 from tcpfluid.tree_analytic import (
-    EULER_GAMMA,
     _CANCELLATION_GUARD,
     _alternating_sum,
     _check_alpha,
@@ -31,9 +35,142 @@ from tcpfluid.tree_analytic import (
     _prefactor,
     betweenness_ccdf_given_q,
     cond_mean_n_given_q,
-    joint_pnq,
     marginal_q,
 )
+from tcpfluid.tree_gen import _BLOCK, GrowingTree, TreeParams
+
+EULER_GAMMA = 0.5772156649015328606
+
+
+def grow(params: TreeParams) -> GrowingTree:
+    """Grow a tree of tau edges by sequential preferential attachment.
+
+    Per-step sampling is O(1): the law (a + q_v) / ((1+a)t - 1) over the t
+    existing vertices is realized exactly as a mixture of a uniform vertex
+    draw (total weight a*t) and a uniform draw from the list of edge parent
+    endpoints (each edge contributes 1 to its parent's q, total weight t-1).
+    """
+    tau = params.tau
+    parent = np.empty(tau + 1, dtype=np.int64)
+    parent[0] = -1
+    rng = np.random.default_rng(params.seed)
+
+    if params.alpha_t == 1.0:
+        parent[1:] = 0
+    elif params.alpha_t == 0.0:
+        # uniform over the t existing vertices; rng.random() < 1 keeps floor < t
+        u = rng.random(tau)
+        parent[1:] = (u * np.arange(1.0, tau + 1.0)).astype(np.int64)
+    else:
+        a = params.a
+        edge_parent = np.empty(tau, dtype=np.int64)
+        for start in range(1, tau + 1, _BLOCK):
+            stop = min(start + _BLOCK, tau + 1)
+            u_branch = rng.random(stop - start)
+            u_pick = rng.random(stop - start)
+            for t in range(start, stop):
+                i = t - start
+                w_uniform = a * t
+                if u_branch[i] * (w_uniform + (t - 1)) < w_uniform:
+                    target = int(u_pick[i] * t)
+                else:
+                    target = int(edge_parent[int(u_pick[i] * (t - 1))])
+                parent[t] = target
+                edge_parent[t - 1] = target
+
+    in_degree = np.bincount(parent[1:], minlength=tau + 1)
+    return GrowingTree(
+        alpha_t=params.alpha_t, tau=tau, parent=parent, in_degree=in_degree
+    )
+
+
+def subtree_sizes(tree: GrowingTree) -> np.ndarray:
+    """Vertex count of the subtree rooted at each vertex (including itself)."""
+    sizes = np.ones(tree.tau + 1, dtype=np.int64)
+    parent = tree.parent
+    # children always arrive after their parent, so one reverse pass suffices
+    for v in range(tree.tau, 0, -1):
+        sizes[parent[v]] += sizes[v]
+    return sizes
+
+
+def enumerate_exact(params: TreeParams) -> dict[tuple[int, int], Fraction]:
+    """Exact edge-state law P_tau(n, q) by a walk over every history.
+
+    The library's enumerator before it moved to integer numerators: each
+    step multiplies a `Fraction` probability.  Returns the `exact` dict
+    of the `DistTable` it built.
+    """
+    tau = params.tau
+    if tau > 8:
+        raise ValueError(f"enumerate_exact is limited to tau <= 8, got {tau}")
+    alpha = Fraction(params.alpha_t).limit_denominator(10**6)
+    a = None if alpha == 0 else 1 / alpha - 1
+
+    parent = [0] * (tau + 1)
+    q = [0] * (tau + 1)
+    acc: dict[tuple[int, int], Fraction] = {}
+    edge_weight = Fraction(1, tau)
+
+    def tally(prob: Fraction) -> None:
+        sizes = [1] * (tau + 1)
+        for v in range(tau, 0, -1):
+            sizes[parent[v]] += sizes[v]
+        for v in range(1, tau + 1):
+            key = (sizes[v] - 1, q[v])
+            acc[key] = acc.get(key, Fraction(0)) + prob * edge_weight
+
+    def walk(t: int, prob: Fraction) -> None:
+        if t > tau:
+            tally(prob)
+            return
+        if t == 1:
+            # only the root exists; its weight is the whole total
+            parent[1] = 0
+            q[0] += 1
+            walk(2, prob)
+            q[0] -= 1
+            return
+        if a is None:
+            total = Fraction(t)
+            weights = [Fraction(1)] * t
+        else:
+            total = (1 + a) * t - 1
+            weights = [a + q[v] for v in range(t)]
+        for v in range(t):
+            if weights[v] == 0:
+                continue
+            parent[t] = v
+            q[v] += 1
+            walk(t + 1, prob * weights[v] / total)
+            q[v] -= 1
+
+    walk(1, Fraction(1))
+    return acc
+
+
+def joint_pnq(tau: int, alpha_t: float, n: int, q: int) -> float:
+    """Joint probability P_tau(n, q) of a uniformly chosen edge's state.
+
+    Returns 0 outside the support {0 <= q <= n <= tau-1}; the star limit
+    alpha_t = 1 concentrates all mass on (0, 0).
+    """
+    tau = _check_tau(tau)
+    alpha = _check_alpha(alpha_t)
+    n = _check_index("n", n)
+    q = _check_index("q", q)
+    if q < 0 or q > n or n >= tau:
+        return 0.0
+    if alpha == 1.0:
+        return 1.0 if (n, q) == (0, 0) else 0.0
+    sign, log_d = _alternating_sum(alpha, q, n)
+    log_p = (
+        math.log(_prefactor(tau, alpha))
+        + pochhammer_log(1.0 / alpha - 1.0, q)
+        - pochhammer_log(2.0 - alpha, n + 1.0)
+        + log_d
+    )
+    return sign * math.exp(log_p)
 
 
 def forward_table(tau: int, alpha: float) -> np.ndarray:
