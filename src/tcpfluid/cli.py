@@ -322,6 +322,7 @@ def cmd_validate(args) -> int:
             "mean_window": result.mean_window,
             "checks": checks,
             "pass": passed,
+            "diagnostics": {"mass_above_wmax": result.mass_above_wmax},
         }
     )
     _write_json(os.path.join(args.outdir, "validate_report.json"), report)

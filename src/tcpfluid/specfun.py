@@ -5,6 +5,11 @@ combinatorial routines (Euler product, unsigned Stirling numbers, an
 alternating Kronecker-delta expansion used as a numeric identity test).
 Everything evaluates in 64-bit floats; ratios of large Gamma values are
 carried in log space with an explicit sign channel.
+
+This module is the package's one gateway to scipy.special: every other
+module calls it through the `_sp` handle below, which imports it on the
+first attribute access.  So `import tcpfluid`, the AIMD simulator, tree
+growth and the finite-tau tree laws never load scipy.
 """
 
 from __future__ import annotations
@@ -13,7 +18,24 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _sp
+
+
+class _LazySpecial:
+    """scipy.special, imported on the first attribute access.
+
+    Each fetched function is stored on the instance, so later lookups are
+    plain attribute reads and never reach __getattr__ again.
+    """
+
+    def __getattr__(self, name: str):
+        from scipy import special
+
+        value = getattr(special, name)
+        setattr(self, name, value)
+        return value
+
+
+_sp = _LazySpecial()
 
 
 @dataclass(frozen=True)

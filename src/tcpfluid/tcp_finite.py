@@ -24,9 +24,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _sp
 
-from .specfun import DEFAULT_NUMERICS, NumericsConfig, euler_product_L
+from .specfun import DEFAULT_NUMERICS, NumericsConfig, _sp, euler_product_L
 from .tcp_infinite import TcpParams
 
 _A_METHODS = ("auto", "direct", "series", "asymptotic")

@@ -19,9 +19,8 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy import special as _sp
 
-from .specfun import DEFAULT_NUMERICS, NumericsConfig, euler_product_L
+from .specfun import DEFAULT_NUMERICS, NumericsConfig, _sp, euler_product_L
 
 VARIANTS = ("plain", "frfr", "wan")
 

@@ -44,9 +44,8 @@ from functools import lru_cache
 from types import MappingProxyType
 
 import numpy as np
-from scipy.special import gamma, polygamma
 
-from .specfun import log_gamma, pochhammer_log, pochhammer_signed
+from .specfun import _sp, log_gamma, pochhammer_log, pochhammer_signed
 
 __all__ = [
     "DistTable",
@@ -438,7 +437,8 @@ def cond_mean_q_given_n(alpha_t: float, n: int) -> float:
     if n == 0:
         return 0.0
     m = _SERIES_ORDERS
-    terms = (-alpha) ** m / gamma(m + 2.0) * (polygamma(m, n + 1.0) - polygamma(m, 2.0))
+    psi = _sp.polygamma
+    terms = (-alpha) ** m / _sp.gamma(m + 2.0) * (psi(m, n + 1.0) - psi(m, 2.0))
     # at n = 1 every term is zero and E[q | n=1] = 1 exactly
     slope = math.fsum(terms.tolist())
     x = alpha * slope

@@ -52,13 +52,6 @@ class TreeParams:
         if self.tau < 1 or self.tau != int(self.tau):
             raise ValueError(f"tau must be a positive integer, got {self.tau}")
 
-    @classmethod
-    def from_attractiveness(cls, a: float, tau: int, seed: int = 0) -> "TreeParams":
-        if a < 0:
-            raise ValueError(f"initial attractiveness must be >= 0, got {a}")
-        alpha_t = 0.0 if math.isinf(a) else 1.0 / (1.0 + a)
-        return cls(alpha_t=alpha_t, tau=tau, seed=seed)
-
     @property
     def a(self) -> float:
         """Initial attractiveness; +inf for the uniform sentinel."""
@@ -79,10 +72,6 @@ class GrowingTree:
     @property
     def n_vertices(self) -> int:
         return self.tau + 1
-
-    @property
-    def arrival_time(self) -> np.ndarray:
-        return np.arange(self.tau + 1)
 
     def edge_endpoints(self) -> tuple[np.ndarray, np.ndarray]:
         """(younger, older) endpoint arrays indexed by edge id."""

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy import special as _sp
 
+from .specfun import _sp
 from .tcp_finite import FiniteBufferParams
 
 _CHUNK = 8192
@@ -86,6 +86,16 @@ class SimResult:
     @property
     def loss_rate(self) -> float:
         return self.n_events / self.total_time
+
+    @property
+    def mass_above_wmax(self) -> float:
+        """Share of time that no bin holds: growth above the top bin edge.
+
+        1 - sum(occupancy), not clamped, so rounding may leave it
+        slightly below zero.  Fast-recovery atoms above the top edge are
+        counted in the top bin, not here.
+        """
+        return 1.0 - float(np.sum(self.occupancy))
 
 
 def merge_results(*results: SimResult) -> SimResult:

@@ -37,18 +37,42 @@ def _numeric_columns(path) -> dict[str, np.ndarray]:
     }
 
 
+def _fresh_python(code: str) -> str:
+    """stdout of `code` in a fresh interpreter, so modules other tests
+    imported do not count."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tcpfluid.__file__)))
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    ).stdout
+
+
 def test_import_skips_scipy_stats_and_integrate():
     code = (
         "import sys, tcpfluid.cli; "
         "print(sorted(m for m in ('scipy.stats', 'scipy.integrate', "
-        "'concurrent.futures.process', 'multiprocessing') if m in sys.modules))"
+        "'concurrent.futures.process', 'multiprocessing', 'scipy.special', 'scipy') "
+        "if m in sys.modules))"
     )
-    # a fresh interpreter, so modules other tests imported do not count
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tcpfluid.__file__)))
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
-    ).stdout
+    out = _fresh_python(code)
     assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["netsim", "--nodes", "500", "--flows", "50"],
+        ["tree", "--enumerate", "--tau", "5"],
+    ],
+    ids=["netsim", "tree-enumerate"],
+)
+def test_commands_without_special_functions_never_load_scipy(tmp_path, argv):
+    code = (
+        "import sys; from tcpfluid.cli import main; "
+        f"rc = main({argv + ['--outdir', str(tmp_path)]!r}); "
+        "print(rc, 'scipy.special' in sys.modules)"
+    )
+    out = _fresh_python(code)
+    assert out.split()[-2:] == ["0", "False"]
 
 
 def test_specfun_selftest_passes(capsys):
@@ -137,6 +161,8 @@ def test_validate_pass(tmp_path, capsys):
     report = _read_json(out / "validate_report.json")
     assert report["checks"]["chi2"] is True
     assert report["checks"]["ks"] is True
+    # the default top edge keeps the whole law
+    assert abs(report["diagnostics"]["mass_above_wmax"]) < 1e-12
 
 
 def test_validate_beta_mismatch_fails(tmp_path):

@@ -1,13 +1,18 @@
 """Special-function kernel: identities, dual routes, known rows."""
 
+import ast
 import math
+import pathlib
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special as sp
 
+import tcpfluid
 from tcpfluid.specfun import (
+    _sp,
     digamma,
     euler_product_L,
     kronecker_expansion_check,
@@ -17,6 +22,7 @@ from tcpfluid.specfun import (
     stirling_first_unsigned,
     upper_incomplete_gamma,
 )
+from tcpfluid.window_sim import SimResult, compare_histogram
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -129,3 +135,46 @@ def test_euler_product_rejects_bad_c():
 def test_kronecker_expansion_check_small():
     for n in (4, 8, 12, 16):
         assert abs(kronecker_expansion_check(n)) < 1e-9
+
+
+def test_lazy_handle_returns_scipy_values_bit_for_bit():
+    assert log_gamma(2.5) == float(sp.gammaln(2.5))
+    # the handle hands out scipy's own ufunc and keeps it as a plain attribute
+    assert _sp.gammaln is sp.gammaln
+    assert vars(_sp)["gammaln"] is sp.gammaln
+    edges = np.linspace(0.0, 1.0, 11)
+    occupancy = np.full(10, 0.1) + 0.004 * np.array([1, -1, 2, -2, 0, 1, -1, 3, -3, 0])
+    result = SimResult(edges, occupancy, 0, 5000, 0.5, 1.0 / 12.0, 1.0)
+    fit = compare_histogram(result, np.ones_like)
+    assert 0.0 < fit.chi2_pvalue < 1.0
+    assert fit.chi2_pvalue == float(sp.chdtrc(fit.dof, fit.chi2_stat))
+
+
+def _imports_scipy(node: ast.AST) -> bool:
+    if isinstance(node, ast.Import):
+        return any(a.name.split(".")[0] == "scipy" for a in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return node.level == 0 and (node.module or "").split(".")[0] == "scipy"
+    return False
+
+
+def _scipy_imports(tree: ast.AST, in_function: bool = False):
+    """(line, inside a function body) of every scipy import under tree."""
+    for child in ast.iter_child_nodes(tree):
+        if _imports_scipy(child):
+            yield child.lineno, in_function
+        nested = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+        yield from _scipy_imports(child, in_function or nested)
+
+
+def test_only_specfun_imports_scipy_and_only_on_first_use():
+    # one top-level scipy import anywhere in the package puts ~0.3 s back
+    # on every CLI run, tree and netsim included
+    sources = sorted(pathlib.Path(tcpfluid.__file__).parent.glob("*.py"))
+    assert len(sources) > 5
+    offenders = []
+    for path in sources:
+        for line, in_function in _scipy_imports(ast.parse(path.read_text())):
+            if path.name != "specfun.py" or not in_function:
+                offenders.append(f"{path.name}:{line}")
+    assert offenders == []

@@ -94,6 +94,19 @@ def test_merged_mean_is_time_weighted():
     assert merged.mean_window == pytest.approx(want, rel=1e-12)
 
 
+def test_mass_above_wmax_reports_the_cut_tail():
+    # a top edge at 10 cuts off most of the p = 1e-2 law (mean ~ 15)
+    parts = [simulate(_cfg(1e-2, horizon=2000, seed=s, w_max=10.0)) for s in (1, 2)]
+    tail = AnalyticWindowDistribution.build(TcpParams(alpha=1.0, loss_rate=1e-2), "plain")
+    for part in parts:
+        assert part.mass_above_wmax == pytest.approx(float(tail.ccdf(10.0)), abs=0.02)
+    merged = merge_results(*parts)
+    want = sum(p.mass_above_wmax * p.total_time for p in parts) / merged.total_time
+    assert merged.mass_above_wmax == pytest.approx(want, rel=1e-12)
+    # the default top edge sits where the tail is below 1e-16
+    assert abs(simulate(_cfg(1e-2)).mass_above_wmax) < 1e-12
+
+
 def test_histogram_fit_accepts_true_law():
     res = simulate(_cfg(1e-2, horizon=20000))
     dist = AnalyticWindowDistribution.build(TcpParams(alpha=1.0, loss_rate=1e-2), "plain")
