@@ -15,8 +15,8 @@ from tcpfluid.tcp_finite import (
     buffer_loss_ratio_A,
     effective_loss,
     finite_frfr_pdf,
+    finite_window_mean,
     finite_window_pdf,
-    phi_moment,
     solve_finite_distribution,
 )
 from tcpfluid.tcp_infinite import AnalyticWindowDistribution, TcpParams
@@ -40,7 +40,7 @@ sol = solve_finite_distribution(fb)
 top = fb.effective_limit
 print(f"\np={p}, B=40 -> B_eff={top:.2f}, x={fb.x:.3f}")
 print(f"  A = {sol.A:.4f}, effective loss rate = {effective_loss(fb):.3e}")
-print(f"  E[W] = {phi_moment(sol, 1.0) / (1.0 - sol.A):.3f}")
+print(f"  E[W] = {finite_window_mean(sol):.3f}")
 print("  halving levels:", " ".join(f"{v:.2f}" for v in sol.level_edges()[:4]))
 
 w = np.linspace(0.0, top * 1.05, 8)

@@ -15,8 +15,6 @@ growth and the finite-tau tree laws never load scipy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
 
@@ -37,30 +35,6 @@ class _LazySpecial:
 
 _sp = _LazySpecial()
 
-
-@dataclass(frozen=True)
-class NumericsConfig:
-    """Truncation and switching thresholds shared by the analytic modules.
-
-    Attributes:
-        product_tail: drop infinite-product factors once c**l falls below.
-        series_rtol: stop series accumulation when |term| < series_rtol*|sum|.
-        residue_terms: default number of partial-fraction residues (K).
-        x_switch: control-parameter value separating the direct loss-ratio
-            sum from the power-series evaluation.
-        x_asymptotic: beyond this the loss ratio uses its leading asymptotic.
-        level_cap: maximum number of piecewise levels in the finite solver.
-    """
-
-    product_tail: float = 1e-18
-    series_rtol: float = 1e-16
-    residue_terms: int = 12
-    x_switch: float = 30.0
-    x_asymptotic: float = 500.0
-    level_cap: int = 64
-
-
-DEFAULT_NUMERICS = NumericsConfig()
 
 _STIRLING_MAX_N = 64
 
@@ -214,10 +188,14 @@ def _stirling_row(n: int) -> tuple[int, ...]:
 _stirling_row.cache = [(1,)]
 
 
-def euler_product_L(c: float, cfg: NumericsConfig = DEFAULT_NUMERICS) -> float:
+# euler_product_L drops the factors 1 - c^l once c^l falls below this
+_PRODUCT_TAIL = 1e-18
+
+
+def euler_product_L(c: float) -> float:
     """Return the Euler-type product L(c) = ∏_{l>=1} (1 - c^l).
 
-    Factors are dropped once c^l falls below cfg.product_tail.  L(0) = 1 and
+    Factors are dropped once c^l falls below 1e-18.  L(0) = 1 and
     the product decreases monotonically toward 0 as c approaches 1.
 
     Raises:
@@ -227,7 +205,7 @@ def euler_product_L(c: float, cfg: NumericsConfig = DEFAULT_NUMERICS) -> float:
         raise ValueError(f"euler_product_L requires 0 <= c < 1, got {c}")
     if c == 0:
         return 1.0
-    n_terms = int(math.ceil(math.log(cfg.product_tail) / math.log(c)))
+    n_terms = int(math.ceil(math.log(_PRODUCT_TAIL) / math.log(c)))
     powers = c ** np.arange(1, max(n_terms, 1) + 1)
     return float(math.exp(np.sum(np.log1p(-powers))))
 

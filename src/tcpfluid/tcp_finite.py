@@ -10,7 +10,9 @@ geometry through c = beta^(m+1):
   mutually checking routes (direct sum over halving levels, and an
   all-positive power series) plus a large-x asymptotic.
 - A level recursion generates coefficient rows h_{n,k} for the piecewise
-  stationary density, one row per halving level below B_eff.
+  stationary density, one row per halving level below B_eff.  Rows are
+  added until a new one moves the phi mass below its upper edge by at most
+  2^-53·(1-A); the last row then holds down to w = 0.
 - Every tail mass and mean of the plain and fast-recovery laws is a sum of
   incomplete Gamma functions over rows and levels (`phi_moment`).
 
@@ -25,10 +27,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import DEFAULT_NUMERICS, NumericsConfig, _sp, euler_product_L
-from .tcp_infinite import TcpParams
+from .specfun import _sp, euler_product_L
+from .tcp_infinite import _WEIGHT_FLOOR, TcpParams, _guard_cancellation
 
 _A_METHODS = ("auto", "direct", "series", "asymptotic")
+# the G and S series stop once a term falls below this share of their sum
+_SERIES_RTOL = 1e-16
+# A(x) takes the direct G sum below _X_SWITCH, the all-positive series up
+# to _X_ASYMPTOTIC and the leading asymptotic e^(-x)/L(c) beyond
+_X_SWITCH = 30.0
+_X_ASYMPTOTIC = 500.0
 
 
 @dataclass(frozen=True)
@@ -64,7 +72,7 @@ class FiniteBufferParams:
         return self.tcp.p * self.effective_limit ** (m + 1) / (m + 1)
 
 
-def _g_exp_neg_x(x: float, c: float, cfg: NumericsConfig) -> float:
+def _g_exp_neg_x(x: float, c: float) -> float:
     """G(x)·e^(-x) by direct summation; every exponent is <= 0.
 
     G(x) = sum_k [prod_{l<=k} 1/(1-c^l)] (e^{c^{k+1}x} - e^{c^k x}); after
@@ -76,14 +84,14 @@ def _g_exp_neg_x(x: float, c: float, cfg: NumericsConfig) -> float:
     for k in range(100_000):
         term = pi_k * (math.exp((c * ck - 1.0) * x) - math.exp((ck - 1.0) * x))
         total += term
-        if ck * x < 1e-3 and abs(term) <= cfg.series_rtol * max(abs(total), 1e-300):
+        if ck * x < 1e-3 and abs(term) <= _SERIES_RTOL * max(abs(total), 1e-300):
             break
         ck *= c
         pi_k /= 1.0 - ck
     return total
 
 
-def _series_S(x: float, c: float, cfg: NumericsConfig) -> float:
+def _series_S(x: float, c: float) -> float:
     """S(x) = -L(c)G(x) = sum_{n>=1} x^n/n! prod_{l<=n}(1-c^l).
 
     All terms are positive for x > 0: no cancellation at any x.  The
@@ -96,22 +104,17 @@ def _series_S(x: float, c: float, cfg: NumericsConfig) -> float:
         cl *= c
         term *= x / n * (1.0 - cl)
         total += term
-        if n > x and term <= cfg.series_rtol * max(total, 1e-300):
+        if n > x and term <= _SERIES_RTOL * max(total, 1e-300):
             break
     return total
 
 
-def buffer_loss_ratio_A(
-    x: float,
-    c: float,
-    cfg: NumericsConfig = DEFAULT_NUMERICS,
-    method: str = "auto",
-) -> float:
+def buffer_loss_ratio_A(x: float, c: float, method: str = "auto") -> float:
     """Fraction A of losses that happen at the buffer.
 
     A = 1/(1 - L(c)G(x)).  "auto" routes to the direct G sum below
-    cfg.x_switch, the power series up to cfg.x_asymptotic, and the
-    leading asymptotic e^(-x)/L(c) beyond; "direct"/"series" force a
+    x = 30, the power series up to x = 500, and the leading asymptotic
+    e^(-x)/L(c) beyond; "direct"/"series" force a
     path (both stay accurate well past the switch point and serve as
     mutual oracles).
 
@@ -125,24 +128,22 @@ def buffer_loss_ratio_A(
     if method not in _A_METHODS:
         raise ValueError(f"method must be one of {_A_METHODS}, got {method!r}")
     if method == "auto":
-        if x < cfg.x_switch:
+        if x < _X_SWITCH:
             method = "direct"
-        elif x <= cfg.x_asymptotic:
+        elif x <= _X_ASYMPTOTIC:
             method = "series"
         else:
             method = "asymptotic"
     if method == "direct":
-        L = euler_product_L(c, cfg)
-        denom = math.exp(-x) - L * _g_exp_neg_x(x, c, cfg)
+        L = euler_product_L(c)
+        denom = math.exp(-x) - L * _g_exp_neg_x(x, c)
         return math.exp(-x) / denom
     if method == "series":
-        return 1.0 / (1.0 + _series_S(x, c, cfg))
-    return math.exp(-x - math.log(euler_product_L(c, cfg)))
+        return 1.0 / (1.0 + _series_S(x, c))
+    return math.exp(-x - math.log(euler_product_L(c)))
 
 
-def effective_loss(
-    params: FiniteBufferParams, cfg: NumericsConfig = DEFAULT_NUMERICS
-) -> float:
+def effective_loss(params: FiniteBufferParams) -> float:
     """Total loss event rate lambda' = lambda/(1 - A), buffer included.
 
     lambda = 0 degenerates to the deterministic sawtooth rate
@@ -155,10 +156,10 @@ def effective_loss(
         m = tcp.m
         return (m + 1) * tcp.alpha / ((1.0 - c) * params.effective_limit ** (m + 1))
     x = params.x
-    if x < cfg.x_switch:
-        S = _series_S(x, c, cfg)
+    if x < _X_SWITCH:
+        S = _series_S(x, c)
         return tcp.loss_rate * (1.0 + S) / S
-    A = buffer_loss_ratio_A(x, c, cfg)
+    A = buffer_loss_ratio_A(x, c)
     return tcp.loss_rate + tcp.loss_rate * A / (1.0 - A)
 
 
@@ -167,15 +168,15 @@ class FiniteBufferSolution:
     """Coefficient rows of the piecewise stationary density.
 
     Row n holds h_{n,0..n} for the window interval
-    (beta^(n+1)·B_eff, beta^n·B_eff]; I collects the level integrals the
-    recursion threads through.  N_levels is the largest row index, chosen
-    so the lowest interval still sits above one packet.
+    (beta^(n+1)·B_eff, beta^n·B_eff]; the last row, n = N_levels, holds
+    down to w = 0.  one_minus_A is the buffer-free share 1 - A, taken as
+    S/(1+S) below x = 30, where 1.0 - A would cancel.
     """
 
     params: FiniteBufferParams
     A: float
-    h_matrix: tuple[tuple[float, ...], ...]
-    I: tuple[float, ...]
+    one_minus_A: float
+    h_rows: tuple[np.ndarray, ...]
     N_levels: int
 
     @property
@@ -196,58 +197,65 @@ class FiniteBufferSolution:
         return self.effective_limit * beta ** np.arange(self.N_levels + 2)
 
 
-def solve_finite_distribution(
-    params: FiniteBufferParams, cfg: NumericsConfig = DEFAULT_NUMERICS
-) -> FiniteBufferSolution:
+def solve_finite_distribution(params: FiniteBufferParams) -> FiniteBufferSolution:
     """Run the level recursion for the piecewise density coefficients.
 
     Seeds with h_{0,0} = A·e^x (evaluated as 1/(e^{-x} - L·Ge^{-x}) so it
     stays bounded for any x) and I_0 = A(e^x - e^{cx}), then builds row
-    n+1 from row n.  All coefficients remain O(1/L(c)).
+    n+1 from row n.  Row n+1 changes phi only below b = beta^(n+1)·B_eff,
+    by a closed-form mass: with a_k = p·c^-k/(m+1),
+    ∫_0^b p·w^m·e^(-a_k·w^(m+1)) dw = c^k·(1 - e^(-x·c^(n+1-k))).
+    Rows are added until that change is at most 2^-53·(1-A).
 
     Raises:
-        ValueError: loss_rate = 0 (pure sawtooth; use the simulator) or
-            effective limit below one packet.
+        ValueError: loss_rate = 0 (pure sawtooth; use the simulator),
+            effective limit below one packet, c too close to 1
+            (`_guard_cancellation`), or a recursion that overflows.
     """
     tcp = params.tcp
     if tcp.loss_rate <= 0:
         raise ValueError("solve_finite_distribution requires loss_rate > 0")
-    B = params.effective_limit
-    beta = tcp.beta
-    if B < 1.0:
-        raise ValueError(f"effective limit {B} below one packet")
+    if params.effective_limit < 1.0:
+        raise ValueError(f"effective limit {params.effective_limit} below one packet")
     x, c = params.x, tcp.c
-    L = euler_product_L(c, cfg)
-    denom = math.exp(-x) - L * _g_exp_neg_x(x, c, cfg)
+    _guard_cancellation(c)
+    denom = math.exp(-x) - euler_product_L(c) * _g_exp_neg_x(x, c)
     A = math.exp(-x) / denom
     h00 = 1.0 / denom  # A·e^x without forming e^x
-    n_max = min(int(math.floor(math.log(B) / math.log(1.0 / beta))), cfg.level_cap)
+    if x < _X_SWITCH:
+        S = _series_S(x, c)
+        one_minus_A = S / (1.0 + S)
+    else:
+        one_minus_A = 1.0 - A
     rows = [np.array([h00])]
-    I = [h00 * (1.0 - math.exp((c - 1.0) * x))]
-    for n in range(n_max):
+    I = h00 * (1.0 - math.exp((c - 1.0) * x))
+    while True:
+        n = len(rows) - 1
         hn = rows[n]
-        k = np.arange(n + 1)
-        gap = c ** -k.astype(float) - c  # c^{-k} - c > 0
+        k = np.arange(n + 1, dtype=float)
+        gap = c ** -k - c  # c^{-k} - c > 0
         decay_hi = np.exp(-(c ** (n + 1)) * gap * x)
         decay_lo = np.exp(-(c ** n) * gap * x)
-        I_next = I[n] - float(np.sum((decay_hi - decay_lo) * hn / gap))
-        h_next_0 = I_next + float(np.sum(hn / gap * decay_hi))
-        rows.append(np.concatenate(([h_next_0], hn / (c - c ** -k.astype(float)))))
-        I.append(I_next)
+        I -= float(np.sum((decay_hi - decay_lo) * hn / gap))
+        row = np.concatenate(([I + float(np.sum(hn / gap * decay_hi))], hn / (c - c ** -k)))
+        rows.append(row)
+        k = np.arange(n + 2, dtype=float)
+        change = float(np.sum(
+            (row - np.append(hn, 0.0)) * c ** k * -np.expm1(-x * c ** (n + 1 - k))
+        ))
+        if not math.isfinite(change):
+            raise ValueError(f"finite-buffer recursion overflowed at x = {x}")
+        if abs(change) <= _WEIGHT_FLOOR * one_minus_A:
+            break
+    for row in rows:
+        row.setflags(write=False)
     return FiniteBufferSolution(
         params=params,
         A=A,
-        h_matrix=tuple(tuple(row) for row in rows),
-        I=tuple(I),
-        N_levels=n_max,
+        one_minus_A=one_minus_A,
+        h_rows=tuple(rows),
+        N_levels=len(rows) - 1,
     )
-
-
-def _row_indices(sol: FiniteBufferSolution, w: np.ndarray) -> np.ndarray:
-    edges_desc = sol.level_edges()[: sol.N_levels + 1]
-    ascending = edges_desc[::-1]
-    j = np.searchsorted(ascending, w, side="left")
-    return sol.N_levels - j  # w above every edge maps to row 0 via clip below
 
 
 def _phi(sol: FiniteBufferSolution, w: np.ndarray) -> np.ndarray:
@@ -259,15 +267,16 @@ def _phi(sol: FiniteBufferSolution, w: np.ndarray) -> np.ndarray:
     if not np.any(inside):
         return out
     wi = w[inside]
-    rows = np.clip(_row_indices(sol, wi), 0, sol.N_levels)
+    # row n holds (B·beta^(n+1), B·beta^n]; the last row holds down to 0
+    rows = sol.N_levels - np.searchsorted(sol.level_edges()[sol.N_levels :: -1], wi)
     vals = np.zeros_like(wi)
     scaled = (wi / B) ** (m + 1) * sol.x
     for n in np.unique(rows):
         sel = rows == n
-        h = np.asarray(sol.h_matrix[n])
-        k = np.arange(len(h))
-        vals[sel] = h @ np.exp(-np.outer(c ** -k.astype(float), scaled[sel]))
-    out[inside] = np.maximum(p * wi ** m * vals, 0.0)
+        h = sol.h_rows[n]
+        k = np.arange(len(h), dtype=float)
+        vals[sel] = h @ np.exp(-np.outer(c ** -k, scaled[sel]))
+    out[inside] = p * wi ** m * vals
     return out
 
 
@@ -294,7 +303,7 @@ def phi_moment(sol: FiniteBufferSolution, s: float = 0.0, lo=0.0, hi: float | No
         a = np.maximum(lo, edges[n + 1]) if n < sol.N_levels else lo
         if np.all(a >= b):
             continue
-        h = np.asarray(sol.h_matrix[n])
+        h = sol.h_rows[n]
         k = np.arange(len(h))
         a_k = p * c ** -k.astype(float) / (m + 1)
         # entries with a >= b integrate over nothing
@@ -310,7 +319,7 @@ def finite_window_pdf(sol: FiniteBufferSolution, w):
     w_arr = np.atleast_1d(np.asarray(w, dtype=float))
     if np.any(w_arr < 0):
         raise ValueError("finite_window_pdf requires w >= 0")
-    out = _phi(sol, w_arr) / (1.0 - sol.A)
+    out = _phi(sol, w_arr) / sol.one_minus_A
     return out if np.ndim(w) else float(out[0])
 
 
@@ -318,7 +327,7 @@ def _frfr_normalizers(sol: FiniteBufferSolution) -> tuple[float, float, float]:
     """(1-A, Z, atom weight) of the fast-recovery law."""
     tcp = sol.params.tcp
     p, m, B = tcp.p, tcp.m, sol.effective_limit
-    share = 1.0 - sol.A
+    share = sol.one_minus_A
     Z = 1.0 + p * (phi_moment(sol, m) + sol.A * B ** m) / share
     return share, Z, p * B ** m * sol.A / (share * Z)
 
@@ -361,15 +370,14 @@ def finite_window_ccdf(sol: FiniteBufferSolution, w, frfr: bool = False):
         tail = phi_moment(sol, 0.0, w_arr) + tcp.p * phi_moment(sol, tcp.m, w_arr / tcp.beta)
         out = tail / (share * Z) + np.where(w_arr < tcp.beta * sol.effective_limit, weight, 0.0)
     else:
-        out = phi_moment(sol, 0.0, w_arr) / (1.0 - sol.A)
-    out = np.clip(out, 0.0, 1.0)
+        out = phi_moment(sol, 0.0, w_arr) / sol.one_minus_A
     return out if np.ndim(w) else float(out[0])
 
 
 def finite_window_mean(sol: FiniteBufferSolution, frfr: bool = False) -> float:
     """E[W] of the plain law, or with frfr of the fast-recovery law (atom included)."""
     if not frfr:
-        return phi_moment(sol, 1.0) / (1.0 - sol.A)
+        return phi_moment(sol, 1.0) / sol.one_minus_A
     tcp = sol.params.tcp
     share, Z, weight = _frfr_normalizers(sol)
     density_part = phi_moment(sol, 1.0) + tcp.p * tcp.beta * phi_moment(sol, tcp.m + 1.0)

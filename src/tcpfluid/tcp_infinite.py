@@ -20,9 +20,14 @@ from functools import partial
 
 import numpy as np
 
-from .specfun import DEFAULT_NUMERICS, NumericsConfig, _sp, euler_product_L
+from .specfun import _sp, euler_product_L
 
 VARIANTS = ("plain", "frfr", "wan")
+
+# residue tables stop at the first weight |c^k·h_k| <= _WEIGHT_FLOOR, and no
+# alternating sum may carry a weight above _MAX_WEIGHT (10 digits survive)
+_WEIGHT_FLOOR = 2.0 ** -53
+_MAX_WEIGHT = 1e6
 
 
 @dataclass(frozen=True)
@@ -116,8 +121,9 @@ class ResidueTable:
     """Partial-fraction coefficients h_0..h_K for a given c = beta^(m+1).
 
     h_k = (1/(c^k L(c))) * prod_{l=1..k} 1/(1 - c^-l); signs alternate and
-    magnitudes fall off like c^(k(k-1)/2), so about a dozen terms exhaust
-    double precision for moderate c.
+    the weights c^k·h_k fall off like c^(k(k+1)/2) once c^k < 1/2.  The
+    default table stops at the first weight of at most 2^-53: k = 7 at
+    c = 0.25, k = 21 at c = 0.8.
     """
 
     c: float
@@ -134,25 +140,45 @@ class ResidueTable:
         return self.c ** k * np.asarray(self.h)
 
 
-def compute_residues(
-    c: float, K: int | None = None, cfg: NumericsConfig = DEFAULT_NUMERICS
-) -> ResidueTable:
+def _guard_cancellation(c: float) -> None:
+    """Raise ValueError if W = max_k |c^k·h_k| exceeds 1e6.
+
+    W is the largest term of the window laws' alternating sums, which lose
+    log10(W) of their 16 digits.  The weights start at 1/L(c) and grow by
+    c^k/(1 - c^k) while c^k >= 1/2, then shrink.
+    """
+    weight = 1.0 / euler_product_L(c)
+    ck = c
+    while ck >= 0.5:
+        weight *= ck / (1.0 - ck)
+        ck *= c
+    if weight > _MAX_WEIGHT:
+        raise ValueError(
+            f"c = beta^(m+1) = {c} is too close to 1: the alternating sums carry "
+            f"terms of {weight:.3g} and keep fewer than 10 significant digits"
+        )
+
+
+def compute_residues(c: float, K: int | None = None) -> ResidueTable:
     """Tabulate the mixture coefficients h_0..h_K.
 
     h_0 = 1/L(c) and h_k = h_{k-1} / (c - c^(1-k)); the recurrence is exact
-    in floating point up to rounding, no series involved.
+    in floating point up to rounding, no series involved.  K = None runs to
+    the first k with |c^k·h_k| <= 2^-53.
 
     Raises:
-        ValueError: if c is outside (0, 1) or K < 0.
+        ValueError: if c is outside (0, 1), K < 0, or the weights exceed
+            1e6 (see `_guard_cancellation`).
     """
     if not 0 < c < 1:
         raise ValueError(f"compute_residues requires 0 < c < 1, got {c}")
-    if K is None:
-        K = cfg.residue_terms
-    if K < 0:
+    if K is not None and K < 0:
         raise ValueError(f"K must be nonnegative, got {K}")
-    h = [1.0 / euler_product_L(c, cfg)]
-    for k in range(1, K + 1):
+    _guard_cancellation(c)
+    h = [1.0 / euler_product_L(c)]
+    k = 0
+    while (k < K) if K is not None else (abs(c ** k * h[-1]) > _WEIGHT_FLOOR):
+        k += 1
         h.append(h[-1] / (c - c ** (1 - k)))
     return ResidueTable(c=c, h=tuple(h))
 
@@ -182,14 +208,8 @@ class AnalyticWindowDistribution:
             raise ValueError("wan variant needs m > 0 (inverse moment diverges)")
 
     @classmethod
-    def build(
-        cls,
-        params: TcpParams,
-        variant: str = "plain",
-        K: int | None = None,
-        cfg: NumericsConfig = DEFAULT_NUMERICS,
-    ) -> "AnalyticWindowDistribution":
-        return cls(params, compute_residues(params.c, K, cfg), variant)
+    def build(cls, params: TcpParams, variant: str = "plain") -> "AnalyticWindowDistribution":
+        return cls(params, compute_residues(params.c), variant)
 
     def pdf(self, w):
         return window_pdf(self, w)
@@ -199,12 +219,12 @@ class AnalyticWindowDistribution:
 
     def mean(self) -> float:
         """E[W]: moment closed forms for plain and frfr, num/den for wan."""
-        params, K = self.params, self.residues.K
+        params = self.params
         if self.variant == "wan":
             num, den = _wan_mean_terms(params, self.residues, params.bdp)
             return num / den
-        shift = frfr_mean_correction(params, K) if self.variant == "frfr" else 0.0
-        return window_moment(params, 1.0 / (params.m + 1.0), K) + shift
+        shift = frfr_mean_correction(params) if self.variant == "frfr" else 0.0
+        return window_moment(params, 1.0 / (params.m + 1.0)) + shift
 
     def support_cutoff(self) -> float:
         """w beyond which the plain-law CCDF is below 1e-13."""
@@ -323,13 +343,7 @@ def window_ccdf(dist: AnalyticWindowDistribution, w):
     return out if np.ndim(w) else float(out[0])
 
 
-def window_moment(
-    params: TcpParams,
-    r: float,
-    K: int | None = None,
-    cfg: NumericsConfig = DEFAULT_NUMERICS,
-    method: str = "auto",
-) -> float:
+def window_moment(params: TcpParams, r: float, method: str = "auto") -> float:
     """E[W^(r(m+1))] of the plain law.
 
     Integer r uses the product closed form
@@ -356,13 +370,11 @@ def window_moment(
         for k in range(1, n + 1):
             value /= 1.0 - c ** k
         return value
-    res = compute_residues(params.c, K, cfg)
+    res = compute_residues(params.c)
     return _truncated_moment(params, res, r * (m + 1))
 
 
-def frfr_mean_correction(
-    params: TcpParams, K: int | None = None, cfg: NumericsConfig = DEFAULT_NUMERICS
-) -> float:
+def frfr_mean_correction(params: TcpParams) -> float:
     """Mean shift E[W_frfr] - E[W] induced by fast-recovery plateaus.
 
     Equals -p(E[W]E[W^m] - beta·E[W^(m+1)]) / (1 + p·E[W^m]); for m=1 it
@@ -370,7 +382,7 @@ def frfr_mean_correction(
     """
     if params.loss_rate <= 0:
         raise ValueError("frfr_mean_correction requires loss_rate > 0")
-    res = compute_residues(params.c, K, cfg)
+    res = compute_residues(params.c)
     p, m = params.p, params.m
     ew = _truncated_moment(params, res, 1.0)
     ewm = _truncated_moment(params, res, m)
@@ -378,13 +390,7 @@ def frfr_mean_correction(
     return -p * (ew * ewm - params.beta * ewm1) / (1.0 + p * ewm)
 
 
-def mean_field_fixed_point(
-    params: TcpParams,
-    N: int,
-    K: int | None = None,
-    cfg: NumericsConfig = DEFAULT_NUMERICS,
-    max_iter: int = 10_000,
-) -> float:
+def mean_field_fixed_point(params: TcpParams, N: int, max_iter: int = 10_000) -> float:
     """Self-consistent total window N·E[W*] for N identical parallel flows.
 
     The wan-style law for one flow sees the other flows through the free
@@ -401,7 +407,7 @@ def mean_field_fixed_point(
         raise ValueError("mean_field_fixed_point requires loss_rate > 0")
     if params.m <= 0:
         raise ValueError("mean_field_fixed_point requires m > 0")
-    res = compute_residues(params.c, K, cfg)
+    res = compute_residues(params.c)
     T = N / _truncated_moment(params, res, -1.0)
     for _ in range(max_iter):
         num, den = _wan_mean_terms(params, res, T)

@@ -89,11 +89,11 @@ class SimResult:
 
     @property
     def mass_above_wmax(self) -> float:
-        """Share of time that no bin holds: growth above the top bin edge.
+        """Share of time that no bin holds: the window at or above the top bin edge.
 
         1 - sum(occupancy), not clamped, so rounding may leave it
-        slightly below zero.  Fast-recovery atoms above the top edge are
-        counted in the top bin, not here.
+        slightly below zero.  Both growth and fast-recovery plateaus above
+        the top edge count here.
         """
         return 1.0 - float(np.sum(self.occupancy))
 
@@ -230,8 +230,9 @@ def simulate(cfg: SimConfig) -> SimResult:
         w_before = v_end ** (1.0 / (m + 1))
         dur = w_before ** m / alpha
         value = beta * w_before
-        idx = np.clip(np.searchsorted(edges, value, side="right") - 1, 0, cfg.n_bins - 1)
-        np.add.at(hist, idx, dur)
+        idx = np.searchsorted(edges, value, side="right") - 1
+        kept = idx < cfg.n_bins  # atoms at or above the top edge count in mass_above_wmax
+        np.add.at(hist, idx[kept], dur[kept])
         time_total += float(np.sum(dur))
         mean_acc += float(np.sum(value * dur))
         second_acc += float(np.sum(value ** 2 * dur))

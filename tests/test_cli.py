@@ -99,6 +99,28 @@ def test_tcp_dist_infinite_outputs(tmp_path):
     assert len(rows) == 513
 
 
+def test_tcp_dist_density_vanishes_at_zero_for_c_08(tmp_path):
+    # twelve fixed residues left pdf(0) at 1.8e-5 here
+    rc = main([
+        "tcp-dist", "--p", "0.01", "--m", "0", "--beta", "0.8", "--outdir", str(tmp_path),
+    ])
+    assert rc == 0
+    cols = _numeric_columns(tmp_path / "tcp_dist_pdf.csv")
+    assert cols["w"][0] == 0.0
+    assert abs(cols["pdf"][0]) <= 1e-12
+
+
+def test_tcp_dist_rejects_c_too_close_to_one(tmp_path, capsys):
+    # c = 0.9: the alternating sums would keep fewer than 10 digits; twelve
+    # fixed residues once wrote pdf(0) = 105744.9 here
+    rc = main([
+        "tcp-dist", "--p", "0.01", "--m", "0", "--beta", "0.9", "--outdir", str(tmp_path),
+    ])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "tcp_dist_pdf.csv").exists()
+
+
 def test_tcp_dist_finite_frfr_summary(tmp_path):
     out = tmp_path / "d"
     rc = main([

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -19,7 +19,7 @@ from tcpfluid.tcp_finite import (
     phi_moment,
     solve_finite_distribution,
 )
-from tcpfluid.tcp_infinite import AnalyticWindowDistribution, TcpParams
+from tcpfluid.tcp_infinite import AnalyticWindowDistribution, TcpParams, compute_residues
 
 
 def _fb(p: float, B: float, **kw) -> FiniteBufferParams:
@@ -98,6 +98,75 @@ def test_solution_normalizes():
 def test_phi_moment_zeroth_equals_one_minus_A():
     sol = solve_finite_distribution(_fb(8e-4, 50.0))
     assert phi_moment(sol) == pytest.approx(1.0 - sol.A, rel=1e-10)
+
+
+def test_one_minus_A_has_no_cancellation_at_small_x():
+    # x = 2.8e-5: 1.0 - A keeps only 11 digits, S/(1+S) keeps them all
+    sol = solve_finite_distribution(_fb(1e-6, 5.0))
+    assert sol.x < 1e-4
+    assert sol.one_minus_A == pytest.approx(1.0 - sol.A, rel=1e-10)
+    assert abs(phi_moment(sol) / sol.one_minus_A - 1.0) <= 4.5e-16
+
+
+def _max_weight(c: float) -> float:
+    """max_k |c^k·h_k|: the alternating sums lose about log10 of it in digits."""
+    return float(np.max(np.abs(compute_residues(c).weights)))
+
+
+def _assert_law_holds_down_to_zero(sol, points: int = 2049) -> None:
+    """Mass, sign and CCDF shape of the finite law on (0, B_eff], with
+    tolerances scaled by the largest term the alternating sums carry."""
+    tol = 1e-14 * _max_weight(sol.c)
+    assert abs(phi_moment(sol) / sol.one_minus_A - 1.0) <= tol
+    w = np.linspace(0.0, sol.effective_limit, points)
+    pdf = finite_window_pdf(sol, w)
+    assert pdf.min() >= -tol * pdf.max()
+    for frfr in (False, True):
+        ccdf = finite_window_ccdf(sol, w, frfr=frfr)
+        assert np.max(np.diff(ccdf)) <= tol, frfr
+        assert ccdf.min() >= -tol and ccdf.max() <= 1.0 + tol, frfr
+
+
+@pytest.mark.parametrize(
+    "p, B, m, beta",
+    [
+        (0.3, 1.5, 0.0, 0.5),  # the one-packet stop left the mass off by 8e-3
+        (0.1, 5.0, 0.5, 0.3),  # and phi dipping to -3.6 % of its peak
+        (0.05, 10.0, 1.0, 0.5),
+        (0.05, 10.0, 0.0, 0.5),
+        (1e-2, 60.0, 1.0, 0.5),
+    ],
+)
+def test_finite_law_holds_down_to_zero(p, B, m, beta):
+    _assert_law_holds_down_to_zero(solve_finite_distribution(_fb(p, B, m=m, beta=beta)))
+
+
+@given(
+    st.floats(0.0, 2.0),
+    st.floats(0.2, 0.8),
+    st.floats(-4.0, math.log10(0.3)),
+    st.floats(1.0, 300.0),
+)
+@settings(max_examples=300, deadline=None)
+def test_finite_law_holds_down_to_zero_everywhere(m, beta, log_p, B):
+    fb = _fb(10.0**log_p, B, m=m, beta=beta)
+    assume(fb.effective_limit >= 1.0 and fb.x <= 700.0)
+    _assert_law_holds_down_to_zero(solve_finite_distribution(fb))
+
+
+def test_rows_run_until_the_mass_stops_moving():
+    # B_eff = 62.5: rows 6 and 7 lie below one packet and still move the mass
+    sol = solve_finite_distribution(_fb(1e-2, 60.0))
+    assert sol.N_levels == 7
+    assert len(sol.h_rows) == 8 and all(len(r) == n + 1 for n, r in enumerate(sol.h_rows))
+    assert not sol.h_rows[0].flags.writeable
+
+
+def test_guard_rejects_c_too_close_to_one():
+    # c = 0.9 carries terms of 2.5e8 in its alternating sums
+    with pytest.raises(ValueError, match="0.9"):
+        solve_finite_distribution(_fb(1e-2, 60.0, m=0.0, beta=0.9))
+    assert solve_finite_distribution(_fb(1e-2, 60.0, m=0.0, beta=0.8)).N_levels > 0
 
 
 def test_density_vanishes_beyond_limit():

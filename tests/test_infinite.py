@@ -76,6 +76,34 @@ def test_residue_magnitudes_collapse_super_fast():
     assert abs(table.h[0]) > 1.0
 
 
+def test_default_residue_table_stops_at_one_ulp():
+    # the table runs to the first weight |c^k·h_k| <= 2^-53
+    for c, K in ((0.25, 7), (0.5, 11), (0.8, 21)):
+        weights = np.abs(compute_residues(c).weights)
+        assert len(weights) == K + 1, c
+        assert weights[-1] <= 2.0**-53 < weights[-2], c
+        assert compute_residues(c).h == compute_residues(c, K).h
+
+
+def test_mixture_weights_sum_to_one():
+    # twelve fixed terms left the c = 0.8 weights at 1 + 1.0e-4
+    for c in (0.25, 0.5, 0.8):
+        weights = compute_residues(c).weights
+        assert abs(weights.sum() - 1.0) <= 1e-14 * np.max(np.abs(weights)), c
+
+
+def test_residues_raise_when_cancellation_eats_the_digits():
+    # c = 0.8 carries terms of 2.2e3 (13 digits survive), c = 0.9 of 2.5e8
+    assert np.max(np.abs(compute_residues(0.8).weights)) == pytest.approx(2215.2, rel=1e-4)
+    for c in (0.9, 0.95):
+        with pytest.raises(ValueError, match=str(c)):
+            compute_residues(c)
+        with pytest.raises(ValueError, match=str(c)):
+            compute_residues(c, 9)
+    with pytest.raises(ValueError):
+        AnalyticWindowDistribution.build(_p(1e-2, m=0.0, beta=0.9))
+
+
 def test_second_moment_closed_form():
     for p in (1e-1, 1e-3, 1e-6):
         got = window_moment(_p(p), 1.0)

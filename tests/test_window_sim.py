@@ -103,6 +103,11 @@ def test_mass_above_wmax_reports_the_cut_tail():
     merged = merge_results(*parts)
     want = sum(p.mass_above_wmax * p.total_time for p in parts) / merged.total_time
     assert merged.mass_above_wmax == pytest.approx(want, rel=1e-12)
+    # fast-recovery plateaus above the top edge count there too, not in the top bin
+    frfr = AnalyticWindowDistribution.build(TcpParams(alpha=1.0, loss_rate=1e-2), "frfr")
+    for s in (1, 2):
+        part = simulate(_cfg(1e-2, horizon=2000, seed=s, w_max=10.0, enable_frfr=True))
+        assert part.mass_above_wmax == pytest.approx(float(frfr.ccdf(10.0)), abs=0.02)
     # the default top edge sits where the tail is below 1e-16
     assert abs(simulate(_cfg(1e-2)).mass_above_wmax) < 1e-12
 
