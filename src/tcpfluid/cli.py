@@ -35,14 +35,7 @@ from .aimd_net import (
     run_simulation,
     uniform_tree_flows,
 )
-from .specfun import (
-    digamma,
-    euler_product_L,
-    kronecker_expansion_check,
-    pochhammer_signed,
-    stirling_first_unsigned,
-    upper_incomplete_gamma,
-)
+from .specfun import _sp, euler_product_L, pochhammer_log
 from .tcp_finite import (
     FiniteBufferParams,
     buffer_loss_ratio_A,
@@ -580,38 +573,51 @@ def cmd_specfun_selftest(args) -> int:
         if not ok:
             failures.append(name)
 
+    # one identity per kernel the laws call: pochhammer_log (tree laws),
+    # euler_product_L and gammainc (window laws), polygamma (E[q | n]),
+    # chdtrc (histogram p-values)
     worst = 0.0
-    for x in (-2.5, -0.5, 0.3, 2.0):
-        for n in range(7):
-            sign, logmag = pochhammer_signed(x, n)
+    for x in (0.3, 2.0, 7.5):
+        for n in range(8):
             direct = math.prod(x + j for j in range(n))
-            got = sign * math.exp(logmag) if logmag > -math.inf else 0.0
-            worst = max(worst, abs(got - direct) / max(1.0, abs(direct)))
+            worst = max(worst, abs(math.exp(pochhammer_log(x, n)) - direct) / direct)
     check("pochhammer product", worst, 1e-12)
 
-    direct = math.prod(1.0 - 0.25**k for k in range(1, 60))
-    check("euler product L(1/4)", abs(euler_product_L(0.25) - direct), 1e-14)
+    worst = 0.0
+    for x in (0.3, 4.2, 55.0):
+        for n in (0.5, 3.7, 120.0):
+            # ln (x)_{n+1} = ln (x)_n + ln(x+n)
+            top = pochhammer_log(x, n + 1.0)
+            err = top - pochhammer_log(x, n) - math.log(x + n)
+            worst = max(worst, abs(err) / max(1.0, abs(top)))
+    check("pochhammer step", worst, 1e-12)
 
-    row = [stirling_first_unsigned(6, k) for k in range(7)]
-    check(
-        "stirling row n=6",
-        float(row != [0, 120, 274, 225, 85, 15, 1]),
-        0.5,
-    )
+    worst = 0.0
+    for c in (0.25, 0.8):
+        direct = math.prod(1.0 - c**k for k in range(1, 400))
+        worst = max(worst, abs(euler_product_L(c) - direct) / direct)
+    check("euler product L(1/4), L(4/5)", worst, 1e-14)
 
     worst = 0.0
     for z, x in ((0.5, 0.3), (2.0, 1.0), (3.5, 7.0)):
-        lhs = upper_incomplete_gamma(z + 1.0, x)
-        rhs = z * upper_incomplete_gamma(z, x) + x**z * math.exp(-x)
-        worst = max(worst, abs(lhs - rhs) / abs(rhs))
-    check("incomplete gamma recurrence", worst, 1e-12)
+        # P(z+1, x) = P(z, x) - x^z e^-x / Gamma(z+1)
+        lhs = float(_sp.gammainc(z + 1.0, x))
+        rhs = float(_sp.gammainc(z, x)) - x**z * math.exp(-x) / math.gamma(z + 1.0)
+        worst = max(worst, abs(lhs - rhs) / lhs)
+    check("gammainc recurrence", worst, 1e-12)
 
-    worst = abs(digamma(1.0) + 0.5772156649015329)
-    for x in (0.3, 1.7, 9.2):
-        worst = max(worst, abs(digamma(x + 1.0) - digamma(x) - 1.0 / x))
-    check("digamma recurrence", worst, 1e-12)
+    worst = 0.0
+    for m in (0, 1, 3):
+        for x in (0.3, 1.7, 9.2):
+            # psi^(m)(x+1) = psi^(m)(x) + (-1)^m m! / x^(m+1)
+            lhs = float(_sp.polygamma(m, x + 1.0))
+            rhs = float(_sp.polygamma(m, x)) + (-1) ** m * math.factorial(m) / x ** (m + 1)
+            worst = max(worst, abs(lhs - rhs) / abs(lhs))
+    check("polygamma recurrence", worst, 1e-12)
 
-    check("kronecker expansion n=12", abs(kronecker_expansion_check(12)), 1e-10)
+    # two degrees of freedom: P(chi2 > x) = e^{-x/2}
+    want = math.exp(-1.5)
+    check("chdtrc(2, 3)", abs(float(_sp.chdtrc(2, 3.0)) - want) / want, 1e-14)
 
     return EXIT_CHECK if failures else EXIT_OK
 

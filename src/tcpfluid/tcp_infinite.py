@@ -218,13 +218,25 @@ class AnalyticWindowDistribution:
         return window_ccdf(self, w)
 
     def mean(self) -> float:
-        """E[W]: moment closed forms for plain and frfr, num/den for wan."""
-        params = self.params
+        """E[W] on this law's own residue table, as `pdf` and `ccdf` use it.
+
+        wan takes num/den; plain and frfr take the plain-law mean, plus
+        the fast-recovery shift for frfr.  At m = 0 a complete table (last
+        weight at most 2^-53) takes the product closed form instead, which
+        keeps the digits the alternating sum loses.
+        """
+        params, res = self.params, self.residues
         if self.variant == "wan":
-            num, den = _wan_mean_terms(params, self.residues, params.bdp)
+            num, den = _wan_mean_terms(params, res, params.bdp)
             return num / den
-        shift = frfr_mean_correction(params) if self.variant == "frfr" else 0.0
-        return window_moment(params, 1.0 / (params.m + 1.0)) + shift
+        r = 1.0 / (params.m + 1.0)
+        if params.m == 0 and abs(res.weights[-1]) <= _WEIGHT_FLOOR:
+            mean = window_moment(params, r)
+        else:
+            # window_moment's order r(m+1), which need not round to 1
+            mean = _truncated_moment(params, res, r * (params.m + 1.0))
+        shift = _frfr_shift(params, res) if self.variant == "frfr" else 0.0
+        return mean + shift
 
     def support_cutoff(self) -> float:
         """w beyond which the plain-law CCDF is below 1e-13."""
@@ -382,7 +394,10 @@ def frfr_mean_correction(params: TcpParams) -> float:
     """
     if params.loss_rate <= 0:
         raise ValueError("frfr_mean_correction requires loss_rate > 0")
-    res = compute_residues(params.c)
+    return _frfr_shift(params, compute_residues(params.c))
+
+
+def _frfr_shift(params: TcpParams, res: ResidueTable) -> float:
     p, m = params.p, params.m
     ew = _truncated_moment(params, res, 1.0)
     ewm = _truncated_moment(params, res, m)

@@ -21,17 +21,20 @@ q) and E[n | q] in one O(tau * q) pass whose top bin absorbs the rest of
 the in-degree tail.  Uniform attachment, the alpha_t = 0 sentinel, is
 the same chain at a = 0.
 
-The infinite-tree laws are closed forms.  The betweenness CCDF given q
-is an alternating Pochhammer sum, evaluated by `_alternating_sum`: in
-log space with sign tracking first, and again in exact rational
-arithmetic (alpha_t snapped to the nearest small-denominator rational)
-whenever the float sum loses more than three digits to cancellation, as
-it does when Lambda is close to q.
-
 Edge betweenness is a deterministic function of the cluster size,
 L = (n+1)(tau-n), so its laws are reparametrizations of the cluster law.
 The rescaled variable Lambda = L/(tau+1) has a proper infinite-tree
 limit.
+
+The infinite-tree laws are closed forms, except the betweenness CCDF
+given q, which sums the chain's rows against P_inf(n) = (1-a)/((n+1-a)
+(n+2-a)) = (1-a)(u_n - u_{n+1}), u_n = 1/(n+1-a).  Summed by parts with
+one chain step, S_N(q) = sum_{n >= N} P_inf(n) K_n(q) obeys
+
+    S_N(j) (2-a+aj) = (1-a) K_N(j)/(N+1-a) + (1-a+a(j-1)) S_N(j-1),
+    S_N(-1) = 0,
+
+with no negative term, and F(Lambda | q) = S_{Lambda-1}(q) / S_0(q).
 """
 
 from __future__ import annotations
@@ -39,13 +42,12 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
 import numpy as np
 
-from .specfun import _sp, log_gamma, pochhammer_log, pochhammer_signed
+from .specfun import _sp, pochhammer_log
 
 __all__ = [
     "DistTable",
@@ -59,12 +61,6 @@ __all__ = [
     "betweenness_mean_given_q",
     "unconditional_betweenness_ccdf",
 ]
-
-# an alternating sum smaller than this times its largest term has lost
-# more than three digits; log-space terms carry ~1e-13 relative error
-# each, so such a float sum is recomputed exactly
-_CANCELLATION_GUARD = 1e-3
-
 
 def _is_infinite(tau) -> bool:
     return tau is None or (isinstance(tau, float) and math.isinf(tau))
@@ -96,83 +92,6 @@ def _prefactor(tau, alpha: float) -> float:
     if _is_infinite(tau):
         return 1.0
     return (tau + 1.0 - alpha) / tau
-
-
-def _signed_log_sum(signs, logs) -> tuple[float, float, float]:
-    """Return (sign, log|sum|, log peak term) of sum_i sign_i * e^{log_i}."""
-    peak = -math.inf
-    for s, lg in zip(signs, logs):
-        if s != 0.0 and lg > peak:
-            peak = lg
-    if peak == -math.inf:
-        return 0.0, -math.inf, -math.inf
-    acc = 0.0
-    for s, lg in zip(signs, logs):
-        if s != 0.0:
-            acc += s * math.exp(lg - peak)
-    if acc == 0.0:
-        return 0.0, -math.inf, peak
-    return math.copysign(1.0, acc), peak + math.log(abs(acc)), peak
-
-
-def _alpha_fraction(alpha_t: float) -> Fraction:
-    return Fraction(alpha_t).limit_denominator(10**6)
-
-
-def _alternating_sum(
-    alpha: float, top: int, m: int, k_lo: int = 0, x0: int = 0, shifts=()
-) -> tuple[float, float]:
-    """(sign, log|S|) of the alternating Pochhammer sum
-
-        S = sum_{k=k_lo}^{top} (-1)^k (x0 (1-a) - a k)_m
-                               / (k! (top-k)! prod_s (k + s)),
-
-    with a = alpha and each shift s = i + j/a given as an integer pair
-    (i, j) such that every k + s is positive.  The float sum runs in log
-    space; when it keeps fewer than three digits of its largest term it
-    is redone in exact integer arithmetic with alpha snapped to a
-    small-denominator rational.
-    """
-    signs: list[float] = []
-    logs: list[float] = []
-    for k in range(k_lo, top + 1):
-        s, lg = pochhammer_signed(x0 * (1.0 - alpha) - alpha * k, m)
-        if s == 0.0:
-            continue
-        if k % 2:
-            s = -s
-        lg -= log_gamma(k + 1.0) + log_gamma(top - k + 1.0)
-        for i, j in shifts:
-            lg -= math.log(k + i + j / alpha)
-        signs.append(s)
-        logs.append(lg)
-    sign, log_s, peak = _signed_log_sum(signs, logs)
-    if peak == -math.inf or log_s - peak >= math.log(_CANCELLATION_GUARD):
-        return sign, log_s
-    # exact path: with a = num/den every factor is an integer ratio,
-    #   (x0 (1-a) - a k)_m = prod_j (x0 (den-num) - k num + j den) / den^m
-    #   1 / (k + i + j/a) = num / ((k+i) num + j den),
-    # and the terms are summed over the lcm of the shift denominators
-    snapped = _alpha_fraction(alpha)
-    num, den = snapped.numerator, snapped.denominator
-    ks = range(k_lo, top + 1)
-    shift_den = [math.prod((k + i) * num + j * den for i, j in shifts) for k in ks]
-    common = math.lcm(*shift_den)
-    total = 0
-    for k, d in zip(ks, shift_den):
-        base = x0 * (den - num) - k * num
-        term = math.comb(top, k) * math.prod(range(base, base + m * den, den))
-        total += (-term if k % 2 else term) * (common // d)
-    if total == 0:
-        return 0.0, -math.inf
-    log_s = (
-        math.log(abs(total))
-        + len(shifts) * math.log(num)
-        - math.log(common)
-        - m * math.log(den)
-        - log_gamma(top + 1.0)
-    )
-    return (1.0 if total > 0 else -1.0), log_s
 
 
 # chain rows per block: the block's coefficient arrays are built in one
@@ -445,8 +364,32 @@ def cond_mean_q_given_n(alpha_t: float, n: int) -> float:
     return 1.0 + slope * (math.expm1(x) / x if x else 1.0)
 
 
+@lru_cache(maxsize=8)
+def _betweenness_column(alpha: float, q: int, n_rows: int) -> np.ndarray:
+    """S_N(q) = sum_{n >= N} P_inf(n) K_n(q) for N = 0..n_rows-1.
+
+    Each S_N comes from row N of the chain alone, by the recursion over
+    j = 0..q in the module docstring, run on a whole block of rows at once.
+    """
+    column = np.empty(n_rows)
+    for lo, k in _in_degree_chain(alpha, n_rows, q + 1):
+        head = (1.0 - alpha) / (np.arange(lo, lo + len(k)) + 1.0 - alpha)
+        s = np.zeros(len(k))
+        for j in range(q + 1):
+            s = (head * k[:, j] + (1.0 - alpha + alpha * (j - 1)) * s) / (
+                2.0 - alpha + alpha * j
+            )
+        column[lo : lo + len(k)] = s
+    column.setflags(write=False)
+    return column
+
+
 def betweenness_ccdf_given_q(Lambda: int, q: int, alpha_t: float) -> float:
-    """Infinite-tree CCDF of rescaled betweenness Lambda = L/(tau+1) given q."""
+    """Infinite-tree CCDF of rescaled betweenness Lambda = L/(tau+1) given q.
+
+    F(Lambda | q) = S_{Lambda-1}(q) / S_0(q).  The rows are a power of two
+    of at least 256 above Lambda-1, so the calls for one q share a column.
+    """
     alpha = _check_alpha(alpha_t)
     Lambda = _check_index("Lambda", Lambda)
     q = _check_index("q", q)
@@ -454,13 +397,11 @@ def betweenness_ccdf_given_q(Lambda: int, q: int, alpha_t: float) -> float:
         raise ValueError(f"q must be nonnegative, got {q}")
     if Lambda < q + 1:
         raise ValueError(f"need Lambda >= q+1, got Lambda={Lambda}, q={q}")
-    inv = 1.0 / alpha
-    sign, log_s = _alternating_sum(alpha, q, Lambda - 1, shifts=((-1, 2),))
-    return sign * math.exp(
-        pochhammer_log(2.0 * inv - 1.0, q + 1.0)
-        - pochhammer_log(2.0 - alpha, Lambda - 1.0)
-        + log_s
-    )
+    if alpha == 1.0:
+        return 1.0 if Lambda == q + 1 else 0.0
+    n_rows = max(256, 1 << (Lambda - 1).bit_length())
+    column = _betweenness_column(alpha, q, n_rows)
+    return float(column[Lambda - 1] / column[0])
 
 
 def betweenness_mean_given_q(q: int, alpha_t: float) -> float:

@@ -18,6 +18,7 @@ from tcpfluid.tcp_infinite import (
     window_moment,
     window_pdf,
 )
+from tcpfluid.tcp_infinite import _truncated_moment
 
 # published residue coefficients h_k(1/4); six significant digits each
 H_TABLE = (
@@ -199,6 +200,24 @@ def test_mean_matches_grid_for_every_variant():
         w = np.linspace(0.0, dist.support_cutoff(), 40001)
         grid_mean = np.trapezoid(w * dist.pdf(w), w)
         assert dist.mean() == pytest.approx(grid_mean, rel=1e-6), dist.variant
+
+
+def test_mean_reads_its_own_residue_table():
+    # a truncated table is another law: mean() follows the table pdf() and
+    # ccdf() use, not the default one
+    for m in (1.0, 0.0):
+        params = _p(1e-2, m=m)
+        table = compute_residues(params.c, 2)
+        plain = AnalyticWindowDistribution(params, table)
+        want = _truncated_moment(params, table, 1.0)
+        assert plain.mean() == pytest.approx(want, rel=1e-12), m
+        frfr = AnalyticWindowDistribution(params, table, "frfr")
+        w = np.linspace(0.0, frfr.support_cutoff(), 40001)
+        grid_mean = np.trapezoid(w * frfr.pdf(w), w)
+        assert frfr.mean() == pytest.approx(grid_mean, rel=1e-6), m
+    # a complete table at m = 0 keeps the product closed form
+    params = _p(1e-2, m=0.0)
+    assert AnalyticWindowDistribution.build(params).mean() == window_moment(params, 1.0)
 
 
 def test_frfr_correction_limit():

@@ -26,11 +26,13 @@ from tcpfluid.tree_analytic import (
     marginal_q,
     unconditional_betweenness_ccdf,
 )
-from tcpfluid.tree_analytic import _alternating_sum, _in_degree_chain, _signed_log_sum
+from tcpfluid.tree_analytic import _betweenness_column, _in_degree_chain
 from tcpfluid.tree_gen import TreeParams, enumerate_exact, grow, measure
 
 import tree_reference
 from tree_reference import (
+    _alternating_sum,
+    _signed_log_sum,
     betweenness_ccdf_asymptotic,
     betweenness_mean_given_q_finite,
     finite_size_correction_check,
@@ -68,12 +70,14 @@ def _reference_sum(alpha, top, m, k_lo, x0, shifts) -> Fraction:
     total = Fraction(0)
     for k in range(k_lo, top + 1):
         x = x0 * (1 - a) - a * k
-        term = Fraction((-1) ** k, math.factorial(k) * math.factorial(top - k))
-        for j in range(m):
-            term *= x + j
-        for i, j in shifts:
-            term /= k + i + j / a
-        total += term
+        factors = [x + j for j in range(m)] + [1 / (k + i + j / a) for i, j in shifts]
+        # one reduction per term: multiplying Fractions reduces every step
+        total += Fraction(
+            (-1) ** k * math.prod(f.numerator for f in factors),
+            math.factorial(k)
+            * math.factorial(top - k)
+            * math.prod(f.denominator for f in factors),
+        )
     return total
 
 
@@ -399,6 +403,30 @@ def test_betweenness_ccdf_starts_at_one_and_never_rises():
             assert abs(F[0] - 1.0) <= 1e-10, (alpha, q, F[0])
             rise = max(np.diff(F))
             assert rise <= 1e-12, (alpha, q, rise)
+
+
+def test_betweenness_ccdf_matches_exact_alternating_sum():
+    # F(Lambda | q) = (2/a - 1)_{q+1} / (2 - a)_{Lambda-1}
+    #     * sum_k (-1)^k (-a k)_{Lambda-1} / (k! (q-k)! (k - 1 + 2/a)),
+    # exact in rationals; q = 0 is a leaf edge, so F(Lambda > 1 | 0) = 0
+    for alpha in (0.1, 0.3, 0.5, 0.9):
+        a = Fraction(alpha).limit_denominator(10**6)
+        for q in (0, 1, 2, 5, 10, 20, 40):
+            for Lambda in sorted({q + 1, q + 2, q + 10, 200, 1000, 2000}):
+                rising = math.prod(2 / a - 1 + j for j in range(q + 1))
+                falling = math.prod(2 - a + j for j in range(Lambda - 1))
+                want = rising / falling * _reference_sum(
+                    alpha, q, Lambda - 1, 0, 0, ((-1, 2),)
+                )
+                got = betweenness_ccdf_given_q(Lambda, q, alpha)
+                where = (alpha, q, Lambda)
+                if want == 0:
+                    assert got == 0.0, where
+                    continue
+                assert abs(Fraction(got) / want - 1) <= 1e-13, where
+            # the column's head S_0(q) is the infinite-tree P(q)
+            head = _betweenness_column(alpha, q, 256)[0]
+            assert head == pytest.approx(marginal_q(None, alpha, q), rel=1e-12)
 
 
 def test_finite_size_deviation_scales_inverse_square():

@@ -8,6 +8,13 @@ forms the chain replaced: alternating sums that are exact where they do
 not cancel and go wrong in the in-degree tail.  They are frozen here
 unchanged.
 
+`_alternating_sum` evaluates those sums: in log space with sign
+tracking (`_signed_log_sum`, over `pochhammer_signed` terms), and again
+in exact rational arithmetic whenever the float sum loses more than
+three digits.  It was the library's route to every alternating closed
+form, the infinite-tree betweenness CCDF last, and is frozen here with
+its helpers and the Stirling numbers `joint_pnq_er` uses.
+
 `joint_pnq` (the alternating closed form of P_tau(n, q)), `joint_pnq_er`,
 `betweenness_ccdf_asymptotic`, `betweenness_mean_given_q_finite` and
 `finite_size_correction_check` are closed forms that only tests use;
@@ -24,11 +31,10 @@ import math
 from fractions import Fraction
 
 import numpy as np
+from scipy.special import digamma, gammaln, gammasgn
 
-from tcpfluid.specfun import digamma, log_gamma, pochhammer_log, stirling_first_unsigned
+from tcpfluid.specfun import pochhammer_log
 from tcpfluid.tree_analytic import (
-    _CANCELLATION_GUARD,
-    _alternating_sum,
     _check_alpha,
     _check_index,
     _check_tau,
@@ -40,6 +46,163 @@ from tcpfluid.tree_analytic import (
 from tcpfluid.tree_gen import _BLOCK, GrowingTree, TreeParams
 
 EULER_GAMMA = 0.5772156649015328606
+
+# an alternating sum smaller than this times its largest term has lost
+# more than three digits; log-space terms carry ~1e-13 relative error
+# each, so such a float sum is recomputed exactly
+_CANCELLATION_GUARD = 1e-3
+
+_STIRLING_MAX_N = 64
+
+
+def pochhammer_signed(x: float, n: float) -> tuple[float, float]:
+    """Sign-aware Pochhammer symbol (x)_n as (sign, log magnitude).
+
+    Handles negative x, including the nonpositive-integer poles of Γ(x):
+    when the rising product contains a zero factor the result is exactly
+    zero, reported as (0.0, -inf).  Integer n up to 64 is evaluated as a
+    direct product; larger or non-integer n goes through log-Gamma with
+    the sign recovered from gammasgn.
+
+    Returns:
+        (sign, log_magnitude) with sign in {-1.0, 0.0, 1.0}.
+    """
+    if n == 0:
+        return 1.0, 0.0
+    if n < 0:
+        raise ValueError(f"pochhammer_signed requires n >= 0, got {n}")
+    snapped = round(x)
+    if abs(x - snapped) <= 1e-9 * max(1.0, abs(x)) and snapped <= 0:
+        # pole of Gamma(x): zero factor inside the product unless the
+        # product stops before reaching it
+        if n > -snapped:
+            return 0.0, -math.inf
+        sign = -1.0 if (int(n) % 2) else 1.0
+        logmag = float(gammaln(1 - snapped) - gammaln(1 - snapped - n))
+        return sign, logmag
+    n_int = int(n)
+    if n == n_int and n_int <= 64:
+        sign = 1.0
+        logmag = 0.0
+        for j in range(n_int):
+            factor = x + j
+            if factor == 0.0:
+                return 0.0, -math.inf
+            if factor < 0:
+                sign = -sign
+            logmag += math.log(abs(factor))
+        return sign, logmag
+    sign = float(gammasgn(x + n) * gammasgn(x))
+    logmag = float(gammaln(x + n) - gammaln(x))
+    return sign, logmag
+
+
+def stirling_first_unsigned(n: int, k: int) -> int:
+    """Unsigned Stirling number of the first kind c(n, k), exact.
+
+    Uses the recurrence c(n+1, k) = c(n, k-1) + n·c(n, k) over Python
+    integers, so there is no precision cap below n = 64.
+
+    Raises:
+        ValueError: outside 0 <= k <= n <= 64.
+    """
+    if not (0 <= k <= n <= _STIRLING_MAX_N):
+        raise ValueError(f"stirling_first_unsigned needs 0 <= k <= n <= 64, got ({n}, {k})")
+    return _stirling_row(n)[k]
+
+
+def _stirling_row(n: int) -> tuple[int, ...]:
+    rows = _stirling_row.cache
+    while len(rows) <= n:
+        m = len(rows) - 1
+        prev = rows[m]
+        row = [0] * (m + 2)
+        for j in range(m + 2):
+            above = prev[j] if j <= m else 0
+            left = prev[j - 1] if j >= 1 else 0
+            row[j] = left + m * above
+        rows.append(tuple(row))
+    return rows[n]
+
+
+_stirling_row.cache = [(1,)]
+
+
+def _signed_log_sum(signs, logs) -> tuple[float, float, float]:
+    """Return (sign, log|sum|, log peak term) of sum_i sign_i * e^{log_i}."""
+    peak = -math.inf
+    for s, lg in zip(signs, logs):
+        if s != 0.0 and lg > peak:
+            peak = lg
+    if peak == -math.inf:
+        return 0.0, -math.inf, -math.inf
+    acc = 0.0
+    for s, lg in zip(signs, logs):
+        if s != 0.0:
+            acc += s * math.exp(lg - peak)
+    if acc == 0.0:
+        return 0.0, -math.inf, peak
+    return math.copysign(1.0, acc), peak + math.log(abs(acc)), peak
+
+
+def _alpha_fraction(alpha_t: float) -> Fraction:
+    return Fraction(alpha_t).limit_denominator(10**6)
+
+
+def _alternating_sum(
+    alpha: float, top: int, m: int, k_lo: int = 0, x0: int = 0, shifts=()
+) -> tuple[float, float]:
+    """(sign, log|S|) of the alternating Pochhammer sum
+
+        S = sum_{k=k_lo}^{top} (-1)^k (x0 (1-a) - a k)_m
+                               / (k! (top-k)! prod_s (k + s)),
+
+    with a = alpha and each shift s = i + j/a given as an integer pair
+    (i, j) such that every k + s is positive.  The float sum runs in log
+    space; when it keeps fewer than three digits of its largest term it
+    is redone in exact integer arithmetic with alpha snapped to a
+    small-denominator rational.
+    """
+    signs: list[float] = []
+    logs: list[float] = []
+    for k in range(k_lo, top + 1):
+        s, lg = pochhammer_signed(x0 * (1.0 - alpha) - alpha * k, m)
+        if s == 0.0:
+            continue
+        if k % 2:
+            s = -s
+        lg -= gammaln(k + 1.0) + gammaln(top - k + 1.0)
+        for i, j in shifts:
+            lg -= math.log(k + i + j / alpha)
+        signs.append(s)
+        logs.append(lg)
+    sign, log_s, peak = _signed_log_sum(signs, logs)
+    if peak == -math.inf or log_s - peak >= math.log(_CANCELLATION_GUARD):
+        return sign, log_s
+    # exact path: with a = num/den every factor is an integer ratio,
+    #   (x0 (1-a) - a k)_m = prod_j (x0 (den-num) - k num + j den) / den^m
+    #   1 / (k + i + j/a) = num / ((k+i) num + j den),
+    # and the terms are summed over the lcm of the shift denominators
+    snapped = _alpha_fraction(alpha)
+    num, den = snapped.numerator, snapped.denominator
+    ks = range(k_lo, top + 1)
+    shift_den = [math.prod((k + i) * num + j * den for i, j in shifts) for k in ks]
+    common = math.lcm(*shift_den)
+    total = 0
+    for k, d in zip(ks, shift_den):
+        base = x0 * (den - num) - k * num
+        term = math.comb(top, k) * math.prod(range(base, base + m * den, den))
+        total += (-term if k % 2 else term) * (common // d)
+    if total == 0:
+        return 0.0, -math.inf
+    log_s = (
+        math.log(abs(total))
+        + len(shifts) * math.log(num)
+        - math.log(common)
+        - m * math.log(den)
+        - gammaln(top + 1.0)
+    )
+    return (1.0 if total > 0 else -1.0), log_s
 
 
 def grow(params: TreeParams) -> GrowingTree:
@@ -303,7 +466,7 @@ def betweenness_ccdf_asymptotic(Lambda: float, q: int, alpha_t: float) -> float:
         2.0 * math.log(alpha)
         + math.log(1.0 - alpha)
         - math.log(2.0)
-        - log_gamma(2.0 / alpha - 1.0)
+        - gammaln(2.0 / alpha - 1.0)
         + (2.0 / alpha) * math.log(q)
         - 2.0 * math.log(Lambda)
     )
@@ -331,7 +494,7 @@ def betweenness_mean_given_q_finite(tau: int, alpha_t: float, q: int) -> float:
 
     head = (
         (1.0 - alpha)
-        * math.exp(-log_gamma(float(q)))
+        * math.exp(-gammaln(float(q)))
         * (
             alpha * digamma(tau - alpha)
             - alpha * digamma(1.0 - alpha)
