@@ -28,7 +28,8 @@ from tcpfluid.tree_gen import TreeParams, grow, measure
 N, C = 8, 1e5
 net1 = FluidNetwork(endpoints=np.array([[0, 1]], dtype=np.int64),
                     capacities=np.array([C]), n_vertices=2)
-flows1 = FlowSet(routes=tuple(np.array([0], dtype=np.int64) for _ in range(N)),
+# routes in CSR form: flow i crosses route_links[route_ptr[i]:route_ptr[i+1]]
+flows1 = FlowSet(route_ptr=np.arange(N + 1), route_links=np.zeros(N, np.int64),
                  alphas=1.0, betas=0.5, rtts=1.0, packet_sizes=1.0,
                  X=np.full(N, 0.5 * C / N))
 rep1 = run_simulation(net1, flows1, SyncModel(pi=1.0), 2000, seed=0)

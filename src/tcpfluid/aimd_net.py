@@ -7,6 +7,9 @@ one flow must lose), losers cut their throughput by beta, and growth
 resumes.  Buffers are taken as zero: the congestion event is
 instantaneous and only the congested link's flows are disturbed.
 
+Routes keep one CSR layout from `tree_gen.tree_paths` to the kernel:
+flow i crosses the link ids route_links[route_ptr[i]:route_ptr[i+1]].
+
 Between events every throughput is linear in t, so each link keeps an
 absolute hitting time that stays fixed until one of its flows is cut.
 `run_simulation` indexes its state by the links some flow grows on and
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tree_gen import EdgeMeasurements, GrowingTree
+from .tree_gen import EdgeMeasurements, GrowingTree, tree_paths
 
 __all__ = [
     "FluidNetwork",
@@ -118,11 +121,14 @@ class FluidNetwork:
 class FlowSet:
     """Fixed-route AIMD flows and their current throughputs.
 
-    routes hold link ids; alpha/beta/rtt/packet_size are per flow, so a
+    Routes are CSR: flow i crosses the link ids
+    route_links[route_ptr[i]:route_ptr[i+1]], and each route is nonempty
+    and simple.  alpha/beta/rtt/packet_size are per flow, so a
     heterogeneous population is just different array entries.
     """
 
-    routes: tuple
+    route_ptr: np.ndarray
+    route_links: np.ndarray
     alphas: np.ndarray
     betas: np.ndarray
     rtts: np.ndarray
@@ -130,14 +136,23 @@ class FlowSet:
     X: np.ndarray
 
     def __post_init__(self):
-        n = len(self.routes)
-        routes = tuple(np.asarray(r, dtype=np.int64) for r in self.routes)
-        for r in routes:
-            if r.size == 0:
-                raise ValueError("every route needs at least one link")
-            if len(np.unique(r)) != r.size:
-                raise ValueError("routes must be simple (no repeated link)")
-        arrays = {}
+        ptr = np.array(self.route_ptr, dtype=np.int64)
+        links = np.array(self.route_links, dtype=np.int64)
+        if (ptr.ndim != 1 or links.ndim != 1 or ptr[:1].tolist() != [0]
+                or ptr[-1] != links.size):
+            raise ValueError("route_ptr must run from 0 to len(route_links), both 1-D")
+        sizes = np.diff(ptr)
+        if not np.all(sizes > 0):
+            raise ValueError("every route needs at least one link")
+        if not np.all(links >= 0):
+            raise ValueError("link ids must be nonnegative")
+        n = sizes.size
+        # owner is sorted, so sorting by (owner, link) keeps it in place
+        owner = np.repeat(np.arange(n), sizes)
+        ranked = links[np.lexsort((links, owner))]
+        if np.any((ranked[1:] == ranked[:-1]) & (owner[1:] == owner[:-1])):
+            raise ValueError("routes must be simple (no repeated link)")
+        arrays = {"route_ptr": ptr, "route_links": links}
         for name in ("alphas", "betas", "rtts", "packet_sizes", "X"):
             a = np.broadcast_to(np.asarray(getattr(self, name), float), (n,)).copy()
             arrays[name] = a
@@ -151,13 +166,17 @@ class FlowSet:
             raise ValueError("packet sizes must be positive")
         if not np.all(arrays["X"] >= 0.0):
             raise ValueError("throughputs must be nonnegative")
-        object.__setattr__(self, "routes", routes)
         for name, a in arrays.items():
             object.__setattr__(self, name, a)
 
     @property
     def n_flows(self) -> int:
-        return len(self.routes)
+        return self.route_ptr.size - 1
+
+    @property
+    def routes(self) -> tuple:
+        """Per-flow views of route_links, one array of link ids each."""
+        return tuple(np.split(self.route_links, self.route_ptr[1:-1]))
 
     @property
     def growth_rates(self) -> np.ndarray:
@@ -178,14 +197,14 @@ def uniform_tree_flows(
     """Flows between uniformly drawn distinct vertex pairs, tree-path routes."""
     rng = np.random.default_rng(seed)
     nv = tree.n_vertices
-    routes = []
-    while len(routes) < n_flows:
+    pairs = []
+    while len(pairs) < n_flows:
         u, v = rng.integers(0, nv, size=2)
-        if u == v:
-            continue
-        routes.append(tree.path_edges(int(u), int(v)))
+        if u != v:
+            pairs.append((u, v))
+    u, v = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
     return FlowSet(
-        routes=tuple(routes),
+        *tree_paths(tree, u, v),
         alphas=alpha,
         betas=beta,
         rtts=rtt,
@@ -273,35 +292,35 @@ def run_simulation(
 
     # every (flow, link) pair in flow order; per-link sums by bincount add
     # in that order from 0.0, the same bits as adding route by route
-    sizes = [r.size for r in flows.routes]
-    flat = np.concatenate(flows.routes) if n_flows else np.empty(0, np.int64)
-    owner = np.repeat(np.arange(n_flows), sizes)
+    flat = flows.route_links
+    owner = np.repeat(np.arange(n_flows), np.diff(flows.route_ptr))
     growth = np.bincount(flat, weights=g[owner], minlength=network.n_edges)
     b = np.bincount(flat, weights=flows.X[owner], minlength=network.n_edges)
     if np.any(b > network.capacities):
         raise ValueError("initial throughputs already exceed a link capacity")
-    live_ids = np.flatnonzero(growth > 0.0)
+    # compact positions in ascending link id, so argmin ties still go to
+    # the lowest link id; links no flow grows on (infinite rtts) drop out
+    kept = growth[flat] > 0.0
+    live_ids, compact = np.unique(flat[kept], return_inverse=True)
     if live_ids.size == 0:
         raise StagnationError("no link accumulates load; no congestion ever")
-    # compact positions in ascending link id, so argmin ties still go to
-    # the lowest link id
-    pos = np.full(network.n_edges, -1)
-    pos[live_ids] = np.arange(live_ids.size)
     cap = network.capacities[live_ids]
     inv_growth = 1.0 / growth[live_ids]
     # load intercepts at t = 0 stay exact between events: growth is constant
     b = b[live_ids]
     t_hit = (cap - b) * inv_growth
-    routes = [r[r >= 0].tolist() for r in np.split(pos[flat], np.cumsum(sizes)[:-1])]
-    link_members = [[] for _ in range(live_ids.size)]
-    for i, route in enumerate(routes):
-        for j in route:
-            link_members[j].append(i)
+    ptr = np.concatenate(([0], np.cumsum(kept)))[flows.route_ptr].tolist()
+    flat_list, owner = compact.tolist(), owner[kept]
+    routes = [flat_list[start:stop] for start, stop in zip(ptr, ptr[1:])]
+    # each link's members in flow order: one stable sort by link position
+    by_link = np.argsort(compact, kind="stable")
+    member_ptr = np.searchsorted(compact[by_link], np.arange(live_ids.size + 1)).tolist()
+    members_by_link = owner[by_link].tolist()
     links = {}
 
     def link(h: int) -> tuple:
         """Link h's members, the links their routes touch, static terms."""
-        member_list = link_members[h]
+        member_list = members_by_link[member_ptr[h]:member_ptr[h + 1]]
         touched = sorted(set().union(*(routes[i] for i in member_list)))
         where = {j: n for n, j in enumerate(touched)}
         at = [[where[j] for j in routes[i]] for i in member_list]

@@ -208,15 +208,13 @@ def solve_finite_distribution(params: FiniteBufferParams) -> FiniteBufferSolutio
     Rows are added until that change is at most 2^-53·(1-A).
 
     Raises:
-        ValueError: loss_rate = 0 (pure sawtooth; use the simulator),
-            effective limit below one packet, c too close to 1
-            (`_guard_cancellation`), or a recursion that overflows.
+        ValueError: loss_rate = 0 (pure sawtooth; use the simulator), c
+            too close to 1 (`_guard_cancellation`), or a recursion that
+            overflows.
     """
     tcp = params.tcp
     if tcp.loss_rate <= 0:
         raise ValueError("solve_finite_distribution requires loss_rate > 0")
-    if params.effective_limit < 1.0:
-        raise ValueError(f"effective limit {params.effective_limit} below one packet")
     x, c = params.x, tcp.c
     _guard_cancellation(c)
     denom = math.exp(-x) - euler_product_L(c) * _g_exp_neg_x(x, c)

@@ -30,6 +30,7 @@ __all__ = [
     "EdgeMeasurements",
     "grow",
     "measure",
+    "tree_paths",
     "enumerate_exact",
 ]
 
@@ -77,29 +78,6 @@ class GrowingTree:
         """(younger, older) endpoint arrays indexed by edge id."""
         child = np.arange(1, self.tau + 1)
         return child, self.parent[1:]
-
-    def path_edges(self, u: int, v: int) -> np.ndarray:
-        """Edge ids on the unique path between vertices u and v."""
-        if u == v:
-            return np.empty(0, dtype=np.int64)
-        parent = self.parent
-        on_u_branch = {u}
-        w = u
-        while w != 0:
-            w = int(parent[w])
-            on_u_branch.add(w)
-        # climb from v until the u-root chain is hit, then from u to there
-        edges = []
-        w = v
-        while w not in on_u_branch:
-            edges.append(w - 1)
-            w = int(parent[w])
-        meet = w
-        w = u
-        while w != meet:
-            edges.append(w - 1)
-            w = int(parent[w])
-        return np.asarray(edges, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -195,6 +173,32 @@ def subtree_sizes(tree: GrowingTree) -> np.ndarray:
         vs = order[bounds[level]:bounds[level + 1]]
         np.add.at(sizes, parent[vs], sizes[vs])
     return sizes
+
+
+def tree_paths(tree: GrowingTree, u, v) -> tuple[np.ndarray, np.ndarray]:
+    """Edge ids on the u[i]-v[i] tree paths, as (route_ptr, route_links).
+
+    Route i, route_links[route_ptr[i]:route_ptr[i+1]], holds the edges from
+    v[i] up to where the ends meet, then those from u[i] up to there, each
+    side in climbing order (vertex w's parent edge is w-1); u[i] == v[i]
+    gives an empty route.  Ancestors are older, so each round lifts the
+    larger-id end of every pair still apart and records its edge under the
+    key (pair, side); one stable sort by key lays the records out.
+    """
+    parent = tree.parent
+    u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
+    a, b = u.copy(), v.copy()
+    keys, edges = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    while (apart := np.flatnonzero(a != b)).size:
+        for end, other, side in ((b, a, 0), (a, b, 1)):
+            lift = apart[end[apart] > other[apart]]
+            keys.append(2 * lift + side)
+            edges.append(end[lift] - 1)
+            end[lift] = parent[end[lift]]
+    keys = np.concatenate(keys)
+    route_links = np.concatenate(edges)[np.argsort(keys, kind="stable")]
+    route_ptr = np.concatenate(([0], np.cumsum(np.bincount(keys // 2, minlength=u.size))))
+    return route_ptr, route_links
 
 
 def measure(tree: GrowingTree) -> EdgeMeasurements:

@@ -7,6 +7,9 @@ compacted kernel, frozen: the kernel must reproduce their `taus`,
 `per_flow_q`, `post_event_means` and `realized_r` bit for bit.
 `connected` is the union-find connectivity check `FluidNetwork` ran
 before root hooking, frozen as the oracle for `aimd_net._connected`.
+`path_edges` is the per-pair tree climb `uniform_tree_flows` ran before
+the batched `tree_gen.tree_paths`, frozen as its oracle.  `max_min_fair`
+is the water-filling allocation that AIMD approaches on the same routes.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from tcpfluid.aimd_net import FlowSet, FluidNetwork, StagnationError, SyncModel
+from tcpfluid.tree_gen import GrowingTree
 
 
 def connected(n_vertices: int, endpoints: np.ndarray) -> bool:
@@ -35,6 +39,57 @@ def connected(n_vertices: int, endpoints: np.ndarray) -> bool:
             parent[ru] = rv
     root = find(0)
     return all(find(v) == root for v in range(n_vertices))
+
+
+def path_edges(tree: GrowingTree, u: int, v: int) -> np.ndarray:
+    """Edge ids on the unique path between vertices u and v."""
+    if u == v:
+        return np.empty(0, dtype=np.int64)
+    parent = tree.parent
+    on_u_branch = {u}
+    w = u
+    while w != 0:
+        w = int(parent[w])
+        on_u_branch.add(w)
+    # climb from v until the u-root chain is hit, then from u to there
+    edges = []
+    w = v
+    while w not in on_u_branch:
+        edges.append(w - 1)
+        w = int(parent[w])
+    meet = w
+    w = u
+    while w != meet:
+        edges.append(w - 1)
+        w = int(parent[w])
+    return np.asarray(edges, dtype=np.int64)
+
+
+def max_min_fair(capacities, route_ptr, route_links) -> np.ndarray:
+    """Max-min fair rate of each CSR-routed flow, by progressive filling.
+
+    Bertsekas & Gallager, Data Networks, 2nd ed., 1992, section 6.5: each
+    round raises every unfrozen flow by the smallest remaining capacity
+    per unfrozen member over all links, then freezes the flows crossing
+    the links that attain it.
+    """
+    capacities = np.asarray(capacities, dtype=float)
+    route_links = np.asarray(route_links, dtype=np.int64)
+    n = len(route_ptr) - 1
+    owner = np.repeat(np.arange(n), np.diff(route_ptr))
+    rate = np.zeros(n)
+    remaining = capacities.copy()
+    frozen = np.zeros(n, dtype=bool)
+    while not frozen.all():
+        count = np.bincount(route_links[~frozen[owner]], minlength=capacities.size)
+        share = np.full(capacities.size, np.inf)
+        np.divide(remaining, count, out=share, where=count > 0)
+        step = share.min()
+        rate[~frozen] += step
+        remaining -= step * count
+        saturated = share == step
+        frozen |= np.bincount(owner, weights=saturated[route_links], minlength=n) > 0
+    return rate
 
 
 def _edge_loads(network: FluidNetwork, flows: FlowSet, values: np.ndarray):

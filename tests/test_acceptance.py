@@ -311,7 +311,8 @@ def test_c11_homogeneous_closed_forms():
                 n_vertices=2,
             )
             flows = FlowSet(
-                routes=tuple(np.array([0], dtype=np.int64) for _ in range(N)),
+                route_ptr=np.arange(N + 1),
+                route_links=np.zeros(N, np.int64),
                 alphas=1.0,
                 betas=0.5,
                 rtts=1.0,

@@ -33,10 +33,9 @@ def _single_link(capacity: float = 10.0) -> FluidNetwork:
 
 
 def _flows_on_link(n: int, **kw) -> FlowSet:
-    routes = tuple(np.array([0], dtype=np.int64) for _ in range(n))
     fields = dict(alphas=1.0, betas=0.5, rtts=1.0, packet_sizes=1.0, X=np.zeros(n))
     fields.update(kw)
-    return FlowSet(routes=routes, **fields)
+    return FlowSet(route_ptr=np.arange(n + 1), route_links=np.zeros(n, np.int64), **fields)
 
 
 def _path_tree(tau: int) -> GrowingTree:
@@ -66,12 +65,9 @@ def test_next_congestion_picks_tightest_link():
         capacities=np.array([10.0, 4.0]),
         n_vertices=3,
     )
-    routes = (
-        np.array([0], dtype=np.int64),
-        np.array([0, 1], dtype=np.int64),
-    )
-    flows = FlowSet(routes=routes, alphas=1.0, betas=0.5, rtts=1.0,
-                    packet_sizes=1.0, X=np.array([3.0, 3.0]))
+    # flow 0 crosses link 0, flow 1 links 0 and 1
+    flows = FlowSet(route_ptr=[0, 1, 3], route_links=[0, 0, 1], alphas=1.0, betas=0.5,
+                    rtts=1.0, packet_sizes=1.0, X=np.array([3.0, 3.0]))
     tau, edge = next_congestion(net, flows)
     assert edge == 1
     assert tau == pytest.approx(1.0)
@@ -94,8 +90,7 @@ def test_apply_congestion_only_touches_edge_members():
         capacities=np.array([100.0, 4.0]),
         n_vertices=3,
     )
-    routes = (np.array([0], dtype=np.int64), np.array([1], dtype=np.int64))
-    flows = FlowSet(routes=routes, alphas=1.0, betas=0.5, rtts=1.0,
+    flows = FlowSet(route_ptr=[0, 1, 2], route_links=[0, 1], alphas=1.0, betas=0.5, rtts=1.0,
                     packet_sizes=1.0, X=np.array([1.0, 1.0]))
     tau, edge = next_congestion(net, flows)
     assert edge == 1
@@ -194,13 +189,25 @@ def test_congested_edges_name_each_event():
         capacities=np.array([10.0, 3.2]),
         n_vertices=3,
     )
-    routes = (np.array([0], dtype=np.int64), np.array([1], dtype=np.int64))
-    flows = FlowSet(routes=routes, alphas=1.0, betas=0.5, rtts=1.0,
+    flows = FlowSet(route_ptr=[0, 1, 2], route_links=[0, 1], alphas=1.0, betas=0.5, rtts=1.0,
                     packet_sizes=1.0, X=np.zeros(2))
     report = run_simulation(net, flows, SyncModel(pi=1.0), 8, seed=0)
     assert report.congested_edges.dtype == np.int64
     assert report.congested_edges.tolist() == [1, 1, 1, 1, 1, 0, 1, 1]
     assert np.allclose(np.cumsum(report.taus), [3.2, 4.8, 6.4, 8.0, 9.6, 10.0, 11.2, 12.8])
+
+
+def test_kernel_drops_links_no_flow_grows_on():
+    # flow 0 fills link 0 but never grows (infinite rtt), so link 0, which
+    # only it crosses, never congests; its cuts still come off link 1's load
+    net = FluidNetwork(endpoints=[[0, 1], [1, 2]], capacities=[10.0, 40.0], n_vertices=3)
+    flows = FlowSet(route_ptr=[0, 2, 3], route_links=[0, 1, 1], alphas=1.0, betas=0.5,
+                    rtts=[np.inf, 1.0], packet_sizes=1.0, X=[10.0, 0.0])
+    got = run_simulation(net, flows, SyncModel(pi=1.0), 20, seed=0)
+    want = aimd_reference.run_simulation(net, flows, SyncModel(pi=1.0), 20, seed=0)
+    assert np.array_equal(got.taus, want.taus)
+    assert np.array_equal(got.per_flow_q, want.per_flow_q)
+    assert np.all(got.congested_edges == 1)
 
 
 # The explicit examples put 6 to 9 members on congested links (the first
@@ -359,6 +366,69 @@ def test_uniform_tree_flows_routes_are_tree_paths():
         assert verts.size == route.size + 1
         assert deg.max() <= 2
         assert np.sum(deg == 1) == 2
+
+
+@pytest.mark.parametrize(
+    "route_ptr, route_links, match",
+    [
+        ([0, 1, 1, 2], [0, 1], "at least one link"),  # empty route
+        ([0, 2, 1, 3], [0, 1, 2], "at least one link"),  # falling pointer
+        ([0, 3], [2, 1, 2], "repeated link"),
+        ([0, 1, 3], [4, 0, 0], "repeated link"),
+        ([1, 2], [0, 1], "route_ptr"),  # does not start at 0
+        ([0, 1], [0, 1], "route_ptr"),  # does not end at len(route_links)
+        ([], [], "route_ptr"),
+        ([0, 1, 2], [0, -1], "nonnegative"),
+    ],
+)
+def test_flowset_rejects_malformed_routes(route_ptr, route_links, match):
+    with pytest.raises(ValueError, match=match):
+        FlowSet(route_ptr=route_ptr, route_links=route_links, alphas=1.0, betas=0.5,
+                rtts=1.0, packet_sizes=1.0, X=0.0)
+
+
+def test_flowset_routes_are_views_of_the_flat_links():
+    # one link shared by two routes is fine; within one route it is not
+    flows = FlowSet(route_ptr=[0, 2, 3, 6], route_links=[3, 0, 3, 1, 2, 0], alphas=1.0,
+                    betas=0.5, rtts=1.0, packet_sizes=1.0, X=0.0)
+    assert flows.n_flows == 3
+    assert [r.tolist() for r in flows.routes] == [[3, 0], [3], [1, 2, 0]]
+    assert all(r.base is flows.route_links for r in flows.routes)
+
+
+def test_max_min_fair_hand_case():
+    # link A (capacity 1) carries f0 and f1, link B (capacity 2) f1 and f2:
+    # A saturates at 0.5 each, then f2 takes the 1.5 that B has left
+    rate = aimd_reference.max_min_fair([1.0, 2.0], [0, 1, 3, 4], [0, 0, 1, 1])
+    assert rate.tolist() == [0.5, 0.5, 1.5]
+
+
+def test_max_min_fair_orders_strategies_at_criterion_12_inputs():
+    # criterion 12's tree, flows and capacities, without its 10^6 events:
+    # the allocation AIMD approaches already ranks the strategies
+    tree = grow(TreeParams(alpha_t=0.5, tau=9999, seed=101))
+    stats = measure(tree)
+    base = FluidNetwork.from_tree(tree, np.full(9999, 1e5))
+    flows = uniform_tree_flows(tree, 1000, beta=0.5, seed=202)
+    owner = np.repeat(np.arange(flows.n_flows), np.diff(flows.route_ptr))
+    mean, med = {}, {}
+    for name in CAPACITY_STRATEGIES:
+        cap = assign_capacities(base, name, 1e5, tree_stats=stats).capacities
+        rate = aimd_reference.max_min_fair(cap, flows.route_ptr, flows.route_links)
+        # max-min fair: feasible, and every flow has a saturated link on
+        # its route where no other flow gets more
+        load = np.bincount(flows.route_links, weights=rate[owner], minlength=cap.size)
+        assert np.all(load <= cap * (1 + 1e-12)), name
+        top = np.zeros(cap.size)
+        np.maximum.at(top, flows.route_links, rate[owner])
+        bottleneck = (load[flows.route_links] >= cap[flows.route_links] * (1 - 1e-12)) & (
+            rate[owner] == top[flows.route_links])
+        assert np.all(np.bincount(owner, weights=bottleneck) > 0), name
+        mean[name], med[name] = rate.mean(), np.median(rate)
+    order = ("mean_field", "minimum", "product", "maximum", "uniform")
+    assert all(mean[a] > mean[b] for a, b in zip(order, order[1:])), mean
+    assert all(med[a] > med[b] for a, b in zip(order, order[1:])), med
+    assert med["mean_field"] / med["uniform"] > 10.0, med
 
 
 def test_flowset_broadcasting_and_growth():

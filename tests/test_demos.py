@@ -1,4 +1,4 @@
-"""The window-law demos run end to end against the current API."""
+"""The window-law and network demos run end to end against the current API."""
 
 import os
 import subprocess
@@ -10,10 +10,7 @@ import pytest
 import tcpfluid
 
 
-@pytest.mark.parametrize(
-    "name", ["window_distributions.py", "finite_buffer.py", "simulator_validation.py"]
-)
-def test_window_demo_runs(name):
+def _run_demo(name: str) -> None:
     demo = Path(__file__).resolve().parents[1] / "demos" / name
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tcpfluid.__file__)))
     proc = subprocess.run(
@@ -21,3 +18,14 @@ def test_window_demo_runs(name):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip(), name
+
+
+@pytest.mark.parametrize(
+    "name", ["window_distributions.py", "finite_buffer.py", "simulator_validation.py"]
+)
+def test_window_demo_runs(name):
+    _run_demo(name)
+
+
+def test_network_demo_runs():
+    _run_demo("network_strategies.py")

@@ -20,6 +20,7 @@ from tcpfluid.tcp_finite import (
     solve_finite_distribution,
 )
 from tcpfluid.tcp_infinite import AnalyticWindowDistribution, TcpParams, compute_residues
+from tcpfluid.window_sim import SimConfig, simulate
 
 
 def _fb(p: float, B: float, **kw) -> FiniteBufferParams:
@@ -152,6 +153,17 @@ def test_finite_law_holds_down_to_zero_everywhere(m, beta, log_p, B):
     fb = _fb(10.0**log_p, B, m=m, beta=beta)
     assume(fb.effective_limit >= 1.0 and fb.x <= 700.0)
     _assert_law_holds_down_to_zero(solve_finite_distribution(fb))
+
+
+def test_finite_law_below_one_packet():
+    # B_eff = 0.2 + 0.5 = 0.7 < 1: the rows never assume a packet floor
+    fb = FiniteBufferParams(TcpParams(alpha=1.0, loss_rate=0.3), buffer_size=0.2,
+                            window_headroom=0.5)
+    sol = solve_finite_distribution(fb)
+    assert abs(phi_moment(sol) / sol.one_minus_A - 1.0) <= 1e-12
+    res = simulate(SimConfig(params=fb, horizon=20000, seed=1))
+    assert abs(res.n_buffer_losses / res.n_events - sol.A) <= 0.02
+    assert finite_window_mean(sol) == pytest.approx(res.mean_window, rel=0.01)
 
 
 def test_rows_run_until_the_mass_stops_moving():

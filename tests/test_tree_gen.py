@@ -12,8 +12,10 @@ from tcpfluid.tree_gen import (
     grow,
     measure,
     subtree_sizes,
+    tree_paths,
 )
 
+import aimd_reference
 import tree_reference
 
 
@@ -119,15 +121,35 @@ def test_path_edges_endpoints():
     assert child.shape == (60,)
     assert np.array_equal(parent, tree.parent[child])
     # the path between an edge's endpoints is that edge alone
-    e = tree.path_edges(int(child[17]), int(parent[17]))
+    _, e = tree_paths(tree, [child[17]], [parent[17]])
     assert list(e) == [17]
 
 
 def test_path_edges_through_root():
     tree = _path_tree(5)
     # path from 5 to 0 walks every edge
-    assert sorted(tree.path_edges(5, 0)) == [0, 1, 2, 3, 4]
-    assert tree.path_edges(3, 3).size == 0
+    assert sorted(tree_paths(tree, [5], [0])[1]) == [0, 1, 2, 3, 4]
+    assert tree_paths(tree, [3], [3])[1].size == 0
+
+
+@pytest.mark.parametrize("alpha_t", [0.0, 0.5, 1.0, "path"])
+def test_tree_paths_match_frozen_per_pair_climb(alpha_t):
+    tau = 300
+    tree = _path_tree(tau) if alpha_t == "path" else grow(TreeParams(alpha_t, tau, seed=8))
+    rng = np.random.default_rng(5)
+    u, v = rng.integers(0, tau + 1, size=(2, 400))
+    # add the root, an ancestor of the other end and u == v, then every
+    # pair reversed
+    ancestor = tree.parent[tree.parent[v[:50]].clip(0)].clip(0)
+    u = np.concatenate((u, np.zeros(20, np.int64), ancestor, v[:20]))
+    v = np.concatenate((v, v[:20], v[:50], v[:20]))
+    u, v = np.concatenate((u, v)), np.concatenate((v, u))
+    route_ptr, route_links = tree_paths(tree, u, v)
+    assert route_ptr[0] == 0 and route_ptr[-1] == route_links.size
+    for i in range(u.size):
+        want = aimd_reference.path_edges(tree, int(u[i]), int(v[i]))
+        got = route_links[route_ptr[i]:route_ptr[i + 1]]
+        assert got.dtype == want.dtype and np.array_equal(got, want), i
 
 
 @given(st.integers(2, 40), st.integers(0, 10**6))
