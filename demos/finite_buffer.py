@@ -23,13 +23,11 @@ from tcpfluid.tcp_infinite import AnalyticWindowDistribution, TcpParams
 
 # ---------------------------------------------------------------------
 # 1. A(x) = share of losses taken by the buffer, as a function of the
-#    control parameter x = p B_eff^2 / 2.  Two independent evaluation
-#    routes cross-check each other.
+#    control parameter x = p B_eff^2 / 2; the link takes the other 1 - A.
 print("buffer share of losses A(x), c = 1/4:")
 for x in (0.0, 0.5, 1.0, 2.0, 5.0, 20.0):
-    direct = buffer_loss_ratio_A(x, 0.25, method="direct")
-    series = buffer_loss_ratio_A(x, 0.25, method="series")
-    print(f"  x={x:5.1f}: A={direct:.6f}  (route gap {abs(direct-series):.1e})")
+    A = buffer_loss_ratio_A(x, 0.25)
+    print(f"  x={x:5.1f}: A={A:.6g}  1-A={1.0 - A:.6g}")
 
 # ---------------------------------------------------------------------
 # 2. The stationary law at a moderate buffer.  Density is piecewise

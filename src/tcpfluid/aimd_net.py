@@ -294,6 +294,13 @@ def run_simulation(
     # in that order from 0.0, the same bits as adding route by route
     flat = flows.route_links
     owner = np.repeat(np.arange(n_flows), np.diff(flows.route_ptr))
+    outside = np.flatnonzero(flat >= network.n_edges)
+    if outside.size:
+        i = outside[0]
+        raise ValueError(
+            f"flow {owner[i]} routes over link {flat[i]}, but the network "
+            f"has {network.n_edges} links"
+        )
     growth = np.bincount(flat, weights=g[owner], minlength=network.n_edges)
     b = np.bincount(flat, weights=flows.X[owner], minlength=network.n_edges)
     if np.any(b > network.capacities):
@@ -415,19 +422,22 @@ def run_simulation(
     )
 
 
+# share of the mean raw weight given to zero-weight links
+_FLOOR_FRACTION = 0.1
+
+
 def assign_capacities(
     network: FluidNetwork,
     strategy: str,
     mean_capacity: float,
     tree_stats: EdgeMeasurements | None = None,
-    floor_fraction: float = 0.1,
 ) -> FluidNetwork:
     """Reallocate link capacities by strategy, keeping the mean fixed.
 
     Strategies weight each link by 1, max(q_A, q_B), min(q_A, q_B),
     q_A*q_B, or the edge betweenness L_e (mean_field).  Zero-weight
     links (leaf edges under minimum and product) are floored at
-    floor_fraction of the mean raw weight so every link keeps usable
+    _FLOOR_FRACTION (0.1) of the mean raw weight so every link keeps usable
     capacity, then everything is rescaled so that mean(C_e) =
     mean_capacity.  The default floor keeps access links serviceable
     without disturbing the relative weighting of the core.
@@ -457,6 +467,6 @@ def assign_capacities(
     if mean_raw <= 0.0:
         raw = np.ones_like(raw)
         mean_raw = 1.0
-    raw = np.where(raw <= 0.0, floor_fraction * mean_raw, raw)
+    raw = np.where(raw <= 0.0, _FLOOR_FRACTION * mean_raw, raw)
     capacities = raw * (mean_capacity / raw.mean())
     return network.with_capacities(capacities)

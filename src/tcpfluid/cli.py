@@ -9,9 +9,9 @@ Subcommands
 
 Every output file carries a header (CSV comment lines, or a "meta"
 object in JSON) echoing the subcommand, the package version, the seed,
-and the full parameter set; re-running the same command reproduces each
-file byte for byte.  Exit codes: 0 success, 2 invalid configuration,
-3 a requested check failed.
+and every parameter that shapes the results; re-running the same
+command, with any --jobs, reproduces each file byte for byte.  Exit
+codes: 0 success, 2 invalid configuration, 3 a requested check failed.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .aimd_net import (
 from .specfun import _sp, euler_product_L, pochhammer_log
 from .tcp_finite import (
     FiniteBufferParams,
-    buffer_loss_ratio_A,
     effective_loss,
     finite_frfr_pdf,
     finite_window_ccdf,
@@ -142,6 +141,12 @@ def _run_parallel(worker, payloads, jobs: int) -> list:
         return list(pool.map(worker, payloads))
 
 
+def _check_buffer_variant(args) -> None:
+    # the finite-buffer law covers the plain and fast-recovery variants only
+    if args.buffer is not None and args.variant == "wan":
+        raise ValueError("--variant wan has no finite-buffer law; drop --buffer")
+
+
 def _tcp_params(args, beta: float | None = None) -> TcpParams:
     # the distribution depends on lambda and alpha only through p, so
     # alpha is pinned to 1 and the CLI exposes p directly
@@ -158,6 +163,7 @@ def _tcp_params(args, beta: float | None = None) -> TcpParams:
 
 
 def cmd_tcp_dist(args) -> int:
+    _check_buffer_variant(args)
     cfg = RunConfig(
         "tcp-dist",
         {
@@ -238,6 +244,7 @@ def _validate_chunk(payload) -> "object":
 def cmd_validate(args) -> int:
     if args.events < 1000:
         raise ValueError("--events must be at least 1000")
+    _check_buffer_variant(args)
     analytic_beta = args.beta if args.analytic_beta is None else args.analytic_beta
     cfg = RunConfig(
         "validate",
@@ -251,7 +258,6 @@ def cmd_validate(args) -> int:
             "variant": args.variant,
             "events": args.events,
             "bins": args.bins,
-            "jobs": args.jobs,
             "chi2_significance": args.chi2_significance,
             "ks_threshold": args.ks_threshold,
             "loss_ratio_tolerance": args.loss_ratio_tolerance,
@@ -350,7 +356,6 @@ def cmd_tree(args) -> int:
             "check_tolerance": args.check_tolerance,
             "max_rows": args.max_rows,
             "max_q_rows": args.max_q_rows,
-            "jobs": args.jobs,
         },
         args.outdir,
         args.seed,

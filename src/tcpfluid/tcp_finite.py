@@ -6,9 +6,8 @@ window reaches B_eff.  Everything depends on the random component only
 through the control parameter x = p·B_eff^(m+1)/(m+1) and on the halving
 geometry through c = beta^(m+1):
 
-- A(x): fraction of losses occurring at the buffer, evaluated by two
-  mutually checking routes (direct sum over halving levels, and an
-  all-positive power series) plus a large-x asymptotic.
+- A(x): fraction of losses occurring at the buffer, and 1 - A, both
+  from one sum over halving levels whose terms are all nonnegative.
 - A level recursion generates coefficient rows h_{n,k} for the piecewise
   stationary density, one row per halving level below B_eff.  Rows are
   added until a new one moves the phi mass below its upper edge by at most
@@ -30,13 +29,9 @@ import numpy as np
 from .specfun import _sp, euler_product_L
 from .tcp_infinite import _WEIGHT_FLOOR, TcpParams, _guard_cancellation
 
-_A_METHODS = ("auto", "direct", "series", "asymptotic")
-# the G and S series stop once a term falls below this share of their sum
+# the loss-split sum stops once c^k·x is small and a term falls below
+# this share of the sum
 _SERIES_RTOL = 1e-16
-# A(x) takes the direct G sum below _X_SWITCH, the all-positive series up
-# to _X_ASYMPTOTIC and the leading asymptotic e^(-x)/L(c) beyond
-_X_SWITCH = 30.0
-_X_ASYMPTOTIC = 500.0
 
 
 @dataclass(frozen=True)
@@ -72,75 +67,44 @@ class FiniteBufferParams:
         return self.tcp.p * self.effective_limit ** (m + 1) / (m + 1)
 
 
-def _g_exp_neg_x(x: float, c: float) -> float:
-    """G(x)·e^(-x) by direct summation; every exponent is <= 0.
+def _loss_split(x: float, c: float) -> tuple[float, float, float]:
+    """(A, 1 - A, A·e^x) from one sum of nonnegative terms.
 
-    G(x) = sum_k [prod_{l<=k} 1/(1-c^l)] (e^{c^{k+1}x} - e^{c^k x}); after
-    multiplying by e^{-x} the terms decay like c^k·x·e^{(c-1)x}.
+    A = e^(-x)/denom with denom = e^(-x) - L(c)·G(x)·e^(-x), where
+        -G(x)·e^(-x) = sum_k pi_k·e^((c^k-1)x)·(-expm1((c-1)c^k·x)),
+    pi_k = prod_{l<=k} 1/(1-c^l).  Every term is >= 0 and every exponent
+    <= 0, so denom and 1 - A = -L·G·e^(-x)/denom take no subtraction and
+    nothing overflows at any x.
+
+    Raises:
+        ValueError: x negative or not finite.
     """
+    if not 0 <= x < math.inf:
+        raise ValueError(f"the loss split needs a finite x >= 0, got {x}")
     total = 0.0
     pi_k = 1.0
     ck = 1.0  # c^k
-    for k in range(100_000):
-        term = pi_k * (math.exp((c * ck - 1.0) * x) - math.exp((ck - 1.0) * x))
+    while True:
+        term = pi_k * math.exp((ck - 1.0) * x) * -math.expm1((c - 1.0) * ck * x)
         total += term
-        if ck * x < 1e-3 and abs(term) <= _SERIES_RTOL * max(abs(total), 1e-300):
+        if ck * x < 1e-3 and term <= _SERIES_RTOL * total:
             break
         ck *= c
         pi_k /= 1.0 - ck
-    return total
+    link = euler_product_L(c) * total
+    denom = math.exp(-x) + link
+    return math.exp(-x) / denom, link / denom, 1.0 / denom
 
 
-def _series_S(x: float, c: float) -> float:
-    """S(x) = -L(c)G(x) = sum_{n>=1} x^n/n! prod_{l<=n}(1-c^l).
-
-    All terms are positive for x > 0: no cancellation at any x.  The
-    partial products converge to L(c), so S grows like L(c)(e^x - 1).
-    """
-    total = 0.0
-    term = 1.0
-    cl = 1.0
-    for n in range(1, 100_000):
-        cl *= c
-        term *= x / n * (1.0 - cl)
-        total += term
-        if n > x and term <= _SERIES_RTOL * max(total, 1e-300):
-            break
-    return total
-
-
-def buffer_loss_ratio_A(x: float, c: float, method: str = "auto") -> float:
-    """Fraction A of losses that happen at the buffer.
-
-    A = 1/(1 - L(c)G(x)).  "auto" routes to the direct G sum below
-    x = 30, the power series up to x = 500, and the leading asymptotic
-    e^(-x)/L(c) beyond; "direct"/"series" force a
-    path (both stay accurate well past the switch point and serve as
-    mutual oracles).
+def buffer_loss_ratio_A(x: float, c: float) -> float:
+    """Fraction A of losses that happen at the buffer, A = 1/(1 - L(c)G(x)).
 
     Raises:
-        ValueError: c outside (0,1), x < 0, or unknown method.
+        ValueError: c outside (0,1), or x negative or not finite.
     """
     if not 0 < c < 1:
         raise ValueError(f"buffer_loss_ratio_A requires 0 < c < 1, got {c}")
-    if x < 0:
-        raise ValueError(f"buffer_loss_ratio_A requires x >= 0, got {x}")
-    if method not in _A_METHODS:
-        raise ValueError(f"method must be one of {_A_METHODS}, got {method!r}")
-    if method == "auto":
-        if x < _X_SWITCH:
-            method = "direct"
-        elif x <= _X_ASYMPTOTIC:
-            method = "series"
-        else:
-            method = "asymptotic"
-    if method == "direct":
-        L = euler_product_L(c)
-        denom = math.exp(-x) - L * _g_exp_neg_x(x, c)
-        return math.exp(-x) / denom
-    if method == "series":
-        return 1.0 / (1.0 + _series_S(x, c))
-    return math.exp(-x - math.log(euler_product_L(c)))
+    return _loss_split(x, c)[0]
 
 
 def effective_loss(params: FiniteBufferParams) -> float:
@@ -148,19 +112,18 @@ def effective_loss(params: FiniteBufferParams) -> float:
 
     lambda = 0 degenerates to the deterministic sawtooth rate
     (m+1)·alpha/((1-c)·B_eff^(m+1)); small lambda adds (1-c)·lambda/2 to
-    that, which the series route reproduces without cancellation.
+    that, which 1 - A, a sum of nonnegative terms, keeps without
+    cancellation.
+
+    Raises:
+        ValueError: an infinite buffer (x = inf); there lambda' = lambda.
     """
     tcp = params.tcp
     c = tcp.c
     if tcp.loss_rate == 0:
         m = tcp.m
         return (m + 1) * tcp.alpha / ((1.0 - c) * params.effective_limit ** (m + 1))
-    x = params.x
-    if x < _X_SWITCH:
-        S = _series_S(x, c)
-        return tcp.loss_rate * (1.0 + S) / S
-    A = buffer_loss_ratio_A(x, c)
-    return tcp.loss_rate + tcp.loss_rate * A / (1.0 - A)
+    return tcp.loss_rate / _loss_split(params.x, c)[1]
 
 
 @dataclass(frozen=True)
@@ -169,8 +132,8 @@ class FiniteBufferSolution:
 
     Row n holds h_{n,0..n} for the window interval
     (beta^(n+1)·B_eff, beta^n·B_eff]; the last row, n = N_levels, holds
-    down to w = 0.  one_minus_A is the buffer-free share 1 - A, taken as
-    S/(1+S) below x = 30, where 1.0 - A would cancel.
+    down to w = 0.  one_minus_A is the buffer-free share 1 - A, summed
+    on its own so that it keeps its digits where 1.0 - A would cancel.
     """
 
     params: FiniteBufferParams
@@ -200,8 +163,8 @@ class FiniteBufferSolution:
 def solve_finite_distribution(params: FiniteBufferParams) -> FiniteBufferSolution:
     """Run the level recursion for the piecewise density coefficients.
 
-    Seeds with h_{0,0} = A·e^x (evaluated as 1/(e^{-x} - L·Ge^{-x}) so it
-    stays bounded for any x) and I_0 = A(e^x - e^{cx}), then builds row
+    Seeds with h_{0,0} = A·e^x (from `_loss_split`, without forming e^x,
+    so it stays bounded for any x) and I_0 = A(e^x - e^{cx}), then builds row
     n+1 from row n.  Row n+1 changes phi only below b = beta^(n+1)·B_eff,
     by a closed-form mass: with a_k = p·c^-k/(m+1),
     ∫_0^b p·w^m·e^(-a_k·w^(m+1)) dw = c^k·(1 - e^(-x·c^(n+1-k))).
@@ -217,14 +180,7 @@ def solve_finite_distribution(params: FiniteBufferParams) -> FiniteBufferSolutio
         raise ValueError("solve_finite_distribution requires loss_rate > 0")
     x, c = params.x, tcp.c
     _guard_cancellation(c)
-    denom = math.exp(-x) - euler_product_L(c) * _g_exp_neg_x(x, c)
-    A = math.exp(-x) / denom
-    h00 = 1.0 / denom  # A·e^x without forming e^x
-    if x < _X_SWITCH:
-        S = _series_S(x, c)
-        one_minus_A = S / (1.0 + S)
-    else:
-        one_minus_A = 1.0 - A
+    A, one_minus_A, h00 = _loss_split(x, c)
     rows = [np.array([h00])]
     I = h00 * (1.0 - math.exp((c - 1.0) * x))
     while True:

@@ -355,12 +355,12 @@ def window_ccdf(dist: AnalyticWindowDistribution, w):
     return out if np.ndim(w) else float(out[0])
 
 
-def window_moment(params: TcpParams, r: float, method: str = "auto") -> float:
+def window_moment(params: TcpParams, r: float) -> float:
     """E[W^(r(m+1))] of the plain law.
 
     Integer r uses the product closed form
         n! ((m+1)·alpha/lambda)^n · prod_{k=1..n} 1/(1-c^k),
-    non-integer r the Gamma-series path; "series" or "closed" forces one.
+    non-integer r the Gamma-series path.
 
     Raises:
         ValueError: loss_rate = 0, or r <= -1/(m+1) (the moment diverges).
@@ -370,12 +370,7 @@ def window_moment(params: TcpParams, r: float, method: str = "auto") -> float:
     m = params.m
     if r <= -1.0 / (m + 1):
         raise ValueError(f"moment of order r={r} diverges (need r > {-1/(m+1)})")
-    if method not in ("auto", "series", "closed"):
-        raise ValueError(f"unknown method {method!r}")
-    is_int = abs(r - round(r)) < 1e-12 and round(r) >= 1
-    if method == "closed" and not is_int:
-        raise ValueError("closed form applies to positive integer r only")
-    if is_int and method in ("auto", "closed"):
+    if abs(r - round(r)) < 1e-12 and round(r) >= 1:
         n = int(round(r))
         c = params.c
         value = math.factorial(n) * ((m + 1) / params.p) ** n
@@ -405,7 +400,11 @@ def _frfr_shift(params: TcpParams, res: ResidueTable) -> float:
     return -p * (ew * ewm - params.beta * ewm1) / (1.0 + p * ewm)
 
 
-def mean_field_fixed_point(params: TcpParams, N: int, max_iter: int = 10_000) -> float:
+# fixed-point steps before mean_field_fixed_point gives up
+_MAX_ITER = 10_000
+
+
+def mean_field_fixed_point(params: TcpParams, N: int) -> float:
     """Self-consistent total window N·E[W*] for N identical parallel flows.
 
     The wan-style law for one flow sees the other flows through the free
@@ -414,7 +413,7 @@ def mean_field_fixed_point(params: TcpParams, N: int, max_iter: int = 10_000) ->
     stops when successive iterates agree to 1e-10 relative.
 
     Raises:
-        RuntimeError: no convergence within max_iter iterations.
+        RuntimeError: no convergence within _MAX_ITER iterations.
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
@@ -424,13 +423,13 @@ def mean_field_fixed_point(params: TcpParams, N: int, max_iter: int = 10_000) ->
         raise ValueError("mean_field_fixed_point requires m > 0")
     res = compute_residues(params.c)
     T = N / _truncated_moment(params, res, -1.0)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         num, den = _wan_mean_terms(params, res, T)
         T_new = N * num / den
         if abs(T_new - T) <= 1e-10 * max(1.0, abs(T_new)):
             return T_new
         T = T_new
-    raise RuntimeError(f"mean-field iteration did not converge in {max_iter} steps")
+    raise RuntimeError(f"mean-field iteration did not converge in {_MAX_ITER} steps")
 
 
 def sqrt_law_throughput(params: TcpParams, p: float) -> float:

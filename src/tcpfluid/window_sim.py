@@ -261,15 +261,21 @@ class HistogramFit(NamedTuple):
     n_events: int
 
 
+# Simpson panel pairs per histogram bin, and the fewest expected events a
+# merged chi-square bin may hold
+_SUBDIV = 32
+_MIN_EXPECTED = 30.0
+
+
 def _bin_probabilities(
-    edges: np.ndarray, pdf: Callable[[np.ndarray], np.ndarray], subdiv: int = 32
+    edges: np.ndarray, pdf: Callable[[np.ndarray], np.ndarray]
 ) -> np.ndarray:
     """Composite-Simpson integral of pdf over each bin."""
     n = len(edges) - 1
-    grid = np.linspace(edges[:-1], edges[1:], 2 * subdiv + 1, axis=1)
-    vals = pdf(grid.ravel()).reshape(n, 2 * subdiv + 1)
-    h = (edges[1:] - edges[:-1]) / (2 * subdiv)
-    weights = np.ones(2 * subdiv + 1)
+    grid = np.linspace(edges[:-1], edges[1:], 2 * _SUBDIV + 1, axis=1)
+    vals = pdf(grid.ravel()).reshape(n, 2 * _SUBDIV + 1)
+    h = (edges[1:] - edges[:-1]) / (2 * _SUBDIV)
+    weights = np.ones(2 * _SUBDIV + 1)
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
     return (vals @ weights) * h / 3.0
@@ -279,13 +285,12 @@ def compare_histogram(
     result: SimResult,
     pdf: Callable[[np.ndarray], np.ndarray],
     point_mass: tuple[float, float] | None = None,
-    min_expected: float = 30.0,
 ) -> HistogramFit:
     """Goodness of fit of a time-weighted histogram against a density.
 
     Expected bin masses come from Simpson integration of pdf plus the
     optional atom (location, weight) added to its containing bin.  Bins
-    are merged left to right until each carries >= min_expected events;
+    are merged left to right until each carries >= _MIN_EXPECTED (30) events;
     the chi-square statistic uses the event count as sample size.  The KS
     distance compares cumulative occupancy and cumulative expected mass
     at the original bin edges.
@@ -313,7 +318,7 @@ def compare_histogram(
     for o, e in zip(result.occupancy * events, probs * events):
         acc_o += o
         acc_e += e
-        if acc_e >= min_expected:
+        if acc_e >= _MIN_EXPECTED:
             merged_obs.append(acc_o)
             merged_exp.append(acc_e)
             acc_o = acc_e = 0.0

@@ -45,6 +45,7 @@ from tcpfluid.tree_analytic import (
 from tcpfluid.tree_gen import TreeParams, enumerate_exact, grow, measure
 from tcpfluid.window_sim import SimConfig, compare_histogram, simulate
 
+from finite_reference import A_series
 from tree_reference import finite_size_correction_check
 
 H_TABLE = (
@@ -130,8 +131,8 @@ def test_c04_mean_field_fixed_points():
 def test_c05_buffer_loss_ratio_and_split():
     worst_rel = 0.0
     for x in np.geomspace(1e-3, 50.0, 40):
-        a = buffer_loss_ratio_A(float(x), 0.25, method="direct")
-        b = buffer_loss_ratio_A(float(x), 0.25, method="series")
+        a = buffer_loss_ratio_A(float(x), 0.25)
+        b = A_series(float(x), 0.25)
         worst_rel = max(worst_rel, abs(a - b) / abs(a))
     exact_one = buffer_loss_ratio_A(0.0, 0.25) == 1.0
 
@@ -154,7 +155,7 @@ def test_c05_buffer_loss_ratio_and_split():
     _line(
         5,
         ok,
-        f"dual-path rel {worst_rel:.1e}, A(0)==1 {exact_one}, "
+        f"series rel {worst_rel:.1e}, A(0)==1 {exact_one}, "
         f"MC split abs {worst_abs:.4f}",
     )
     assert worst_rel < 1e-10

@@ -443,3 +443,12 @@ def test_overloaded_start_rejected():
     flows = _flows_on_link(2, X=np.array([3.0, 3.0]))
     with pytest.raises(ValueError):
         run_simulation(net, flows, SyncModel(pi=1.0), 10, seed=0)
+
+
+def test_route_link_outside_network_rejected():
+    # numpy once failed here on operands that could not be broadcast
+    net = FluidNetwork(endpoints=[[0, 1], [1, 2]], capacities=[10.0, 4.0], n_vertices=3)
+    flows = FlowSet(route_ptr=[0, 1, 2], route_links=[0, 5], alphas=1.0, betas=0.5,
+                    rtts=1.0, packet_sizes=1.0, X=0.0)
+    with pytest.raises(ValueError, match="flow 1 routes over link 5"):
+        run_simulation(net, flows, SyncModel(pi=1.0), 10, seed=0)

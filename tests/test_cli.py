@@ -214,10 +214,18 @@ def test_validate_jobs_do_not_change_results(tmp_path):
         out = tmp_path / jobs
         main(["validate", "--p", "0.02", "--events", "12000", "--jobs", jobs,
               "--outdir", str(out)])
-        report = _read_json(out / "validate_report.json")
-        report["meta"].pop("jobs")
-        reports.append(report)
+        reports.append((out / "validate_report.json").read_bytes())
     assert reports[0] == reports[1] == reports[2]
+
+
+@pytest.mark.parametrize("command", ["tcp-dist", "validate"])
+def test_finite_buffer_rejects_wan_variant(tmp_path, capsys, command):
+    # no finite-buffer wan law exists; tcp-dist once wrote the plain table
+    rc = main([command, "--p", "0.02", "--buffer", "40", "--variant", "wan",
+               "--bdp", "10", "--outdir", str(tmp_path)])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_validate_too_few_events_rejected(tmp_path):
@@ -258,8 +266,10 @@ def test_tree_jobs_do_not_change_data_rows(tmp_path):
     a, b = tmp_path / "j1", tmp_path / "j2"
     assert main(base + ["--jobs", "1", "--outdir", str(a)]) == 0
     assert main(base + ["--jobs", "2", "--outdir", str(b)]) == 0
-    for name in ("tree_marginal_n.csv", "tree_marginal_q.csv"):
-        assert _data_rows(a / name) == _data_rows(b / name)
+    names = sorted(path.name for path in a.iterdir())
+    assert names == sorted(path.name for path in b.iterdir())
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
 def test_netsim_tiny_run_outputs(tmp_path):

@@ -10,6 +10,7 @@ from scipy import integrate
 
 from tcpfluid.tcp_finite import (
     FiniteBufferParams,
+    _loss_split,
     buffer_loss_ratio_A,
     effective_loss,
     finite_frfr_pdf,
@@ -21,6 +22,8 @@ from tcpfluid.tcp_finite import (
 )
 from tcpfluid.tcp_infinite import AnalyticWindowDistribution, TcpParams, compute_residues
 from tcpfluid.window_sim import SimConfig, simulate
+
+from finite_reference import A_asymptotic, A_series, loss_split_decimal
 
 
 def _fb(p: float, B: float, **kw) -> FiniteBufferParams:
@@ -42,9 +45,22 @@ def _level_quad(f, sol, lo: float) -> float:
 
 def test_A_dual_paths_agree():
     for x in np.geomspace(1e-3, 50.0, 60):
-        a = buffer_loss_ratio_A(float(x), 0.25, method="direct")
-        b = buffer_loss_ratio_A(float(x), 0.25, method="series")
+        a = buffer_loss_ratio_A(float(x), 0.25)
+        b = A_series(float(x), 0.25)
         assert a == pytest.approx(b, rel=1e-10), f"x={x}"
+
+
+def test_loss_split_matches_decimal_oracle():
+    # the split's sum against 50 digits; the switched routes it replaced
+    # were 5.3e-14 off in A (the float power series near x = 650)
+    for c in (0.05, 0.25, 0.5, 0.8, 0.86):
+        A, one_minus_A, _ = _loss_split(0.0, c)
+        assert A == 1.0 and one_minus_A == 0.0
+        for x in np.geomspace(1e-9, 700.0, 800):
+            want_A, want_rest = loss_split_decimal(float(x), c)
+            A, one_minus_A, _ = _loss_split(float(x), c)
+            assert abs(A / float(want_A) - 1.0) <= 5e-15, (x, c)
+            assert abs(one_minus_A / float(want_rest) - 1.0) <= 1e-14, (x, c)
 
 
 def test_A_at_zero_is_exactly_one():
@@ -57,7 +73,7 @@ def test_A_asymptotic_tail():
     # far tail: A ~ e^-x / L(c)
     for x in (600.0, 900.0):
         a = buffer_loss_ratio_A(x, 0.25)
-        b = buffer_loss_ratio_A(x, 0.25, method="series")
+        b = A_asymptotic(x, 0.25)
         assert a == pytest.approx(b, rel=1e-8)
 
 
@@ -258,8 +274,9 @@ def test_validation_errors():
         buffer_loss_ratio_A(-1.0, 0.25)
     with pytest.raises(ValueError):
         buffer_loss_ratio_A(1.0, 1.0)
-    with pytest.raises(ValueError):
-        buffer_loss_ratio_A(1.0, 0.25, method="nope")
+    for x in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            buffer_loss_ratio_A(x, 0.25)
 
 
 def test_infinite_buffer_params_allowed():
