@@ -166,7 +166,9 @@ def subtree_sizes(tree: GrowingTree) -> np.ndarray:
     while np.any(up):
         depth += depth[up]
         up = up[up]
-    order = np.argsort(depth, kind="stable")
+    # the narrowest key that holds every depth: numpy radix-sorts keys of
+    # 16 bits or fewer, and a stable sort gives the same order at any width
+    order = np.argsort(depth.astype(np.min_scalar_type(depth.max())), kind="stable")
     bounds = np.searchsorted(depth[order], np.arange(depth[order[-1]] + 2))
     sizes = np.ones(tree.tau + 1, dtype=np.int64)
     for level in range(len(bounds) - 2, 0, -1):

@@ -1,19 +1,14 @@
 """Joint (n, q) law of growing trees and the induced betweenness laws."""
 
 import math
-import os
-import re
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import tcpfluid
+from tcpfluid import tree_analytic
 from tcpfluid.tree_analytic import (
     DistTable,
     betweenness_ccdf_given_q,
@@ -26,7 +21,7 @@ from tcpfluid.tree_analytic import (
     marginal_q,
     unconditional_betweenness_ccdf,
 )
-from tcpfluid.tree_analytic import _betweenness_column, _in_degree_chain
+from tcpfluid.tree_analytic import _betweenness_column, _in_degree_chain, _in_degree_pass
 from tcpfluid.tree_gen import TreeParams, enumerate_exact, grow, measure
 
 import tree_reference
@@ -127,9 +122,22 @@ def test_joint_pnq_matches_table():
 
 
 def test_table_normalization_moderate_sizes():
-    for alpha in (0.1, 0.3, 0.5, 0.7, 0.9):
-        table = DistTable.from_analytic(300, alpha)
-        assert table.total() == pytest.approx(1.0, abs=1e-11), alpha
+    for tau in (300, 1000):
+        for alpha in (0.1, 0.3, 0.5, 0.7, 0.9):
+            table = DistTable.from_analytic(tau, alpha)
+            total = table.total()
+            assert total == pytest.approx(1.0, abs=1e-11), (tau, alpha)
+            # the row-sum total within 1 ulp (at 1) of an fsum over every entry
+            assert abs(total - math.fsum(table.grid.ravel().tolist())) <= 2.3e-16, (tau, alpha)
+
+
+def test_dist_table_rejects_bad_grid_and_freezes_exact():
+    with pytest.raises(ValueError, match="shape"):
+        DistTable(tau=3, alpha_t=0.5, grid=np.zeros((2, 2)))
+    table = enumerate_exact(TreeParams(alpha_t=0.5, tau=3, seed=0))
+    with pytest.raises(TypeError):
+        table.exact[(0, 0)] = Fraction(7)
+    assert table.prob(0, 0) == float(table.exact[(0, 0)])
 
 
 def test_joint_er_matches_uniform_attachment_enumeration():
@@ -314,6 +322,31 @@ def test_in_degree_chain_is_a_conditional_law(tau, alpha):
     np.testing.assert_allclose(by_n, want, rtol=1e-13, atol=0.0)
 
 
+def test_narrow_chain_matches_frozen_chain(monkeypatch):
+    # tau at the 256-row block edges; q = 300 starts on a block narrower
+    # than its top bin
+    alphas = (0.0, 0.1, 0.5, 0.9)
+    taus = (1, 2, 255, 256, 257, 1000)
+
+    def results():
+        out = {}
+        for alpha in alphas:
+            for tau in taus:
+                out["grid", tau, alpha] = DistTable.from_analytic(tau, alpha).grid
+                for top in (64, 512):
+                    out["pass", tau, alpha, top] = _in_degree_pass.__wrapped__(tau, alpha, top)
+            for q in (0, 300):
+                out["column", q, alpha] = _betweenness_column.__wrapped__(alpha, q, 512)
+        return {key: np.array(value) for key, value in out.items()}
+
+    got = results()
+    monkeypatch.setattr(tree_analytic, "_in_degree_chain", tree_reference.in_degree_chain)
+    want = results()
+    for key, value in want.items():
+        assert got[key].shape == value.shape, key
+        assert got[key].tobytes() == value.tobytes(), key
+
+
 def test_ccdf_n_exact_near_tree_size():
     # the last bins, where pref*head - (1-a)/tau used to cancel
     tau = 100_000
@@ -323,18 +356,6 @@ def test_ccdf_n_exact_near_tree_size():
             want = (1 - a) * (tau - n) / (tau * (n + 1 - a))
             got = ccdf_n(tau, alpha, n)
             assert abs(Fraction(got) / want - 1) <= 1e-15, (alpha, n)
-
-
-def test_tree_statistics_demo_runs():
-    demo = Path(__file__).resolve().parents[1] / "demos" / "tree_statistics.py"
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tcpfluid.__file__)))
-    proc = subprocess.run(
-        [sys.executable, str(demo)], capture_output=True, text=True, timeout=120, env=env
-    )
-    assert proc.returncode == 0, proc.stderr
-    gap = re.search(r"enumeration vs closed form, max gap = (\S+)", proc.stdout)
-    assert gap is not None, proc.stdout
-    assert float(gap.group(1)) <= 1e-12
 
 
 def test_mean_in_degree_equals_one_minus_root_share():

@@ -1,5 +1,7 @@
 """Growing preferential-attachment trees: structure, measures, enumeration."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -162,7 +164,10 @@ def test_arrival_order_gives_acyclic_parents(tau, seed):
 def test_enumerate_exact_normalizes():
     for alpha in (1 / 3, 0.5, 2 / 3):
         table = enumerate_exact(TreeParams(alpha_t=alpha, tau=5, seed=0))
-        assert table.total() == pytest.approx(1.0, abs=1e-14)
+        total = table.total()
+        assert total == pytest.approx(1.0, abs=1e-14)
+        # the row-sum total within 1 ulp (at 1) of an fsum over every entry
+        assert abs(total - math.fsum(table.grid.ravel().tolist())) <= 2.3e-16, alpha
 
 
 def test_enumerate_exact_tiny_case_by_hand():
@@ -205,11 +210,14 @@ def test_subtree_sizes_match_frozen_loop():
     for alpha in (0.0, 0.3, 1.0):
         tree = grow(TreeParams(alpha_t=alpha, tau=20_000, seed=2))
         assert np.array_equal(subtree_sizes(tree), tree_reference.subtree_sizes(tree))
-    # a path is as deep as a tree gets: one level per vertex
-    path = _path_tree(20_000)
-    want = tree_reference.subtree_sizes(path)
-    assert np.array_equal(subtree_sizes(path), want)
-    assert np.array_equal(want, np.arange(20_001, 0, -1))
+    # a path is as deep as a tree gets: one level per vertex.  The grown
+    # trees sort uint8 depth keys, the 20 000-level path uint16 keys and
+    # the 70 000-level path uint32 keys
+    for tau in (20_000, 70_000):
+        path = _path_tree(tau)
+        want = tree_reference.subtree_sizes(path)
+        assert np.array_equal(subtree_sizes(path), want), tau
+        assert np.array_equal(want, np.arange(tau + 1, 0, -1)), tau
 
 
 @pytest.mark.parametrize("alpha", [0.0, 1 / 3, 0.5, 2 / 3, 1.0])

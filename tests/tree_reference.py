@@ -20,6 +20,10 @@ its helpers and the Stirling numbers `joint_pnq_er` uses.
 `finite_size_correction_check` are closed forms that only tests use;
 criterion 10 imports the last one.
 
+`in_degree_chain` is the library's subtree in-degree chain as it stood
+before its blocks were cut to the triangle q <= n: every block carries
+all top + 1 bins.  The narrow chain must reproduce it bit for bit.
+
 `grow`, `subtree_sizes` and `enumerate_exact` are the per-vertex loops of
 `tree_gen` as they stood before its array rewrite, frozen: the library
 must reproduce their parents, sizes and exact `Fraction` dicts exactly.
@@ -28,6 +32,7 @@ must reproduce their parents, sizes and exact `Fraction` dicts exactly.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from fractions import Fraction
 
 import numpy as np
@@ -203,6 +208,39 @@ def _alternating_sum(
         - gammaln(top + 1.0)
     )
     return (1.0 if total > 0 else -1.0), log_s
+
+
+_CHAIN_BLOCK = 256
+
+
+def in_degree_chain(
+    alpha: float, n_rows: int, top: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield blocks (lo, K) with K[i, q] = K_{lo+i}(q), covering n < n_rows.
+
+    Bin `top` absorbs every in-degree q >= top.  Requires alpha < 1.
+    """
+    q = np.arange(top + 1.0)
+    rise_weight = 1.0 - alpha + alpha * q[:-1]
+    row = np.zeros(top + 1)
+    row[0] = 1.0
+    for lo in range(0, n_rows, _CHAIN_BLOCK):
+        n = np.arange(lo, min(lo + _CHAIN_BLOCK, n_rows), dtype=float)[:, None]
+        size = n + 1.0 - alpha
+        stay = np.maximum(n - alpha * q, 0.0) / size
+        stay[:, top] = 1.0
+        rise = rise_weight / size
+        out = np.empty((len(n) + 1, top + 1))
+        out[0] = row
+        # row views made once per block: indexing per step costs as much
+        # as the arithmetic on a 65-bin row
+        rows, lows, highs = list(out), list(out[:, :-1]), list(out[:, 1:])
+        stays, rises = list(stay), list(rise)
+        for i in range(len(n)):
+            np.multiply(rows[i], stays[i], out=rows[i + 1])
+            highs[i + 1] += lows[i] * rises[i]
+        row = out[-1]
+        yield lo, out[:-1]
 
 
 def grow(params: TreeParams) -> GrowingTree:
