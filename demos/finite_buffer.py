@@ -14,9 +14,6 @@ from tcpfluid.tcp_finite import (
     FiniteBufferParams,
     buffer_loss_ratio_A,
     effective_loss,
-    finite_frfr_pdf,
-    finite_window_mean,
-    finite_window_pdf,
     solve_finite_distribution,
 )
 from tcpfluid.tcp_infinite import AnalyticWindowDistribution, TcpParams
@@ -38,17 +35,17 @@ sol = solve_finite_distribution(fb)
 top = fb.effective_limit
 print(f"\np={p}, B=40 -> B_eff={top:.2f}, x={fb.x:.3f}")
 print(f"  A = {sol.A:.4f}, effective loss rate = {effective_loss(fb):.3e}")
-print(f"  E[W] = {finite_window_mean(sol):.3f}")
+print(f"  E[W] = {sol.mean():.3f}")
 print("  halving levels:", " ".join(f"{v:.2f}" for v in sol.level_edges()[:4]))
 
 w = np.linspace(0.0, top * 1.05, 8)
 print("   w       pdf")
-for wi, di in zip(w, finite_window_pdf(sol, w)):
+for wi, di in zip(w, sol.pdf(w)):
     print(f"  {wi:6.2f}  {di:.5e}")
 
 # under FR/FR the cycle through the top is a plateau: a point mass at
 # beta * B_eff replaces the density sliver that used to sit near it
-dens, atom_at, atom_weight = finite_frfr_pdf(sol, w)
+atom_at, atom_weight = solve_finite_distribution(fb, "frfr").point_mass
 print(f"  FR/FR point mass: {atom_weight:.4f} at w = {atom_at:.2f}")
 
 # ---------------------------------------------------------------------
@@ -66,5 +63,5 @@ big = FiniteBufferParams(TcpParams(alpha=1.0, loss_rate=1e-3), buffer_size=400.0
 sol_big = solve_finite_distribution(big)
 plain = AnalyticWindowDistribution.build(big.tcp, "plain")
 grid = np.linspace(1.0, 120.0, 5)
-gap = np.max(np.abs(finite_window_pdf(sol_big, grid) - plain.pdf(grid)))
+gap = np.max(np.abs(sol_big.pdf(grid) - plain.pdf(grid)))
 print(f"\nB=400 vs infinite buffer: max pdf gap on [1,120] = {gap:.2e}")

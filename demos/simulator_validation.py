@@ -13,7 +13,6 @@ import math
 from tcpfluid.tcp_finite import (
     FiniteBufferParams,
     buffer_loss_ratio_A,
-    finite_window_pdf,
     solve_finite_distribution,
 )
 from tcpfluid.tcp_infinite import AnalyticWindowDistribution, TcpParams, window_moment
@@ -40,12 +39,11 @@ print(f"  vs wrong p: chi2 p={bad.chi2_pvalue:.2e}  KS={bad.ks_distance:.4f}")
 
 # ---------------------------------------------------------------------
 # 2. FR/FR and WAN variants change the density; the simulator follows.
+#    WAN idling comes on top of the FR/FR plateaus, in the law and the run.
 for variant, kw in (("frfr", {}), ("wan", {"link_delay": 85.335})):
     tcp_v = TcpParams(alpha=1.0, loss_rate=p, **kw)
-    cfg = SimConfig(params=FiniteBufferParams(tcp_v, buffer_size=math.inf),
-                    horizon=EVENTS, seed=11,
-                    enable_frfr=(variant == "frfr"),
-                    enable_wan_idle=(variant == "wan"))
+    cfg = SimConfig.for_variant(FiniteBufferParams(tcp_v, buffer_size=math.inf),
+                                variant, horizon=EVENTS, seed=11)
     res_v = simulate(cfg)
     fit_v = compare_histogram(res_v, AnalyticWindowDistribution.build(tcp_v, variant).pdf)
     print(f"{variant:5s}  p={p}: chi2 p={fit_v.chi2_pvalue:.3f}  KS={fit_v.ks_distance:.4f}")
@@ -59,7 +57,7 @@ chunks = [simulate(SimConfig(params=fb, horizon=EVENTS // 4, seed=100 + k))
           for k in range(4)]
 combined = merge_results(*chunks)
 sol = solve_finite_distribution(fb)
-fit_f = compare_histogram(combined, lambda w: finite_window_pdf(sol, w))
+fit_f = compare_histogram(combined, sol.pdf)
 share = combined.n_buffer_losses / combined.n_events
 print(f"finite B=20: chi2 p={fit_f.chi2_pvalue:.3f}  KS={fit_f.ks_distance:.4f}")
 print(f"  buffer loss share {share:.4f} vs A(x) = {buffer_loss_ratio_A(fb.x, 0.25):.4f}")

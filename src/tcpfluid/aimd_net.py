@@ -188,13 +188,13 @@ def uniform_tree_flows(
     tree: GrowingTree,
     n_flows: int,
     *,
-    alpha: float = 1.0,
     beta: float = 0.5,
-    rtt: float = 1.0,
-    packet_size: float = 1.0,
     seed: int = 0,
 ) -> FlowSet:
-    """Flows between uniformly drawn distinct vertex pairs, tree-path routes."""
+    """Flows between uniformly drawn distinct vertex pairs, tree-path routes.
+
+    Every flow has unit alpha, RTT and packet size.
+    """
     rng = np.random.default_rng(seed)
     nv = tree.n_vertices
     pairs = []
@@ -205,10 +205,10 @@ def uniform_tree_flows(
     u, v = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
     return FlowSet(
         *tree_paths(tree, u, v),
-        alphas=alpha,
+        alphas=1.0,
         betas=beta,
-        rtts=rtt,
-        packet_sizes=packet_size,
+        rtts=1.0,
+        packet_sizes=1.0,
         X=np.zeros(n_flows),
     )
 

@@ -36,20 +36,8 @@ from .aimd_net import (
     uniform_tree_flows,
 )
 from .specfun import _sp, euler_product_L, pochhammer_log
-from .tcp_finite import (
-    FiniteBufferParams,
-    effective_loss,
-    finite_frfr_pdf,
-    finite_window_ccdf,
-    finite_window_mean,
-    finite_window_pdf,
-    solve_finite_distribution,
-)
-from .tcp_infinite import (
-    AnalyticWindowDistribution,
-    TcpParams,
-    window_moment,
-)
+from .tcp_finite import FiniteBufferParams, effective_loss, solve_finite_distribution
+from .tcp_infinite import AnalyticWindowDistribution, TcpParams, window_moment
 from .tree_analytic import DistTable, ccdf_n, ccdf_q, marginal_n, marginal_q
 from .tree_gen import TreeParams, enumerate_exact, grow, measure
 from .window_sim import SimConfig, compare_histogram, merge_results, simulate
@@ -60,6 +48,10 @@ EXIT_CHECK = 3
 
 # `validate` simulates its events in chunks of at most this many, one seed each
 _VALIDATE_CHUNK_EVENTS = 5000
+
+# parsed attributes no header echoes: they name the command or say where and
+# how its results are written, not what they are
+_NOT_ECHOED = ("subcommand", "func", "outdir", "seed", "format", "jobs")
 
 
 @dataclass(frozen=True)
@@ -141,10 +133,9 @@ def _run_parallel(worker, payloads, jobs: int) -> list:
         return list(pool.map(worker, payloads))
 
 
-def _check_buffer_variant(args) -> None:
-    # the finite-buffer law covers the plain and fast-recovery variants only
-    if args.buffer is not None and args.variant == "wan":
-        raise ValueError("--variant wan has no finite-buffer law; drop --buffer")
+def _echoed_flags(args) -> dict:
+    """Every flag of the invocation that shapes its results, in parser order."""
+    return {k: v for k, v in vars(args).items() if k not in _NOT_ECHOED}
 
 
 def _tcp_params(args, beta: float | None = None) -> TcpParams:
@@ -159,63 +150,45 @@ def _tcp_params(args, beta: float | None = None) -> TcpParams:
     )
 
 
+def _window_law(args, params: TcpParams):
+    """The analytic law of --variant, for --buffer if one is given.
+
+    Raises:
+        ValueError: --variant wan with --buffer, which has no law.
+    """
+    if args.buffer is None:
+        return AnalyticWindowDistribution.build(params, args.variant)
+    return solve_finite_distribution(
+        FiniteBufferParams(params, buffer_size=args.buffer), args.variant
+    )
+
+
 # ---------------------------------------------------------------- tcp-dist
 
 
 def cmd_tcp_dist(args) -> int:
-    _check_buffer_variant(args)
-    cfg = RunConfig(
-        "tcp-dist",
-        {
-            "p": args.p,
-            "m": args.m,
-            "beta": args.beta,
-            "buffer": args.buffer,
-            "bdp": args.bdp,
-            "variant": args.variant,
-            "grid_points": args.grid_points,
-        },
-        args.outdir,
-        args.seed,
-        args.format,
-    )
-    _prepare_outdir(args.outdir)
+    cfg = RunConfig("tcp-dist", _echoed_flags(args), args.outdir, args.seed, args.format)
     params = _tcp_params(args)
+    law = _window_law(args, params)
+    _prepare_outdir(args.outdir)
 
+    w = np.linspace(0.0, law.support_cutoff(), args.grid_points)
+    pdf = law.pdf(w)
+    ccdf = law.ccdf(w)
+    moments = {"mean": law.mean()}
     if args.buffer is None:
-        dist = AnalyticWindowDistribution.build(params, args.variant)
-        w = np.linspace(0.0, dist.support_cutoff(), args.grid_points)
-        pdf = dist.pdf(w)
-        ccdf = dist.ccdf(w)
         mean_plain = window_moment(params, 1.0 / (params.m + 1.0))
         second_plain = window_moment(params, 2.0 / (params.m + 1.0))
-        summary = {
-            "A": None,
-            "lambda_eff": params.loss_rate,
-            "moments": {
-                "mean": dist.mean(),
-                "mean_plain": mean_plain,
-                "second_moment_plain": second_plain,
-                "stdev_plain": math.sqrt(second_plain - mean_plain**2),
-            },
-        }
+        moments["mean_plain"] = mean_plain
+        moments["second_moment_plain"] = second_plain
+        moments["stdev_plain"] = math.sqrt(second_plain - mean_plain**2)
+        summary = {"A": None, "lambda_eff": params.loss_rate, "moments": moments}
     else:
-        fb = FiniteBufferParams(params, buffer_size=args.buffer)
-        sol = solve_finite_distribution(fb)
-        top = fb.effective_limit
-        w = np.linspace(0.0, top, args.grid_points)
-        frfr = args.variant == "frfr"
-        summary = {
-            "A": sol.A,
-            "lambda_eff": effective_loss(fb),
-            "moments": {"mean": finite_window_mean(sol, frfr), "effective_limit": top},
-        }
-        if frfr:
-            pdf, atom_at, atom_weight = finite_frfr_pdf(sol, w)
-            summary["point_mass"] = {"at": atom_at, "weight": atom_weight}
-        else:
-            pdf = finite_window_pdf(sol, w)
-        ccdf = finite_window_ccdf(sol, w, frfr)
+        moments["effective_limit"] = law.effective_limit
+        summary = {"A": law.A, "lambda_eff": effective_loss(law.params), "moments": moments}
+    if law.point_mass is not None:
+        at, weight = law.point_mass
+        summary["point_mass"] = {"at": at, "weight": weight}
 
     _emit_table(cfg, "tcp_dist_pdf", {"w": list(w), "pdf": list(pdf), "ccdf": list(ccdf)})
     _write_json(
@@ -230,12 +203,11 @@ def cmd_tcp_dist(args) -> int:
 
 def _validate_chunk(payload) -> "object":
     cfg_args, chunk_events, chunk_seed = payload
-    sim_cfg = SimConfig(
-        params=cfg_args["fb"],
+    sim_cfg = SimConfig.for_variant(
+        cfg_args["fb"],
+        cfg_args["variant"],
         horizon=chunk_events,
         seed=chunk_seed,
-        enable_frfr=cfg_args["variant"] == "frfr",
-        enable_wan_idle=cfg_args["variant"] == "wan",
         n_bins=cfg_args["bins"],
     )
     return simulate(sim_cfg)
@@ -244,28 +216,15 @@ def _validate_chunk(payload) -> "object":
 def cmd_validate(args) -> int:
     if args.events < 1000:
         raise ValueError("--events must be at least 1000")
-    _check_buffer_variant(args)
     analytic_beta = args.beta if args.analytic_beta is None else args.analytic_beta
     cfg = RunConfig(
         "validate",
-        {
-            "p": args.p,
-            "m": args.m,
-            "beta": args.beta,
-            "analytic_beta": analytic_beta,
-            "buffer": args.buffer,
-            "bdp": args.bdp,
-            "variant": args.variant,
-            "events": args.events,
-            "bins": args.bins,
-            "chi2_significance": args.chi2_significance,
-            "ks_threshold": args.ks_threshold,
-            "loss_ratio_tolerance": args.loss_ratio_tolerance,
-        },
+        _echoed_flags(args) | {"analytic_beta": analytic_beta},
         args.outdir,
         args.seed,
         args.format,
     )
+    law = _window_law(args, _tcp_params(args, beta=analytic_beta))
     _prepare_outdir(args.outdir)
 
     sim_params = _tcp_params(args)
@@ -278,34 +237,14 @@ def cmd_validate(args) -> int:
     payloads = [(chunk, size, _child_seed(args.seed, i)) for i, size in enumerate(sizes)]
     result = merge_results(*_run_parallel(_validate_chunk, payloads, args.jobs))
 
-    analytic_params = _tcp_params(args, beta=analytic_beta)
-    point_mass = None
+    fit = compare_histogram(result, law.pdf, point_mass=law.point_mass)
     checks: dict[str, bool] = {}
     report: dict = {}
-    if args.buffer is None:
-        dist = AnalyticWindowDistribution.build(analytic_params, args.variant)
-        fit = compare_histogram(result, dist.pdf)
-    else:
-        sol = solve_finite_distribution(
-            FiniteBufferParams(analytic_params, buffer_size=args.buffer)
-        )
-        if args.variant == "frfr":
-
-            def pdf(w, _sol=sol):
-                return finite_frfr_pdf(_sol, w)[0]
-
-            _, loc, weight = finite_frfr_pdf(sol, np.array([0.0]))
-            point_mass = (loc, weight)
-        else:
-
-            def pdf(w, _sol=sol):
-                return finite_window_pdf(_sol, w)
-
-        fit = compare_histogram(result, pdf, point_mass=point_mass)
+    if args.buffer is not None:
         share = result.n_buffer_losses / result.n_events
         report["buffer_loss_share"] = share
-        report["A_analytic"] = sol.A
-        checks["loss_ratio"] = abs(share - sol.A) <= args.loss_ratio_tolerance
+        report["A_analytic"] = law.A
+        checks["loss_ratio"] = abs(share - law.A) <= args.loss_ratio_tolerance
 
     checks["chi2"] = fit.chi2_pvalue >= args.chi2_significance
     checks["ks"] = fit.ks_distance <= args.ks_threshold
@@ -347,16 +286,7 @@ def cmd_tree(args) -> int:
         realizations = 20
     cfg = RunConfig(
         "tree",
-        {
-            "tau": args.tau,
-            "alpha": args.alpha,
-            "realizations": realizations,
-            "enumerate": args.enumerate,
-            "check": args.check,
-            "check_tolerance": args.check_tolerance,
-            "max_rows": args.max_rows,
-            "max_q_rows": args.max_q_rows,
-        },
+        _echoed_flags(args) | {"realizations": realizations},
         args.outdir,
         args.seed,
         args.format,
@@ -630,7 +560,7 @@ def cmd_specfun_selftest(args) -> int:
 # ---------------------------------------------------------------- parser
 
 
-def _add_common(sub, *, seed_default: int = 0) -> None:
+def _add_common(sub, *, seed_default: int | None = 0) -> None:
     sub.add_argument("--outdir", default=".", help="output directory")
     sub.add_argument("--seed", type=int, default=seed_default)
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -700,10 +630,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pi", type=float, default=None, help="per-flow loss propensity")
     p.add_argument("--beta", type=float, default=None)
     p.add_argument("--check", choices=("none", "ordering"), default="none")
-    p.add_argument("--outdir", default=".", help="output directory")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    _add_common(p, seed_default=None)
     p.set_defaults(func=cmd_netsim)
 
     p = sub.add_parser("specfun-selftest", help="special-function identity checks")

@@ -15,6 +15,12 @@ geometry through c = beta^(m+1):
 - Every tail mass and mean of the plain and fast-recovery laws is a sum of
   incomplete Gamma functions over rows and levels (`phi_moment`).
 
+`solve_finite_distribution(params, variant)` returns the law as a
+`FiniteBufferSolution` with the interface of the infinite-buffer
+`AnalyticWindowDistribution`: `pdf(w)`, `ccdf(w)`, `mean()`,
+`support_cutoff()` (= B_eff) and `point_mass`, the fast-recovery atom
+at beta·B_eff (None for the plain law).
+
 Every exponential is arranged to have a nonpositive argument, so the
 evaluation never overflows regardless of x.
 """
@@ -128,12 +134,17 @@ def effective_loss(params: FiniteBufferParams) -> float:
 
 @dataclass(frozen=True)
 class FiniteBufferSolution:
-    """Coefficient rows of the piecewise stationary density.
+    """The finite-buffer window law of one variant, from its density rows.
 
     Row n holds h_{n,0..n} for the window interval
     (beta^(n+1)·B_eff, beta^n·B_eff]; the last row, n = N_levels, holds
     down to w = 0.  one_minus_A is the buffer-free share 1 - A, summed
     on its own so that it keeps its digits where 1.0 - A would cancel.
+
+    variant "plain" is the bare law phi(w)/(1-A).  "frfr" adds the
+    fast-recovery plateau density and, because buffer losses always halve
+    from exactly B_eff, an atom at beta·B_eff (`point_mass`); `pdf` gives
+    the continuous part, `ccdf` and `mean` count the atom too.
     """
 
     params: FiniteBufferParams
@@ -141,6 +152,7 @@ class FiniteBufferSolution:
     one_minus_A: float
     h_rows: tuple[np.ndarray, ...]
     N_levels: int
+    variant: str = "plain"
 
     @property
     def x(self) -> float:
@@ -159,9 +171,79 @@ class FiniteBufferSolution:
         beta = self.params.tcp.beta
         return self.effective_limit * beta ** np.arange(self.N_levels + 2)
 
+    def support_cutoff(self) -> float:
+        """B_eff: the window never exceeds it."""
+        return self.effective_limit
 
-def solve_finite_distribution(params: FiniteBufferParams) -> FiniteBufferSolution:
-    """Run the level recursion for the piecewise density coefficients.
+    def _frfr_terms(self) -> tuple[float, float]:
+        """(Z, atom weight) of the fast-recovery law."""
+        tcp = self.params.tcp
+        p, m, B = tcp.p, tcp.m, self.effective_limit
+        share = self.one_minus_A
+        Z = 1.0 + p * (phi_moment(self, m) + self.A * B ** m) / share
+        return Z, p * B ** m * self.A / (share * Z)
+
+    @property
+    def point_mass(self) -> tuple[float, float] | None:
+        """(beta·B_eff, weight) of the frfr atom; None for plain."""
+        if self.variant != "frfr":
+            return None
+        return self.params.tcp.beta * self.effective_limit, self._frfr_terms()[1]
+
+    def pdf(self, w):
+        """Continuous window density at w (scalar or array); zero above B_eff.
+
+        frfr adds the plateau density p·beta^-(m+1)·w^m·phi(w/beta) and
+        divides by the normalizer Z that the atom shares.
+        """
+        w_arr = np.atleast_1d(np.asarray(w, dtype=float))
+        if np.any(w_arr < 0):
+            raise ValueError("pdf requires w >= 0")
+        share = self.one_minus_A
+        out = _phi(self, w_arr) / share
+        if self.variant == "frfr":
+            tcp = self.params.tcp
+            p, m, beta = tcp.p, tcp.m, tcp.beta
+            plateau = p * beta ** -(m + 1) * w_arr ** m * _phi(self, w_arr / beta) / share
+            out = (out + plateau) / self._frfr_terms()[0]
+        return out if np.ndim(w) else float(out[0])
+
+    def ccdf(self, w):
+        """P(W > w) in closed form.
+
+        The plain tail is phi's mass above w over 1-A.  For frfr the
+        plateau density above w integrates to p·∫ v^m phi(v) over
+        v > w/beta, and the atom counts for every w below beta·B_eff.
+        """
+        tcp = self.params.tcp
+        w_arr = np.atleast_1d(np.asarray(w, dtype=float))
+        if np.any(w_arr < 0):
+            raise ValueError("ccdf requires w >= 0")
+        if self.variant == "frfr":
+            Z, weight = self._frfr_terms()
+            tail = phi_moment(self, 0.0, w_arr) + tcp.p * phi_moment(self, tcp.m, w_arr / tcp.beta)
+            at = tcp.beta * self.effective_limit
+            out = tail / (self.one_minus_A * Z) + np.where(w_arr < at, weight, 0.0)
+        else:
+            out = phi_moment(self, 0.0, w_arr) / self.one_minus_A
+        return out if np.ndim(w) else float(out[0])
+
+    def mean(self) -> float:
+        """E[W], the frfr atom included."""
+        if self.variant != "frfr":
+            return phi_moment(self, 1.0) / self.one_minus_A
+        tcp = self.params.tcp
+        Z, weight = self._frfr_terms()
+        density_part = phi_moment(self, 1.0) + tcp.p * tcp.beta * phi_moment(self, tcp.m + 1.0)
+        return density_part / (self.one_minus_A * Z) + tcp.beta * self.effective_limit * weight
+
+
+def solve_finite_distribution(
+    params: FiniteBufferParams, variant: str = "plain"
+) -> FiniteBufferSolution:
+    """The finite-buffer law of `variant` ("plain" or "frfr").
+
+    Runs the level recursion for the piecewise density coefficients.
 
     Seeds with h_{0,0} = A·e^x (from `_loss_split`, without forming e^x,
     so it stays bounded for any x) and I_0 = A(e^x - e^{cx}), then builds row
@@ -171,10 +253,15 @@ def solve_finite_distribution(params: FiniteBufferParams) -> FiniteBufferSolutio
     Rows are added until that change is at most 2^-53·(1-A).
 
     Raises:
-        ValueError: loss_rate = 0 (pure sawtooth; use the simulator), c
-            too close to 1 (`_guard_cancellation`), or a recursion that
-            overflows.
+        ValueError: a variant other than plain or frfr (no finite-buffer
+            wan law exists), loss_rate = 0 (pure sawtooth; use the
+            simulator), c too close to 1 (`_guard_cancellation`), or a
+            recursion that overflows.
     """
+    if variant not in ("plain", "frfr"):
+        raise ValueError(
+            f"no finite-buffer law exists for variant {variant!r}; use plain or frfr"
+        )
     tcp = params.tcp
     if tcp.loss_rate <= 0:
         raise ValueError("solve_finite_distribution requires loss_rate > 0")
@@ -209,6 +296,7 @@ def solve_finite_distribution(params: FiniteBufferParams) -> FiniteBufferSolutio
         one_minus_A=one_minus_A,
         h_rows=tuple(rows),
         N_levels=len(rows) - 1,
+        variant=variant,
     )
 
 
@@ -269,70 +357,5 @@ def phi_moment(sol: FiniteBufferSolution, s: float = 0.0, lo=0.0, hi: float | No
 
 
 def finite_window_pdf(sol: FiniteBufferSolution, w):
-    """Generic-time window density phi(w)/(1-A); zero above B_eff."""
-    w_arr = np.atleast_1d(np.asarray(w, dtype=float))
-    if np.any(w_arr < 0):
-        raise ValueError("finite_window_pdf requires w >= 0")
-    out = _phi(sol, w_arr) / sol.one_minus_A
-    return out if np.ndim(w) else float(out[0])
-
-
-def _frfr_normalizers(sol: FiniteBufferSolution) -> tuple[float, float, float]:
-    """(1-A, Z, atom weight) of the fast-recovery law."""
-    tcp = sol.params.tcp
-    p, m, B = tcp.p, tcp.m, sol.effective_limit
-    share = sol.one_minus_A
-    Z = 1.0 + p * (phi_moment(sol, m) + sol.A * B ** m) / share
-    return share, Z, p * B ** m * sol.A / (share * Z)
-
-
-def finite_frfr_pdf(sol: FiniteBufferSolution, w):
-    """Fast-recovery law: continuous density plus a point mass.
-
-    Buffer losses always halve from exactly B_eff, so the plateau there
-    collapses into an atom at beta·B_eff.  Returns (density at w,
-    point_mass_at, point_mass_weight); density and atom together are
-    normalized.
-    """
-    tcp = sol.params.tcp
-    p, m, beta, B = tcp.p, tcp.m, tcp.beta, sol.effective_limit
-    w_arr = np.atleast_1d(np.asarray(w, dtype=float))
-    if np.any(w_arr < 0):
-        raise ValueError("finite_frfr_pdf requires w >= 0")
-    share, Z, weight = _frfr_normalizers(sol)
-    base = _phi(sol, w_arr) / share
-    plateau = p * beta ** -(m + 1) * w_arr ** m * _phi(sol, w_arr / beta) / share
-    density = (base + plateau) / Z
-    if np.ndim(w):
-        return density, beta * B, weight
-    return float(density[0]), beta * B, weight
-
-
-def finite_window_ccdf(sol: FiniteBufferSolution, w, frfr: bool = False):
-    """P(W > w) of the plain law, or with frfr of the fast-recovery law.
-
-    The plain tail is phi's mass above w over 1-A.  With frfr the plateau
-    density above w integrates to p·∫ v^m phi(v) over v > w/beta, and the
-    atom at beta·B_eff counts for every w below it.
-    """
-    tcp = sol.params.tcp
-    w_arr = np.atleast_1d(np.asarray(w, dtype=float))
-    if np.any(w_arr < 0):
-        raise ValueError("finite_window_ccdf requires w >= 0")
-    if frfr:
-        share, Z, weight = _frfr_normalizers(sol)
-        tail = phi_moment(sol, 0.0, w_arr) + tcp.p * phi_moment(sol, tcp.m, w_arr / tcp.beta)
-        out = tail / (share * Z) + np.where(w_arr < tcp.beta * sol.effective_limit, weight, 0.0)
-    else:
-        out = phi_moment(sol, 0.0, w_arr) / sol.one_minus_A
-    return out if np.ndim(w) else float(out[0])
-
-
-def finite_window_mean(sol: FiniteBufferSolution, frfr: bool = False) -> float:
-    """E[W] of the plain law, or with frfr of the fast-recovery law (atom included)."""
-    if not frfr:
-        return phi_moment(sol, 1.0) / sol.one_minus_A
-    tcp = sol.params.tcp
-    share, Z, weight = _frfr_normalizers(sol)
-    density_part = phi_moment(sol, 1.0) + tcp.p * tcp.beta * phi_moment(sol, tcp.m + 1.0)
-    return density_part / (share * Z) + tcp.beta * sol.effective_limit * weight
+    """Window density of sol's law at w; the function form of `sol.pdf`."""
+    return sol.pdf(w)

@@ -196,6 +196,8 @@ class AnalyticWindowDistribution:
     params: TcpParams
     residues: ResidueTable
     variant: str = "plain"
+    # no infinite-buffer variant has an atom (not a dataclass field)
+    point_mass = None
 
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
@@ -212,10 +214,58 @@ class AnalyticWindowDistribution:
         return cls(params, compute_residues(params.c), variant)
 
     def pdf(self, w):
-        return window_pdf(self, w)
+        """Stationary density of the window at w (scalar or array).
+
+        The frfr variant divides by 1 + p·E[W^m]; the wan variant adds the
+        idle-mode term ((T-w)/w)·f(w) below T = bdp and renormalizes.
+        """
+        params, res = self.params, self.residues
+        w_arr = np.atleast_1d(np.asarray(w, dtype=float))
+        if np.any(w_arr < 0):
+            raise ValueError("pdf requires w >= 0")
+        base = _mixture_pdf(params, res, w_arr)
+        if self.variant == "plain":
+            out = base
+        else:
+            p, m, beta = params.p, params.m, params.beta
+            plateau = p * beta ** -(m + 1) * w_arr ** m * _mixture_pdf(params, res, w_arr / beta)
+            if self.variant == "frfr":
+                out = (base + plateau) / (1.0 + p * _truncated_moment(params, res, m))
+            else:
+                T = params.bdp
+                idle = np.zeros_like(w_arr)
+                below = (w_arr < T) & (w_arr > 0)
+                idle[below] = (T - w_arr[below]) / w_arr[below] * base[below]
+                out = (base + plateau + idle) / _wan_mean_terms(params, res, T)[1]
+        out = np.maximum(out, 0.0)
+        return out if np.ndim(w) else float(out[0])
 
     def ccdf(self, w):
-        return window_ccdf(self, w)
+        """P(W > w) in closed form for every variant.
+
+        frfr adds the plateau tail p·E[W^m·1{W > w/beta}]; wan also adds, below
+        T = bdp, the idle tail T·E[W^-1·1{w < W <= T}] - P(w < W <= T).  Both
+        then divide by the normalizer of their pdf.
+        """
+        params, res = self.params, self.residues
+        w_arr = np.atleast_1d(np.asarray(w, dtype=float))
+        if np.any(w_arr < 0):
+            raise ValueError("ccdf requires w >= 0")
+        fbar = partial(_mixture_ccdf, params, res)
+        moment = partial(_truncated_moment, params, res)
+        out = fbar(w_arr)
+        if self.variant != "plain":
+            p, m, T = params.p, params.m, params.bdp
+            out += p * (moment(m) - moment(m, w_arr / params.beta))
+            if self.variant == "frfr":
+                out /= 1.0 + p * moment(m)
+            else:
+                below = w_arr < T
+                idle_mass = T * (moment(-1.0, T) - moment(-1.0, w_arr[below]))
+                out[below] += idle_mass - (fbar(w_arr[below]) - fbar(np.array([T])))
+                out /= _wan_mean_terms(params, res, T)[1]
+        out = np.clip(out, 0.0, 1.0)
+        return out if np.ndim(w) else float(out[0])
 
     def mean(self) -> float:
         """E[W] on this law's own residue table, as `pdf` and `ccdf` use it.
@@ -297,62 +347,6 @@ def _wan_mean_terms(params: TcpParams, res: ResidueTable, T: float) -> tuple[flo
     num = moment(1.0) + p * beta * moment(m + 1.0) + T * (1.0 - fbar) - moment(1.0, T)
     den = fbar + p * moment(m) + T * moment(-1.0, T)
     return num, den
-
-
-def window_pdf(dist: AnalyticWindowDistribution, w):
-    """Stationary density of the window at w (scalar or array).
-
-    The frfr variant divides by 1 + p·E[W^m]; the wan variant adds the
-    idle-mode term ((T-w)/w)·f(w) below T = bdp and renormalizes.
-    """
-    params, res = dist.params, dist.residues
-    w_arr = np.atleast_1d(np.asarray(w, dtype=float))
-    if np.any(w_arr < 0):
-        raise ValueError("window_pdf requires w >= 0")
-    base = _mixture_pdf(params, res, w_arr)
-    if dist.variant == "plain":
-        out = base
-    else:
-        p, m, beta = params.p, params.m, params.beta
-        plateau = p * beta ** -(m + 1) * w_arr ** m * _mixture_pdf(params, res, w_arr / beta)
-        if dist.variant == "frfr":
-            out = (base + plateau) / (1.0 + p * _truncated_moment(params, res, m))
-        else:
-            T = params.bdp
-            idle = np.zeros_like(w_arr)
-            below = (w_arr < T) & (w_arr > 0)
-            idle[below] = (T - w_arr[below]) / w_arr[below] * base[below]
-            out = (base + plateau + idle) / _wan_mean_terms(params, res, T)[1]
-    out = np.maximum(out, 0.0)
-    return out if np.ndim(w) else float(out[0])
-
-
-def window_ccdf(dist: AnalyticWindowDistribution, w):
-    """P(W > w) in closed form for every variant.
-
-    frfr adds the plateau tail p·E[W^m·1{W > w/beta}]; wan also adds, below
-    T = bdp, the idle tail T·E[W^-1·1{w < W <= T}] - P(w < W <= T).  Both
-    then divide by the normalizer of their pdf.
-    """
-    params, res = dist.params, dist.residues
-    w_arr = np.atleast_1d(np.asarray(w, dtype=float))
-    if np.any(w_arr < 0):
-        raise ValueError("window_ccdf requires w >= 0")
-    fbar = partial(_mixture_ccdf, params, res)
-    moment = partial(_truncated_moment, params, res)
-    out = fbar(w_arr)
-    if dist.variant != "plain":
-        p, m, T = params.p, params.m, params.bdp
-        out += p * (moment(m) - moment(m, w_arr / params.beta))
-        if dist.variant == "frfr":
-            out /= 1.0 + p * moment(m)
-        else:
-            below = w_arr < T
-            idle_mass = T * (moment(-1.0, T) - moment(-1.0, w_arr[below]))
-            out[below] += idle_mass - (fbar(w_arr[below]) - fbar(np.array([T])))
-            out /= _wan_mean_terms(params, res, T)[1]
-    out = np.clip(out, 0.0, 1.0)
-    return out if np.ndim(w) else float(out[0])
 
 
 def window_moment(params: TcpParams, r: float) -> float:

@@ -23,6 +23,7 @@ import numpy as np
 
 from .specfun import _sp
 from .tcp_finite import FiniteBufferParams
+from .tcp_infinite import VARIANTS
 
 _CHUNK = 8192
 
@@ -54,6 +55,22 @@ class SimConfig:
             raise ValueError("loss_rate=0 with an infinite buffer never loses")
         if self.enable_wan_idle and tcp.m <= 0:
             raise ValueError("wan idle stretching needs m > 0")
+
+    @classmethod
+    def for_variant(cls, params: FiniteBufferParams, variant: str, **fields) -> "SimConfig":
+        """The run that simulates the window law `variant` names.
+
+        frfr and wan both carry fast-recovery plateaus; wan also idles
+        below the bandwidth-delay product.
+        """
+        if variant not in VARIANTS:
+            raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
+        return cls(
+            params=params,
+            enable_frfr=variant != "plain",
+            enable_wan_idle=variant == "wan",
+            **fields,
+        )
 
     def bin_edges(self) -> np.ndarray:
         top = self.w_max

@@ -24,7 +24,6 @@ from tcpfluid.aimd_net import (
 from tcpfluid.tcp_finite import (
     FiniteBufferParams,
     buffer_loss_ratio_A,
-    finite_window_pdf,
     solve_finite_distribution,
 )
 from tcpfluid.tcp_infinite import (
@@ -179,19 +178,12 @@ def test_c06_effective_loss_limit():
 def _fit(variant: str, p: float, buffer=math.inf, bdp=0.0, seed=0):
     tcp = TcpParams(alpha=1.0, loss_rate=p, link_delay=bdp / 2.0)
     fb = FiniteBufferParams(tcp, buffer_size=buffer)
-    cfg = SimConfig(
-        params=fb,
-        horizon=20000,
-        seed=seed,
-        enable_frfr=(variant == "frfr"),
-        enable_wan_idle=(variant == "wan"),
-    )
-    res = simulate(cfg)
+    res = simulate(SimConfig.for_variant(fb, variant, horizon=20000, seed=seed))
     if math.isinf(buffer):
-        dist = AnalyticWindowDistribution.build(tcp, variant)
-        return compare_histogram(res, dist.pdf)
-    sol = solve_finite_distribution(fb)
-    return compare_histogram(res, lambda w: finite_window_pdf(sol, w))
+        law = AnalyticWindowDistribution.build(tcp, variant)
+    else:
+        law = solve_finite_distribution(fb, variant)
+    return compare_histogram(res, law.pdf, point_mass=law.point_mass)
 
 
 def test_c07_distribution_validation():

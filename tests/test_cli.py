@@ -9,10 +9,15 @@ import sys
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 import tcpfluid
-from tcpfluid.cli import main
-from tcpfluid.tcp_finite import FiniteBufferParams, solve_finite_distribution
+from tcpfluid.cli import _tcp_params, _window_law, build_parser, main
+from tcpfluid.tcp_finite import (
+    FiniteBufferParams,
+    finite_window_pdf,
+    solve_finite_distribution,
+)
 from tcpfluid.tcp_infinite import TcpParams, window_moment
 
 
@@ -226,6 +231,75 @@ def test_finite_buffer_rejects_wan_variant(tmp_path, capsys, command):
     assert rc == 2
     assert "error:" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_validate_wan_simulates_the_plateaus_of_its_law(tmp_path):
+    # the wan law has FR/FR plateaus; simulated without them this read p = 6.2e-7
+    rc = main(["validate", "--p", "0.01", "--variant", "wan", "--bdp", "20",
+               "--events", "8000", "--outdir", str(tmp_path)])
+    assert rc == 0
+    checks = _read_json(tmp_path / "validate_report.json")["checks"]
+    assert checks["chi2"] is True
+    assert checks["ks"] is True
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["--variant", "frfr"],
+        ["--variant", "wan", "--bdp", "170.67"],
+        ["--buffer", "20"],
+        ["--buffer", "60"],
+        ["--buffer", "20", "--variant", "frfr"],
+        ["--buffer", "60", "--variant", "frfr"],
+    ],
+)
+def test_every_window_law_has_one_interface(argv):
+    args = build_parser().parse_args(["tcp-dist", "--p", "0.01", *argv])
+    law = _window_law(args, _tcp_params(args))
+    top = law.support_cutoff()
+    assert abs(law.ccdf(0.0) - 1.0) <= 1e-15
+    # the mean is the CCDF's area; split where the laws jump or kink
+    if args.buffer is None:
+        breaks = [args.bdp]
+    else:
+        edges = law.level_edges()
+        breaks = [*edges, *(args.beta * edges)]
+        w = np.linspace(0.0, top, 33)
+        assert np.array_equal(finite_window_pdf(law, w), law.pdf(w))
+    bounds = [0.0, *sorted(b for b in set(breaks) if 0.0 < b < top), top]
+    area = sum(
+        integrate.quad(law.ccdf, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+        for a, b in zip(bounds, bounds[1:])
+    )
+    assert law.mean() == pytest.approx(area, rel=1e-12)
+    has_atom = args.buffer is not None and args.variant == "frfr"
+    assert (law.point_mass is not None) == has_atom
+
+
+@pytest.mark.parametrize(
+    "argv, table",
+    [
+        (["tcp-dist", "--p", "0.01", "--grid-points", "8"], "tcp_dist_pdf.csv"),
+        (["validate", "--p", "0.02", "--events", "1000", "--bins", "20"],
+         "validate_report.json"),
+        (["tree", "--tau", "20"], "tree_marginal_n.csv"),
+    ],
+)
+def test_header_echoes_every_flag(tmp_path, argv, table):
+    flags = set(vars(build_parser().parse_args(argv))) - {
+        "subcommand", "func", "outdir", "seed", "format", "jobs",
+    }
+    main(argv + ["--outdir", str(tmp_path)])
+    path = tmp_path / table
+    if path.suffix == ".json":
+        meta = _read_json(path)["meta"]
+    else:
+        with open(path) as fh:
+            meta = dict(line[2:].rstrip("\n").split("=", 1)
+                        for line in fh if line.startswith("# "))
+    assert set(meta) == flags | {"subcommand", "version", "seed", "format"}
 
 
 def test_validate_too_few_events_rejected(tmp_path):

@@ -1,6 +1,7 @@
 """Finite-buffer law: loss split A, effective loss, piecewise density."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,10 +14,6 @@ from tcpfluid.tcp_finite import (
     _loss_split,
     buffer_loss_ratio_A,
     effective_loss,
-    finite_frfr_pdf,
-    finite_window_ccdf,
-    finite_window_mean,
-    finite_window_pdf,
     phi_moment,
     solve_finite_distribution,
 )
@@ -108,7 +105,7 @@ def test_solution_normalizes():
         sol = solve_finite_distribution(_fb(p, B))
         top = sol.params.effective_limit
         w = np.linspace(0.0, top, 30001)
-        mass = np.trapezoid(finite_window_pdf(sol, w), w)
+        mass = np.trapezoid(sol.pdf(w), w)
         assert mass == pytest.approx(1.0, abs=5e-5), (p, B)
 
 
@@ -136,12 +133,12 @@ def _assert_law_holds_down_to_zero(sol, points: int = 2049) -> None:
     tol = 1e-14 * _max_weight(sol.c)
     assert abs(phi_moment(sol) / sol.one_minus_A - 1.0) <= tol
     w = np.linspace(0.0, sol.effective_limit, points)
-    pdf = finite_window_pdf(sol, w)
+    pdf = sol.pdf(w)
     assert pdf.min() >= -tol * pdf.max()
-    for frfr in (False, True):
-        ccdf = finite_window_ccdf(sol, w, frfr=frfr)
-        assert np.max(np.diff(ccdf)) <= tol, frfr
-        assert ccdf.min() >= -tol and ccdf.max() <= 1.0 + tol, frfr
+    for variant in ("plain", "frfr"):
+        ccdf = replace(sol, variant=variant).ccdf(w)
+        assert np.max(np.diff(ccdf)) <= tol, variant
+        assert ccdf.min() >= -tol and ccdf.max() <= 1.0 + tol, variant
 
 
 @pytest.mark.parametrize(
@@ -179,7 +176,7 @@ def test_finite_law_below_one_packet():
     assert abs(phi_moment(sol) / sol.one_minus_A - 1.0) <= 1e-12
     res = simulate(SimConfig(params=fb, horizon=20000, seed=1))
     assert abs(res.n_buffer_losses / res.n_events - sol.A) <= 0.02
-    assert finite_window_mean(sol) == pytest.approx(res.mean_window, rel=0.01)
+    assert sol.mean() == pytest.approx(res.mean_window, rel=0.01)
 
 
 def test_rows_run_until_the_mass_stops_moving():
@@ -200,7 +197,7 @@ def test_guard_rejects_c_too_close_to_one():
 def test_density_vanishes_beyond_limit():
     sol = solve_finite_distribution(_fb(1e-3, 40.0))
     top = sol.params.effective_limit
-    assert finite_window_pdf(sol, np.array([top * 1.01, top * 2.0])).max() == 0.0
+    assert sol.pdf(np.array([top * 1.01, top * 2.0])).max() == 0.0
 
 
 def test_level_edges_partition_support():
@@ -218,16 +215,17 @@ def test_finite_matches_infinite_when_buffer_huge():
     sol = solve_finite_distribution(_fb(p, 400.0))
     dist = AnalyticWindowDistribution.build(TcpParams(alpha=1.0, loss_rate=p), "plain")
     w = np.linspace(0.5, 60.0, 200)
-    got = finite_window_pdf(sol, w)
+    got = sol.pdf(w)
     want = dist.pdf(w)
     assert np.max(np.abs(got - want)) < 1e-6
 
 
 def test_frfr_atom_and_density_normalize():
-    sol = solve_finite_distribution(_fb(8e-4, 50.0))
+    sol = solve_finite_distribution(_fb(8e-4, 50.0), "frfr")
     top = sol.params.effective_limit
     w = np.linspace(0.0, top, 30001)
-    density, loc, weight = finite_frfr_pdf(sol, w)
+    density = sol.pdf(w)
+    loc, weight = sol.point_mass
     assert 0.0 < weight < 1.0
     assert loc == pytest.approx(0.5 * top)
     mass = np.trapezoid(density, w) + weight
@@ -237,19 +235,18 @@ def test_frfr_atom_and_density_normalize():
 @pytest.mark.parametrize("p, B", [(1e-2, 60.0), (5e-3, 40.0), (2e-2, 40.0)])
 def test_finite_ccdfs_match_level_quadrature(p, B):
     sol = solve_finite_distribution(_fb(p, B))
+    sol_frfr = solve_finite_distribution(_fb(p, B), "frfr")
     top = sol.params.effective_limit
     w = np.linspace(0.0, top, 40)
-    _, loc, weight = finite_frfr_pdf(sol, 0.0)
-    plain = [_level_quad(lambda u: finite_window_pdf(sol, u), sol, wi) for wi in w]
+    loc, weight = sol_frfr.point_mass
+    plain = [_level_quad(sol.pdf, sol, wi) for wi in w]
     frfr = [
-        _level_quad(lambda u: finite_frfr_pdf(sol, u)[0], sol, wi)
-        + (weight if wi < loc else 0.0)
-        for wi in w
+        _level_quad(sol_frfr.pdf, sol, wi) + (weight if wi < loc else 0.0) for wi in w
     ]
-    assert np.max(np.abs(finite_window_ccdf(sol, w) - plain)) <= 1e-10
-    assert np.max(np.abs(finite_window_ccdf(sol, w, frfr=True) - frfr)) <= 1e-10
-    mean = _level_quad(lambda u: u * finite_frfr_pdf(sol, u)[0], sol, 0.0) + loc * weight
-    assert finite_window_mean(sol, frfr=True) == pytest.approx(mean, rel=1e-12)
+    assert np.max(np.abs(sol.ccdf(w) - plain)) <= 1e-10
+    assert np.max(np.abs(sol_frfr.ccdf(w) - frfr)) <= 1e-10
+    mean = _level_quad(lambda u: u * sol_frfr.pdf(u), sol, 0.0) + loc * weight
+    assert sol_frfr.mean() == pytest.approx(mean, rel=1e-12)
 
 
 def test_phi_moment_array_matches_scalar_calls():

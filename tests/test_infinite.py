@@ -16,7 +16,6 @@ from tcpfluid.tcp_infinite import (
     mean_field_fixed_point,
     sqrt_law_throughput,
     window_moment,
-    window_pdf,
 )
 from tcpfluid.tcp_infinite import _truncated_moment
 
@@ -57,7 +56,7 @@ def _quad_ccdf(dist, w):
             continue
         points = [T] if dist.variant == "wan" and wi < T < w_max else None
         mass, _ = integrate.quad(
-            lambda u: window_pdf(dist, u), wi, w_max, limit=200, points=points
+            dist.pdf, wi, w_max, limit=200, points=points
         )
         out[i] = min(max(mass, 0.0), 1.0)
     return out

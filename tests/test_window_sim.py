@@ -8,7 +8,6 @@ import pytest
 from tcpfluid.tcp_finite import (
     FiniteBufferParams,
     buffer_loss_ratio_A,
-    finite_window_pdf,
     solve_finite_distribution,
 )
 from tcpfluid.tcp_infinite import AnalyticWindowDistribution, TcpParams, window_moment
@@ -18,6 +17,19 @@ from tcpfluid.window_sim import SimConfig, compare_histogram, merge_results, sim
 def _cfg(p: float, B: float = math.inf, horizon: int = 4000, **kw) -> SimConfig:
     fb = FiniteBufferParams(TcpParams(alpha=1.0, loss_rate=p), buffer_size=B)
     return SimConfig(params=fb, horizon=horizon, seed=kw.pop("seed", 1), **kw)
+
+
+@pytest.mark.parametrize(
+    "variant, frfr, wan", [("plain", False, False), ("frfr", True, False), ("wan", True, True)]
+)
+def test_for_variant_simulates_what_the_law_has(variant, frfr, wan):
+    # the wan law carries the fast-recovery plateaus as well as the idling
+    fb = FiniteBufferParams(TcpParams(alpha=1.0, loss_rate=1e-2), buffer_size=math.inf)
+    cfg = SimConfig.for_variant(fb, variant, horizon=50, n_bins=7)
+    assert (cfg.enable_frfr, cfg.enable_wan_idle) == (frfr, wan)
+    assert (cfg.horizon, cfg.n_bins) == (50, 7)
+    with pytest.raises(ValueError, match="variant"):
+        SimConfig.for_variant(fb, "reno")
 
 
 def test_seed_reproducibility():
@@ -137,14 +149,10 @@ def test_histogram_needs_enough_events():
 
 
 def test_finite_law_fit_with_point_mass():
-    from tcpfluid.tcp_finite import finite_frfr_pdf
-
     fb = FiniteBufferParams(TcpParams(alpha=1.0, loss_rate=2e-3), buffer_size=35.0)
-    sol = solve_finite_distribution(fb)
+    sol = solve_finite_distribution(fb, "frfr")
     res = simulate(SimConfig(params=fb, horizon=20000, seed=6, enable_frfr=True))
-    density_fn = lambda w: finite_frfr_pdf(sol, w)[0]
-    _, loc, weight = finite_frfr_pdf(sol, np.array([0.0]))
-    fit = compare_histogram(res, density_fn, point_mass=(loc, weight))
+    fit = compare_histogram(res, sol.pdf, point_mass=sol.point_mass)
     assert fit.chi2_pvalue > 0.01
 
 
@@ -152,7 +160,7 @@ def test_finite_plain_fit():
     fb = FiniteBufferParams(TcpParams(alpha=1.0, loss_rate=2e-3), buffer_size=35.0)
     sol = solve_finite_distribution(fb)
     res = simulate(SimConfig(params=fb, horizon=20000, seed=7))
-    fit = compare_histogram(res, lambda w: finite_window_pdf(sol, w))
+    fit = compare_histogram(res, sol.pdf)
     assert fit.chi2_pvalue > 0.01
 
 
