@@ -101,9 +101,16 @@ def _write_csv(path: str, meta: dict, columns: dict[str, list]) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
+def _json_scalar(value):
+    # numpy ints are no Python ints, so json rejects them; unwrap as _fmt does
+    if isinstance(value, np.generic):
+        return value.item()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _write_json(path: str, payload: dict) -> None:
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, default=_json_scalar)
         fh.write("\n")
 
 

@@ -34,7 +34,10 @@ one chain step, S_N(q) = sum_{n >= N} P_inf(n) K_n(q) obeys
     S_N(j) (2-a+aj) = (1-a) K_N(j)/(N+1-a) + (1-a+a(j-1)) S_N(j-1),
     S_N(-1) = 0,
 
-with no negative term, and F(Lambda | q) = S_{Lambda-1}(q) / S_0(q).
+with no negative term.  F(Lambda | q) = S_{Lambda-1}(q) / S_0(q), with
+S_0 formed as S_{Lambda-1} + H_{Lambda-1}, where the head sum H_N(q) =
+sum_{n < N} P_inf(n) K_n(q) has no negative term either, so F <= 1
+holds in floating point as it does exactly.
 """
 
 from __future__ import annotations
@@ -387,21 +390,29 @@ def cond_mean_q_given_n(alpha_t: float, n: int) -> float:
 
 @lru_cache(maxsize=8)
 def _betweenness_column(alpha: float, q: int, n_rows: int) -> np.ndarray:
-    """S_N(q) = sum_{n >= N} P_inf(n) K_n(q) for N = 0..n_rows-1.
+    """Rows [S_N(q), H_N(q)] for N = 0..n_rows-1.
 
-    Each S_N comes from row N of the chain alone, by the recursion over
-    j = 0..q in the module docstring, run on a whole block of rows at once.
+    S_N(q) = sum_{n >= N} P_inf(n) K_n(q) comes from row N of the chain
+    alone, by the recursion over j = 0..q in the module docstring, run on
+    a whole block of rows at once.  H_N(q) = sum_{n < N} P_inf(n) K_n(q)
+    is the running sum of the terms before row N.
     """
-    column = np.empty(n_rows)
+    column = np.empty((2, n_rows))
+    terms = np.empty(n_rows)
     for lo, k in _in_degree_chain(alpha, n_rows, q + 1):
-        head = (1.0 - alpha) / (np.arange(lo, lo + len(k)) + 1.0 - alpha)
+        n = np.arange(lo, lo + len(k))
+        head = (1.0 - alpha) / (n + 1.0 - alpha)
         s = np.zeros(len(k))
         for j in range(q + 1):
             k_j = k[:, j] if j < k.shape[1] else 0.0
             s = (head * k_j + (1.0 - alpha + alpha * (j - 1)) * s) / (
                 2.0 - alpha + alpha * j
             )
-        column[lo : lo + len(k)] = s
+        column[0, lo : lo + len(k)] = s
+        # P_inf(n) K_n(q), P_inf(n) = (1-a)/((n+1-a)(n+2-a)); k_j ends as K_n(q)
+        terms[lo : lo + len(k)] = head / (n + 2.0 - alpha) * k_j
+    column[1, 0] = 0.0
+    np.cumsum(terms[:-1], out=column[1, 1:])
     column.setflags(write=False)
     return column
 
@@ -409,8 +420,9 @@ def _betweenness_column(alpha: float, q: int, n_rows: int) -> np.ndarray:
 def betweenness_ccdf_given_q(Lambda: int, q: int, alpha_t: float) -> float:
     """Infinite-tree CCDF of rescaled betweenness Lambda = L/(tau+1) given q.
 
-    F(Lambda | q) = S_{Lambda-1}(q) / S_0(q).  The rows are a power of two
-    of at least 256 above Lambda-1, so the calls for one q share a column.
+    F(Lambda | q) = S_{Lambda-1}(q) / (S_{Lambda-1}(q) + H_{Lambda-1}(q)),
+    at most 1 because H >= 0.  The rows are a power of two of at least 256
+    above Lambda-1, so the calls for one q share a column.
     """
     alpha = _check_alpha(alpha_t)
     Lambda = _check_index("Lambda", Lambda)
@@ -422,8 +434,8 @@ def betweenness_ccdf_given_q(Lambda: int, q: int, alpha_t: float) -> float:
     if alpha == 1.0:
         return 1.0 if Lambda == q + 1 else 0.0
     n_rows = max(256, 1 << (Lambda - 1).bit_length())
-    column = _betweenness_column(alpha, q, n_rows)
-    return float(column[Lambda - 1] / column[0])
+    tail, head = _betweenness_column(alpha, q, n_rows)[:, Lambda - 1]
+    return float(tail / (tail + head))
 
 
 def betweenness_mean_given_q(q: int, alpha_t: float) -> float:

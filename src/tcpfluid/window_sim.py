@@ -11,6 +11,24 @@ histograms carry no discretization noise beyond the binning itself.
 Fast-recovery plateaus enter as atoms (duration R(W_before) at the
 post-halving value) and long-delay idling stretches growth time below the
 bandwidth-delay product by T/w, mirroring the analytic reweighting.
+
+The output is fixed to the bit (tests/window_reference.py holds the
+oracle), and the code is arranged for speed within that:
+
+- The path recursion runs on Python floats, because reading and writing
+  numpy scalars one event at a time costs several times the arithmetic:
+  the exponential clocks are drawn in blocks of 65536, turned into one
+  list, and the loop collects V_end and the buffer-hit indices; V_start
+  is c·V_end shifted by one, the same multiply.
+- The histogram works on _CHUNK events at a time, in chunk-sized buffers
+  allocated once per run and written by `out=` ufuncs in the order the
+  expressions evaluate.  Fresh temporaries of that size would fault in
+  their pages on every chunk and leave freed memory resident.
+- With wan idling, a chunk whose windows all stay at or below T has an
+  above-T term of (T^(m+1) - T^(m+1))/g = +0.0 in every cell, so only the
+  below-T term is evaluated; adding +0.0 to a term >= +0 changes nothing.
+- _CHUNK stays 8192: the chunk boundaries decide where the partial sums
+  of the histogram and the moments round, so another size moves bits.
 """
 
 from __future__ import annotations
@@ -146,32 +164,35 @@ def _window_path(cfg: SimConfig, total: int, rng: np.random.Generator):
     g = (tcp.m + 1) * tcp.alpha
     cap = cfg.params.effective_limit ** (tcp.m + 1)
     c = tcp.c
-    v_start = np.empty(total)
-    v_end = np.empty(total)
-    at_buffer = np.zeros(total, dtype=bool)
 
-    scale = g / tcp.loss_rate if tcp.loss_rate > 0 else math.inf
-    block: np.ndarray = np.empty(0)
-    ptr = 0
+    # a fresh exponential clock per cycle; a buffer loss discards the rest
+    if tcp.loss_rate == 0:
+        budgets = [math.inf] * total
+    else:
+        scale = g / tcp.loss_rate
+        budgets = []
+        while len(budgets) < total:
+            # whole blocks keep the stream; only the prefix in use is listed
+            budgets += rng.exponential(scale, size=65536)[: total - len(budgets)].tolist()
+    ends = []
+    hits = []
     v = 1.0
     for i in range(total):
-        # a fresh exponential clock per cycle; a buffer loss discards the rest
-        if tcp.loss_rate == 0:
-            budget = math.inf
-        else:
-            if ptr >= len(block):
-                block = rng.exponential(scale, size=65536)
-                ptr = 0
-            budget = block[ptr]
-            ptr += 1
+        budget = budgets[i]
         if budget >= cap - v:
             u = cap
-            at_buffer[i] = True
+            hits.append(i)
         else:
             u = v + budget
-        v_start[i] = v
-        v_end[i] = u
+        ends.append(u)
         v = c * u
+
+    v_end = np.array(ends)
+    v_start = np.empty(total)
+    v_start[0] = 1.0
+    np.multiply(c, v_end[:-1], out=v_start[1:])
+    at_buffer = np.zeros(total, dtype=bool)
+    at_buffer[hits] = True
     return v_start, v_end, at_buffer
 
 
@@ -199,13 +220,21 @@ def simulate(cfg: SimConfig) -> SimResult:
     exp1 = (m + 2) / (m + 1)
     exp2 = (m + 3) / (m + 1)
     vol_edges = edges ** (m + 1)
+    # chunk-sized scratch that every chunk reuses; a wan chunk whose
+    # windows straddle T needs a third
+    rows = min(_CHUNK, len(v_start))
+    buf_a, buf_b = np.empty((rows, cfg.n_bins)), np.empty((rows, cfg.n_bins))
+    buf_c = np.empty((rows, cfg.n_bins)) if cfg.enable_wan_idle else None
 
     for lo_idx in range(0, len(v_start), _CHUNK):
         v0 = v_start[lo_idx : lo_idx + _CHUNK, None]
         v1 = v_end[lo_idx : lo_idx + _CHUNK, None]
+        a, b = buf_a[: len(v0)], buf_b[: len(v0)]
         if not cfg.enable_wan_idle:
-            seg = np.clip(np.minimum(vol_edges[1:], v1) - np.maximum(vol_edges[:-1], v0), 0.0, None)
-            hist += seg.sum(axis=0) / g
+            np.minimum(vol_edges[1:], v1, out=a)
+            np.subtract(a, np.maximum(vol_edges[:-1], v0, out=b), out=a)
+            np.clip(a, 0.0, None, out=a)
+            hist += a.sum(axis=0) / g
             time_total += float(np.sum(v1 - v0)) / g
             mean_acc += float(np.sum(v1 ** exp1 - v0 ** exp1)) / g / exp1
             second_acc += float(np.sum(v1 ** exp2 - v0 ** exp2)) / g / exp2
@@ -213,17 +242,35 @@ def simulate(cfg: SimConfig) -> SimResult:
             # below T the clock runs T/w slower; split each overlap at T
             w0 = v0 ** (1.0 / (m + 1))
             w1 = v1 ** (1.0 / (m + 1))
-            lo = np.maximum(edges[:-1], w0)
-            hi = np.minimum(edges[1:], w1)
-            lo = np.minimum(lo, hi)  # empty overlaps collapse to hi
-            lo_c = np.minimum(lo, T)
-            hi_c = np.minimum(hi, T)
-            lo_a = np.maximum(lo, T)
-            hi_a = np.maximum(hi, T)
-            seg = T * (hi_c ** m - lo_c ** m) / (m * alpha) + (
-                hi_a ** (m + 1) - lo_a ** (m + 1)
-            ) / g
-            hist += seg.sum(axis=0)
+            lo = np.maximum(edges[:-1], w0, out=a)
+            hi = np.minimum(edges[1:], w1, out=b)
+            np.minimum(lo, hi, out=lo)  # empty overlaps collapse to hi
+            straddles = w1.max() > T
+            if straddles:
+                above = buf_c[: len(v0)]
+                np.maximum(hi, T, out=above)
+                above **= m + 1
+                np.maximum(lo, T, out=lo)
+                lo **= m + 1
+                above -= lo
+                above /= g
+                np.maximum(edges[:-1], w0, out=lo)  # lo once more
+                np.minimum(lo, hi, out=lo)
+                np.minimum(lo, T, out=lo)
+                np.minimum(hi, T, out=hi)
+            # else every overlap lies below T: min(., T) is the identity, and
+            # the above-T term is (T^(m+1) - T^(m+1))/g = +0.0, which adds
+            # nothing to a term >= +0.  Products and sums commute in IEEE
+            # arithmetic, so hi *= T and hi += above give the bits of
+            # T * (...) and (...) + above.
+            hi **= m
+            lo **= m
+            hi -= lo
+            hi *= T
+            hi /= m * alpha
+            if straddles:
+                hi += above
+            hist += hi.sum(axis=0)
             w0f, w1f = w0[:, 0], w1[:, 0]
             w0c, w1c = np.minimum(w0f, T), np.minimum(w1f, T)
             w0a, w1a = np.maximum(w0f, T), np.maximum(w1f, T)

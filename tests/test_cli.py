@@ -174,6 +174,29 @@ def test_every_csv_table_parses_as_numbers(tmp_path):
             assert column.size > 0 and np.all(np.isfinite(column)), (path.name, name)
 
 
+def test_every_json_output_loads_with_equal_columns(tmp_path):
+    # every subcommand that offers --format json
+    runs = {
+        "d": ["tcp-dist", "--p", "0.01"],
+        "v": ["validate", "--p", "0.01", "--events", "2000"],
+        "t": ["tree", "--tau", "6", "--realizations", "2"],
+        "n": ["netsim", "--nodes", "30", "--flows", "8", "--epochs", "100",
+              "--strategy", "uniform"],
+    }
+    for sub, args in runs.items():
+        assert main(args + ["--format", "json", "--outdir", str(tmp_path / sub)]) == 0
+    files = sorted(tmp_path.glob("*/*.json"))
+    assert len(files) == 10
+    tables = [doc for doc in map(_read_json, files) if "columns" in doc]
+    assert len(tables) == 6
+    for table in tables:
+        columns = {k: v for k, v in table["columns"].items() if k != "strategy"}
+        assert len({len(v) for v in table["columns"].values()}) == 1, table["meta"]
+        for name, column in columns.items():
+            values = np.array(column, dtype=float)
+            assert values.size > 0 and np.all(np.isfinite(values)), name
+
+
 def test_tcp_dist_missing_p_is_usage_error():
     with pytest.raises(SystemExit) as err:
         main(["tcp-dist"])

@@ -426,6 +426,15 @@ def test_betweenness_ccdf_starts_at_one_and_never_rises():
             assert rise <= 1e-12, (alpha, q, rise)
 
 
+def test_betweenness_ccdf_never_exceeds_one():
+    # S_0 = S_{Lambda-1} + H with H >= 0; as a ratio of two separately
+    # summed columns F read 1.0000000000000029 at (101, 100, 0.01)
+    for alpha in (0.01, 0.1, 0.5, 0.9):
+        for q in (0, 1, 2, 5, 10, 40, 100, 200, 300):
+            worst = max(betweenness_ccdf_given_q(L, q, alpha) for L in range(q + 1, 2001))
+            assert worst <= 1.0, (alpha, q, worst)
+
+
 def test_betweenness_ccdf_matches_exact_alternating_sum():
     # F(Lambda | q) = (2/a - 1)_{q+1} / (2 - a)_{Lambda-1}
     #     * sum_k (-1)^k (-a k)_{Lambda-1} / (k! (q-k)! (k - 1 + 2/a)),
@@ -446,7 +455,7 @@ def test_betweenness_ccdf_matches_exact_alternating_sum():
                     continue
                 assert abs(Fraction(got) / want - 1) <= 1e-13, where
             # the column's head S_0(q) is the infinite-tree P(q)
-            head = _betweenness_column(alpha, q, 256)[0]
+            head = _betweenness_column(alpha, q, 256)[0, 0]
             assert head == pytest.approx(marginal_q(None, alpha, q), rel=1e-12)
 
 

@@ -1,6 +1,11 @@
 """Monte Carlo window process against the analytic laws."""
 
+import json
 import math
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +16,15 @@ from tcpfluid.tcp_finite import (
     solve_finite_distribution,
 )
 from tcpfluid.tcp_infinite import AnalyticWindowDistribution, TcpParams, window_moment
-from tcpfluid.window_sim import SimConfig, compare_histogram, merge_results, simulate
+from tcpfluid.window_sim import (
+    _CHUNK,
+    SimConfig,
+    compare_histogram,
+    merge_results,
+    simulate,
+)
+
+import window_reference
 
 
 def _cfg(p: float, B: float = math.inf, horizon: int = 4000, **kw) -> SimConfig:
@@ -172,3 +185,71 @@ def test_windows_never_exceed_buffer_limit():
     edges = SimConfig(params=fb, horizon=5000, seed=11).bin_edges()
     beyond = edges[:-1] >= top
     assert res.occupancy[beyond].sum() == 0.0
+
+
+# (p, m, bdp, buffer, frfr, wan_idle): wan at bdp 170.67 stays below T in
+# every chunk, at bdp 20 it straddles T; B = 3 hits the buffer almost every
+# cycle, and p = 0 hits it every cycle
+_ORACLE_RUNS = {
+    "plain": (1e-2, 1.0, 0.0, math.inf, False, False),
+    "frfr": (1e-2, 1.0, 0.0, math.inf, True, False),
+    "wan_bdp170": (1e-2, 1.0, 170.67, math.inf, True, True),
+    "wan_bdp20": (1e-2, 1.0, 20.0, math.inf, True, True),
+    "wan_m2": (1e-2, 2.0, 20.0, math.inf, True, True),
+    "finite_B60": (1e-2, 1.0, 0.0, 60.0, False, False),
+    "finite_B3": (1e-2, 1.0, 0.0, 3.0, True, False),
+    "finite_p0": (0.0, 1.0, 0.0, 10.0, False, False),
+}
+
+
+def _oracle_cfg(name: str, horizon: int, n_bins: int = 60) -> SimConfig:
+    p, m, bdp, buffer, frfr, wan = _ORACLE_RUNS[name]
+    tcp = TcpParams(alpha=1.0, loss_rate=p, m=m, link_delay=bdp / 2.0)
+    return SimConfig(
+        params=FiniteBufferParams(tcp, buffer_size=buffer),
+        horizon=horizon,
+        seed=5,
+        enable_frfr=frfr,
+        enable_wan_idle=wan,
+        n_bins=n_bins,
+    )
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_RUNS))
+# below one chunk, exactly two chunks, and past the first 65536-draw block
+@pytest.mark.parametrize("horizon", [1000, 2 * _CHUNK, 70_000])
+def test_simulate_matches_frozen_reference_byte_for_byte(name, horizon):
+    cfg = _oracle_cfg(name, horizon)
+    got, want = simulate(cfg), window_reference.simulate(cfg)
+    assert got.occupancy.tobytes() == want.occupancy.tobytes()
+    for field in ("mean_window", "window_variance", "total_time"):
+        assert repr(getattr(got, field)) == repr(getattr(want, field)), field
+    assert (got.n_buffer_losses, got.n_link_losses) == (
+        want.n_buffer_losses, want.n_link_losses
+    )
+
+
+@pytest.mark.parametrize("name", ["plain", "frfr", "wan_bdp170", "wan_bdp20", "finite_B60"])
+def test_simulate_memory_is_a_few_chunk_buffers(name):
+    cfg = _oracle_cfg(name, 20_000)
+    tracemalloc.start()
+    try:
+        simulate(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * _CHUNK * cfg.n_bins * 8 + 2**20, peak
+
+
+@pytest.mark.parametrize("scale", ["full", "tiny"])
+def test_window_benchmark_checks_and_golden_digests_hold(scale):
+    # at seed 0 the run also compares the window_sim.simulate.* digests
+    # of perfbench/golden.json, which fix every simulated bit
+    run = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+    out = subprocess.run(
+        [sys.executable, str(run), "--workload", "window", "--seed", "0",
+         "--seconds", "0", "--scale", scale],
+        capture_output=True, text=True, check=True, timeout=600,
+    ).stdout
+    last = json.loads(out.strip().splitlines()[-1])
+    assert last["correct"] is True, out
