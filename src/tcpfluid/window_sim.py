@@ -20,13 +20,14 @@ oracle), and the code is arranged for speed within that:
   the exponential clocks are drawn in blocks of 65536, turned into one
   list, and the loop collects V_end and the buffer-hit indices; V_start
   is c·V_end shifted by one, the same multiply.
-- The histogram works on _CHUNK events at a time, in chunk-sized buffers
-  allocated once per run and written by `out=` ufuncs in the order the
-  expressions evaluate.  Fresh temporaries of that size would fault in
-  their pages on every chunk and leave freed memory resident.
-- With wan idling, a chunk whose windows all stay at or below T has an
-  above-T term of (T^(m+1) - T^(m+1))/g = +0.0 in every cell, so only the
-  below-T term is evaluated; adding +0.0 to a term >= +0 changes nothing.
+- The histogram visits only the bins each segment touches.  The bins
+  strictly between a segment's two end bins are whole, and a whole bin's
+  cell is the same number for every segment: the cell formula evaluated
+  once on the bin's own edges (for wan, a below-T bin's above-T term is
+  exactly +0.0).  Only the two end cells are evaluated per segment, and
+  `bincount` over the cells in segment order adds each bin's column as
+  the dense sum over rows did; the cells it skips are ±0.0, which change
+  no sum.  Cost and memory follow the bins touched, not n_bins.
 - _CHUNK stays 8192: the chunk boundaries decide where the partial sums
   of the histogram and the moments round, so another size moves bits.
 """
@@ -196,6 +197,32 @@ def _window_path(cfg: SimConfig, total: int, rng: np.random.Generator):
     return v_start, v_end, at_buffer
 
 
+def _chunk_histogram(grid, cell, whole, x0, x1) -> np.ndarray:
+    """Per-bin sum of the cells of segments (x0, x1] over the bins of grid.
+
+    A segment's cells run from the bin holding x0 to the bin whose upper
+    edge first reaches x1, capped at the top bin; those strictly between
+    are whole and take their value from `whole`.
+    """
+    n_bins = len(grid) - 1
+    first = np.searchsorted(grid, x0, side="right") - 1
+    last = np.minimum(np.searchsorted(grid, x1, side="left") - 1, n_bins - 1)
+    touched = last >= first
+    first, last, x0, x1 = first[touched], last[touched], x0[touched], x1[touched]
+    counts = last - first + 1
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    # bin of each cell: a run first..last per segment, as one cumsum of steps
+    col = np.ones(counts.sum(), dtype=np.intp)
+    col[starts] = first
+    col[starts[1:]] -= last[:-1]
+    np.cumsum(col, out=col)
+    vals = whole[col]
+    vals[starts] = cell(np.maximum(grid[first], x0), np.minimum(grid[first + 1], x1))
+    vals[ends - 1] = cell(np.maximum(grid[last], x0), np.minimum(grid[last + 1], x1))
+    return np.bincount(col, vals, minlength=n_bins)
+
+
 def simulate(cfg: SimConfig) -> SimResult:
     """Run the fluid window process for cfg.horizon recorded loss events."""
     tcp = cfg.params.tcp
@@ -219,61 +246,39 @@ def simulate(cfg: SimConfig) -> SimResult:
     T = tcp.bdp if cfg.enable_wan_idle else 0.0
     exp1 = (m + 2) / (m + 1)
     exp2 = (m + 3) / (m + 1)
-    vol_edges = edges ** (m + 1)
-    # chunk-sized scratch that every chunk reuses; a wan chunk whose
-    # windows straddle T needs a third
-    rows = min(_CHUNK, len(v_start))
-    buf_a, buf_b = np.empty((rows, cfg.n_bins)), np.empty((rows, cfg.n_bins))
-    buf_c = np.empty((rows, cfg.n_bins)) if cfg.enable_wan_idle else None
+
+    # a cell is one segment's time in one bin, from the overlap (lo, hi]
+    if not cfg.enable_wan_idle:
+        grid = edges ** (m + 1)
+
+        def cell(lo, hi):
+            return np.clip(hi - lo, 0.0, None)
+    else:
+        grid = edges
+
+        def cell(lo, hi):
+            # below T the clock runs T/w slower; split the overlap at T
+            lo = np.minimum(lo, hi)  # empty overlaps collapse to hi
+            return T * (np.minimum(hi, T) ** m - np.minimum(lo, T) ** m) / (m * alpha) + (
+                np.maximum(hi, T) ** (m + 1) - np.maximum(lo, T) ** (m + 1)
+            ) / g
+
+    whole = cell(grid[:-1], grid[1:])
 
     for lo_idx in range(0, len(v_start), _CHUNK):
-        v0 = v_start[lo_idx : lo_idx + _CHUNK, None]
-        v1 = v_end[lo_idx : lo_idx + _CHUNK, None]
-        a, b = buf_a[: len(v0)], buf_b[: len(v0)]
+        v0 = v_start[lo_idx : lo_idx + _CHUNK]
+        v1 = v_end[lo_idx : lo_idx + _CHUNK]
         if not cfg.enable_wan_idle:
-            np.minimum(vol_edges[1:], v1, out=a)
-            np.subtract(a, np.maximum(vol_edges[:-1], v0, out=b), out=a)
-            np.clip(a, 0.0, None, out=a)
-            hist += a.sum(axis=0) / g
+            hist += _chunk_histogram(grid, cell, whole, v0, v1) / g
             time_total += float(np.sum(v1 - v0)) / g
             mean_acc += float(np.sum(v1 ** exp1 - v0 ** exp1)) / g / exp1
             second_acc += float(np.sum(v1 ** exp2 - v0 ** exp2)) / g / exp2
         else:
-            # below T the clock runs T/w slower; split each overlap at T
             w0 = v0 ** (1.0 / (m + 1))
             w1 = v1 ** (1.0 / (m + 1))
-            lo = np.maximum(edges[:-1], w0, out=a)
-            hi = np.minimum(edges[1:], w1, out=b)
-            np.minimum(lo, hi, out=lo)  # empty overlaps collapse to hi
-            straddles = w1.max() > T
-            if straddles:
-                above = buf_c[: len(v0)]
-                np.maximum(hi, T, out=above)
-                above **= m + 1
-                np.maximum(lo, T, out=lo)
-                lo **= m + 1
-                above -= lo
-                above /= g
-                np.maximum(edges[:-1], w0, out=lo)  # lo once more
-                np.minimum(lo, hi, out=lo)
-                np.minimum(lo, T, out=lo)
-                np.minimum(hi, T, out=hi)
-            # else every overlap lies below T: min(., T) is the identity, and
-            # the above-T term is (T^(m+1) - T^(m+1))/g = +0.0, which adds
-            # nothing to a term >= +0.  Products and sums commute in IEEE
-            # arithmetic, so hi *= T and hi += above give the bits of
-            # T * (...) and (...) + above.
-            hi **= m
-            lo **= m
-            hi -= lo
-            hi *= T
-            hi /= m * alpha
-            if straddles:
-                hi += above
-            hist += hi.sum(axis=0)
-            w0f, w1f = w0[:, 0], w1[:, 0]
-            w0c, w1c = np.minimum(w0f, T), np.minimum(w1f, T)
-            w0a, w1a = np.maximum(w0f, T), np.maximum(w1f, T)
+            hist += _chunk_histogram(grid, cell, whole, w0, w1)
+            w0c, w1c = np.minimum(w0, T), np.minimum(w1, T)
+            w0a, w1a = np.maximum(w0, T), np.maximum(w1, T)
             time_total += float(
                 np.sum(T * (w1c ** m - w0c ** m) / (m * alpha) + (w1a ** (m + 1) - w0a ** (m + 1)) / g)
             )

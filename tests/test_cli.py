@@ -80,13 +80,6 @@ def test_commands_without_special_functions_never_load_scipy(tmp_path, argv):
     assert out.split()[-2:] == ["0", "False"]
 
 
-def test_specfun_selftest_passes(capsys):
-    assert main(["specfun-selftest"]) == 0
-    out = capsys.readouterr().out
-    assert "FAIL" not in out
-    assert out.count("PASS") >= 6
-
-
 def test_tcp_dist_infinite_outputs(tmp_path):
     out = tmp_path / "d"
     rc = main(["tcp-dist", "--p", "0.01", "--outdir", str(out)])
@@ -390,7 +383,8 @@ def test_netsim_tiny_run_outputs(tmp_path):
     assert (out / "netsim_capacity_ccdf.csv").exists()
 
 # SHA-256 of each file `netsim --nodes 300 --flows 30` writes (default seed
-# and epochs), recorded when every strategy still grew its own tree.
+# and epochs), recorded when every strategy still grew its own tree; the
+# summary's were re-recorded when it gained the median ordering and ratio.
 NETSIM_SMALL_DIGESTS = {
     "csv": {
         "netsim_capacity_ccdf.csv": "bb1cb43e5168cb7c2033cd1f40faf2592763c01067379afa0f6d85009b1f5a92",
@@ -400,7 +394,7 @@ NETSIM_SMALL_DIGESTS = {
         "netsim_flows_product.csv": "ad31a4ac8ec395277f2e3b45764ed01eb6e58db23cdf4e43ad97e054c22e910d",
         "netsim_flows_uniform.csv": "9134da88d5311ae34e014f3ae58172b880eae1eeda28ff8ccc36a727037e10ba",
         "netsim_q_cdf.csv": "1dcdd8e47ac3ec02149c3a904ca3c1d4ac4df686ca4acd81a6496c90badf1668",
-        "netsim_summary.json": "488b2a52bd6fb5d0117a0312de6698fd91309ae43dcbf83cad826f3d1837d8c1",
+        "netsim_summary.json": "bd9946fd8508eeb6d50f7a1723ed4da3dffb48ba89036717de0aa598d32ecd57",
     },
     "json": {
         "netsim_capacity_ccdf.json": "567836406dafa04208cfa64c3bdc2427db6f0afeb38471dc5a940ba3f884ae8a",
@@ -410,7 +404,7 @@ NETSIM_SMALL_DIGESTS = {
         "netsim_flows_product.json": "e08b6ca0a92cff4fd3bec8f3d7c336c3c1e466bf8014418db5e38409546fbe9b",
         "netsim_flows_uniform.json": "3d67e2fffc6307faa7b0482e7677f774fcc747aebbdaac1d2559d0e842e46b93",
         "netsim_q_cdf.json": "c2c733cf4447682c7e69f458658c04d57be18221555a1623da3218054f3fc7d4",
-        "netsim_summary.json": "adfbcb1077e9d78ebe2f931aa34af5bd77837a1eaffae8513a1e61cfe03c9254",
+        "netsim_summary.json": "4624ad16fcb5d19b18b71d69d85fa8555a74ff821b8da6b9a8fb9e160ecf4666",
     },
 }
 
@@ -457,3 +451,21 @@ def test_netsim_check_ordering_needs_all(tmp_path):
                "--strategy", "uniform", "--check", "ordering",
                "--outdir", str(tmp_path)])
     assert rc == 2
+
+
+# seeds of a 500-node run whose mean and median orderings disagree, and one
+# where both hold
+@pytest.mark.parametrize(
+    "seed, mean_ordered, median_ordered", [(46, True, False), (49, False, True), (51, True, True)]
+)
+def test_netsim_check_ordering_gates_mean_and_median(tmp_path, seed, mean_ordered, median_ordered):
+    rc = main(["netsim", "--nodes", "500", "--flows", "40", "--epochs", "4000",
+               "--seed", str(seed), "--check", "ordering", "--outdir", str(tmp_path)])
+    summary = _read_json(tmp_path / "netsim_summary.json")
+    assert summary["ordering_mean_field_minimum_product_maximum_uniform"] is mean_ordered
+    assert summary["ordering_median_mean_field_minimum_product_maximum_uniform"] is median_ordered
+    runs = summary["strategies"]
+    for stat in ("mean", "median"):
+        want = runs["mean_field"][f"{stat}_q"] / runs["uniform"][f"{stat}_q"]
+        assert summary[f"{stat}_q_ratio_mean_field_over_uniform"] == want
+    assert rc == (0 if mean_ordered and median_ordered else 3)

@@ -99,6 +99,66 @@ def test_euler_product_rejects_bad_c():
         euler_product_L(-0.2)
 
 
+# One identity per kernel the laws call: pochhammer_log (tree laws),
+# euler_product_L and gammainc (window laws), polygamma (E[q | n]), chdtrc
+# (histogram p-values).
+
+
+def test_pochhammer_log_matches_direct_product():
+    worst = 0.0
+    for x in (0.3, 2.0, 7.5):
+        for n in range(8):
+            direct = math.prod(x + j for j in range(n))
+            worst = max(worst, abs(math.exp(pochhammer_log(x, n)) - direct) / direct)
+    assert worst <= 1e-12
+
+
+def test_pochhammer_log_step_identity():
+    worst = 0.0
+    for x in (0.3, 4.2, 55.0):
+        for n in (0.5, 3.7, 120.0):
+            # ln (x)_{n+1} = ln (x)_n + ln(x+n)
+            top = pochhammer_log(x, n + 1.0)
+            err = top - pochhammer_log(x, n) - math.log(x + n)
+            worst = max(worst, abs(err) / max(1.0, abs(top)))
+    assert worst <= 1e-12
+
+
+def test_euler_product_at_a_quarter_and_four_fifths():
+    worst = 0.0
+    for c in (0.25, 0.8):
+        direct = math.prod(1.0 - c**k for k in range(1, 400))
+        worst = max(worst, abs(euler_product_L(c) - direct) / direct)
+    assert worst <= 1e-14
+
+
+def test_gammainc_recurrence():
+    worst = 0.0
+    for z, x in ((0.5, 0.3), (2.0, 1.0), (3.5, 7.0)):
+        # P(z+1, x) = P(z, x) - x^z e^-x / Gamma(z+1)
+        lhs = float(_sp.gammainc(z + 1.0, x))
+        rhs = float(_sp.gammainc(z, x)) - x**z * math.exp(-x) / math.gamma(z + 1.0)
+        worst = max(worst, abs(lhs - rhs) / lhs)
+    assert worst <= 1e-12
+
+
+def test_polygamma_recurrence():
+    worst = 0.0
+    for m in (0, 1, 3):
+        for x in (0.3, 1.7, 9.2):
+            # psi^(m)(x+1) = psi^(m)(x) + (-1)^m m! / x^(m+1)
+            lhs = float(_sp.polygamma(m, x + 1.0))
+            rhs = float(_sp.polygamma(m, x)) + (-1) ** m * math.factorial(m) / x ** (m + 1)
+            worst = max(worst, abs(lhs - rhs) / abs(lhs))
+    assert worst <= 1e-12
+
+
+def test_chdtrc_with_two_degrees_of_freedom_is_exponential():
+    # P(chi2 > x) = e^{-x/2}
+    want = math.exp(-1.5)
+    assert abs(float(_sp.chdtrc(2, 3.0)) - want) / want <= 1e-14
+
+
 def test_lazy_handle_returns_scipy_values_bit_for_bit():
     assert pochhammer_log(1.0, 1.5) == float(sp.gammaln(2.5) - sp.gammaln(1.0))
     # the handle hands out scipy's own ufunc and keeps it as a plain attribute
@@ -143,8 +203,7 @@ def test_only_specfun_imports_scipy_and_only_on_first_use():
 
 
 def test_every_public_specfun_function_has_a_library_caller():
-    # a function only the self-test or its own unit test calls is dead
-    # weight; cli.py does not count, since it hosts the self-test
+    # a function only its own unit test calls is dead weight
     package = pathlib.Path(tcpfluid.__file__).parent
     specfun = ast.parse((package / "specfun.py").read_text())
     public = {
@@ -155,7 +214,7 @@ def test_every_public_specfun_function_has_a_library_caller():
     assert public
     imported = set()
     for path in package.glob("*.py"):
-        if path.name in ("specfun.py", "cli.py"):
+        if path.name == "specfun.py":
             continue
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.ImportFrom) and node.module == "specfun":

@@ -202,7 +202,7 @@ _ORACLE_RUNS = {
 }
 
 
-def _oracle_cfg(name: str, horizon: int, n_bins: int = 60) -> SimConfig:
+def _oracle_cfg(name: str, horizon: int, n_bins: int = 60, w_max: float | None = None) -> SimConfig:
     p, m, bdp, buffer, frfr, wan = _ORACLE_RUNS[name]
     tcp = TcpParams(alpha=1.0, loss_rate=p, m=m, link_delay=bdp / 2.0)
     return SimConfig(
@@ -212,14 +212,34 @@ def _oracle_cfg(name: str, horizon: int, n_bins: int = 60) -> SimConfig:
         enable_frfr=frfr,
         enable_wan_idle=wan,
         n_bins=n_bins,
+        w_max=w_max,
     )
 
 
+# grid geometries: 2 bins, which every segment spans; 1000 narrow bins;
+# and top edges of 1 and 5, which segments lie wholly above or straddle
+_ORACLE_GRIDS = {
+    "bins2": {"n_bins": 2},
+    "bins1000": {"n_bins": 1000},
+    "wmax1": {"w_max": 1.0},
+    "wmax5": {"w_max": 5.0},
+}
+
+
 @pytest.mark.parametrize("name", sorted(_ORACLE_RUNS))
-# below one chunk, exactly two chunks, and past the first 65536-draw block
-@pytest.mark.parametrize("horizon", [1000, 2 * _CHUNK, 70_000])
-def test_simulate_matches_frozen_reference_byte_for_byte(name, horizon):
-    cfg = _oracle_cfg(name, horizon)
+# below one chunk, exactly two chunks, and past the first 65536-draw block,
+# at the default 60 bins; the other grids below one chunk and at two
+@pytest.mark.parametrize(
+    "horizon, grid",
+    [pytest.param(h, None, id=str(h)) for h in (1000, 2 * _CHUNK, 70_000)]
+    + [
+        pytest.param(h, grid, id=f"{h}-{grid}")
+        for h in (1000, 2 * _CHUNK)
+        for grid in _ORACLE_GRIDS
+    ],
+)
+def test_simulate_matches_frozen_reference_byte_for_byte(name, horizon, grid):
+    cfg = _oracle_cfg(name, horizon, **_ORACLE_GRIDS.get(grid, {}))
     got, want = simulate(cfg), window_reference.simulate(cfg)
     assert got.occupancy.tobytes() == want.occupancy.tobytes()
     for field in ("mean_window", "window_variance", "total_time"):
@@ -229,16 +249,28 @@ def test_simulate_matches_frozen_reference_byte_for_byte(name, horizon):
     )
 
 
-@pytest.mark.parametrize("name", ["plain", "frfr", "wan_bdp170", "wan_bdp20", "finite_B60"])
-def test_simulate_memory_is_a_few_chunk_buffers(name):
-    cfg = _oracle_cfg(name, 20_000)
+def _peak_bytes(cfg: SimConfig) -> int:
     tracemalloc.start()
     try:
         simulate(cfg)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("name", ["plain", "frfr", "wan_bdp170", "wan_bdp20", "finite_B60"])
+def test_simulate_memory_is_a_few_chunk_buffers(name):
+    cfg = _oracle_cfg(name, 20_000)
+    peak = _peak_bytes(cfg)
     assert peak <= 4 * _CHUNK * cfg.n_bins * 8 + 2**20, peak
+
+
+@pytest.mark.parametrize("name", ["plain", "wan_bdp20"])
+def test_simulate_memory_does_not_grow_with_bins(name):
+    # a dense (_CHUNK, 1000) chunk alone would take 62.5 MiB; the cells
+    # the segments touch take a fraction of that
+    peak = _peak_bytes(_oracle_cfg(name, 20_000, n_bins=1000))
+    assert peak <= 16 * 2**20, peak
 
 
 @pytest.mark.parametrize("scale", ["full", "tiny"])
