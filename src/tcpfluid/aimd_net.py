@@ -5,7 +5,9 @@ until some link's aggregate load reaches its capacity.  At that instant
 every flow crossing the congested link draws a loss indicator (at least
 one flow must lose), losers cut their throughput by beta, and growth
 resumes.  Buffers are taken as zero: the congestion event is
-instantaneous and only the congested link's flows are disturbed.
+instantaneous and only the congested link's flows are disturbed.  The
+draw is made only where a member can escape: when every flow has pi = 1,
+every member loses and the simulator draws nothing.
 
 Routes keep one CSR layout from `tree_gen.tree_paths` to the kernel:
 flow i crosses the link ids route_links[route_ptr[i]:route_ptr[i+1]].
@@ -13,12 +15,13 @@ flow i crosses the link ids route_links[route_ptr[i]:route_ptr[i+1]].
 Between events every throughput is linear in t, so each link keeps an
 absolute hitting time that stays fixed until one of its flows is cut.
 `run_simulation` indexes its state by the links some flow grows on and
-updates, per event, only the links on the losers' routes; Q integrates
-exactly over the linear segments.  Congested links with at most seven
-members take a scalar Python path, larger ones a numpy path.  Both give
-the bits one vectorized step over every link would: numpy sums fewer
-than eight terms sequentially, as the scalar loop does, and pairwise
-from eight on.
+recomputes, per event, only the links on the losers' routes, or every
+link in three array passes when those routes touch a tenth of them; Q
+integrates exactly over the linear segments.  Congested links with at
+most seven members take a scalar Python path, larger ones a numpy path.
+Both give the bits one vectorized step over every link would: numpy sums
+fewer than eight terms sequentially, as the scalar loop does, and
+pairwise from eight on.
 
 Capacity allocation strategies weight links uniformly, by endpoint
 in-degrees (max, min, product), or by edge betweenness (the mean-field
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -217,9 +221,12 @@ def uniform_tree_flows(
 class SyncModel:
     """Per-flow loss propensity pi; draws are conditioned on >= 1 loss.
 
-    pi may be a scalar or a per-flow array.  The realized synchronization
-    rate r = E[fraction of congested-link flows that lose] is reported by
-    the simulation rather than inverted from a target.
+    pi may be a scalar or a per-flow array.  The simulation reports the
+    realized synchronization rate r = (losers summed over all events) /
+    (members summed over all events), a member-weighted share; it equals
+    the mean per-event fraction of members that lose only when every
+    event has the same member count, as on a single link.  r is reported
+    rather than inverted from a target.
     """
 
     pi: object = 1.0
@@ -232,10 +239,17 @@ class SyncModel:
 
     def draw(self, rng: np.random.Generator, pi_on_edge: np.ndarray) -> np.ndarray:
         """Loss indicators for the congested link's flows; at least one set."""
+        return self.draw_counted(rng, pi_on_edge)[0]
+
+    def draw_counted(self, rng: np.random.Generator,
+                     pi_on_edge: np.ndarray) -> tuple[np.ndarray, int]:
+        """`draw`'s indicators and the number of empty draws retried first."""
+        redraws = 0
         while True:
             xi = rng.random(pi_on_edge.size) < pi_on_edge
             if np.count_nonzero(xi):
-                return xi
+                return xi, redraws
+            redraws += 1
 
 
 @dataclass(frozen=True)
@@ -244,6 +258,9 @@ class PerformanceReport:
 
     congested_edges holds the link id of each event; members per event
     and per-link congestion counts follow from it and the routes.
+    realized_r is losers over members, each summed over all events (see
+    SyncModel).  redraws counts the loss draws that came up empty and
+    were retried; it is 0 at pi = 1, where no draw is made.
     """
 
     per_flow_q: np.ndarray
@@ -256,11 +273,16 @@ class PerformanceReport:
     taus: np.ndarray
     post_event_means: np.ndarray
     congested_edges: np.ndarray
+    redraws: int
 
 
 # Largest member count on the scalar path: numpy's add.reduce sums fewer
 # than 8 terms sequentially from 0.0, and from 8 on pairwise
 _SCALAR_MAX_MEMBERS = 7
+# Whole-array passes over the live links (the bincount and three updates)
+# cost about what gathering and scattering the touched entries does once
+# a link's routes touch a tenth of them, at 3000 and at 10^4 live links
+_WHOLE_ARRAY_SHARE = 10
 
 
 def run_simulation(
@@ -276,12 +298,20 @@ def run_simulation(
     closed-form segment integrals.  Each link some flow grows on keeps
     its load intercept b and hitting time (C - b) / growth; an event
     recomputes both only on the links its members' routes touch, so it
-    costs the touched entries, not the link count.  Each touched link's
-    cuts are summed in member order from 0.0 and subtracted once, as one
-    bincount over every link would.  The post-event mean sums members
-    sequentially on the scalar path (at most seven members, numpy's own
-    order below eight terms) and with np.add.reduce on the numpy path.
-    One SyncModel.draw per event keeps the random stream unchanged.
+    costs the touched entries, not the link count.  Once those are a
+    tenth of the links, whole-array passes cost less; untouched links
+    then subtract +0.0 and recompute the time they hold, the same bits.
+    Each touched link's cuts are summed in member order from 0.0 and
+    subtracted once, as one bincount over every link would.  The
+    post-event mean sums members sequentially on the scalar path (at
+    most seven members, numpy's own order below eight terms) and with
+    np.add.reduce on the numpy path.
+
+    When every propensity is 1 every member of every congested link
+    loses, the random stream has no other reader, and no draw is made.
+    Otherwise each event makes one SyncModel.draw, as the reference loop
+    does, so the stream is unchanged; only a draw that lets some member
+    escape takes the masked update.
     """
     if epochs < 1:
         raise ValueError("epochs must be positive")
@@ -289,6 +319,7 @@ def run_simulation(
     n_flows = flows.n_flows
     g, betas = flows.growth_rates, flows.betas
     pi = sync.propensities(n_flows)
+    certain = bool(np.all(pi == 1.0))
 
     # every (flow, link) pair in flow order; per-link sums by bincount add
     # in that order from 0.0, the same bits as adding route by route
@@ -326,19 +357,44 @@ def run_simulation(
     links = {}
 
     def link(h: int) -> tuple:
-        """Link h's members, the links their routes touch, static terms."""
+        """Link h's members, the links their routes touch, static terms.
+
+        Scalar-path links keep Python lists, and their last entry is None.
+        Numpy-path links hold their member arrays there instead.  A link
+        that touches at least 1/_WHOLE_ARRAY_SHARE of the live links
+        updates b and t_hit in whole-array passes; its touched is None
+        and at_flat holds live positions rather than touched positions.
+        """
         member_list = members_by_link[member_ptr[h]:member_ptr[h + 1]]
-        touched = sorted(set().union(*(routes[i] for i in member_list)))
-        where = {j: n for n, j in enumerate(touched)}
-        at = [[where[j] for j in routes[i]] for i in member_list]
-        members, t = np.array(member_list), np.array(touched)
-        links[h] = out = (
-            member_list, members, pi[members], t, cap[t], inv_growth[t], at,
-            np.concatenate(at), np.array([len(a) for a in at]), g[members],
-        )
+        member_routes = [routes[i] for i in member_list]
+        touched = sorted(set().union(*member_routes))
+        pi_m = None if certain else pi[member_list]
+        at = arrays = None
+        if len(member_list) <= _SCALAR_MAX_MEMBERS:
+            where = {j: n for n, j in enumerate(touched)}
+            at = [[where[j] for j in r] for r in member_routes]
+        else:
+            members = np.array(member_list)
+            g_m = g[members]
+            at_flat = np.array([j for r in member_routes for j in r])
+            if _WHOLE_ARRAY_SHARE * len(touched) >= live_ids.size:
+                touched, n_bins = None, live_ids.size
+            else:
+                n_bins = len(touched)
+                at_flat = np.searchsorted(touched, at_flat)
+            # 0.5 * g_m * dt * dt evaluates (0.5 * g_m) first
+            arrays = (members, g_m, 0.5 * g_m, betas[members], at_flat,
+                      np.array([len(r) for r in member_routes]), n_bins)
+        if touched is None:
+            span = (None, None, None)
+        else:
+            t = np.array(touched)
+            span = (t, cap[t], inv_growth[t])
+        links[h] = out = (member_list, pi_m, *span, at, arrays)
         return out
 
     g_list, beta_list = g.tolist(), betas.tolist()
+    all_lose = repeat(True)
     # per-flow linear segment: X(t) = x_base + g*(t - t_base) for t >= t_base
     x_base = flows.X.copy()
     t_base = np.zeros(n_flows)
@@ -346,7 +402,7 @@ def run_simulation(
     taus = np.empty(epochs)
     post_means = np.empty(epochs)
     hits = np.empty(epochs, dtype=np.int64)
-    losses = draws = 0
+    losses = draws = redraws = 0
     t_now = 0.0
     for k in range(epochs):
         h = int(t_hit.argmin())
@@ -354,15 +410,19 @@ def run_simulation(
         taus[k] = t_event - t_now
         t_now = t_event
         hits[k] = h
-        (member_list, members, pi_m, touched, cap_t, inv_growth_t, at,
-         at_flat, at_sizes, g_m) = links.get(h) or link(h)
-        xi = sync.draw(rng, pi_m)
+        member_list, pi_m, touched, cap_t, inv_growth_t, at, arrays = (
+            links.get(h) or link(h))
         n_m = len(member_list)
         draws += n_m
-        if n_m <= _SCALAR_MAX_MEMBERS:
+        # xi is None when every member loses
+        xi = None
+        if not certain:
+            xi, tries = sync.draw_counted(rng, pi_m)
+            redraws += tries
+        if arrays is None:
             cuts = [0.0] * touched.size
             post_sum = 0.0
-            for i, lost, at_i in zip(member_list, xi.tolist(), at):
+            for i, lost, at_i in zip(member_list, all_lose if xi is None else xi.tolist(), at):
                 dt = t_now - t_base.item(i)
                 x_base_i, g_i = x_base.item(i), g_list[i]
                 x_i = x_base_i + g_i * dt
@@ -381,28 +441,42 @@ def run_simulation(
             post_means[k] = post_sum / n_m
             cuts = np.array(cuts)
         else:
-            # a slice when every member loses: same values, no mask copies
-            lost = xi if np.count_nonzero(xi) < n_m else slice(None)
+            members, g_m, half_g_m, beta_m, at_flat, at_sizes, n_bins = arrays
             x_m = x_base[members]
             dt = t_now - t_base[members]
             x_now = x_m + g_m * dt
-            losers = members[lost]
-            losses += losers.size
-            dt_l = dt[lost]
-            q_integral[losers] += x_m[lost] * dt_l + 0.5 * g_m[lost] * dt_l * dt_l
-            x_at_event = x_now[lost]
-            x_new = betas[losers] * x_at_event
-            x_base[losers] = x_new
-            t_base[losers] = t_now
-            cut_by_member = np.zeros(n_m)
-            cut_by_member[lost] = x_at_event - x_new
-            x_now[lost] = x_new
-            post_means[k] = np.add.reduce(x_now) / n_m
-            cuts = np.bincount(at_flat, weights=np.repeat(cut_by_member, at_sizes),
-                               minlength=touched.size)
-        b_t = b[touched] - cuts
-        b[touched] = b_t
-        t_hit[touched] = (cap_t - b_t) * inv_growth_t
+            n_lost = n_m if xi is None else np.count_nonzero(xi)
+            losses += n_lost
+            if n_lost == n_m:
+                q_integral[members] += x_m * dt + half_g_m * dt * dt
+                x_new = beta_m * x_now
+                x_base[members] = x_new
+                t_base[members] = t_now
+                cut = x_now - x_new
+                # the same bits as reducing x_now after x_now[:] = x_new
+                post_means[k] = np.add.reduce(x_new) / n_m
+            else:
+                losers = members[xi]
+                dt_l = dt[xi]
+                q_integral[losers] += x_m[xi] * dt_l + half_g_m[xi] * dt_l * dt_l
+                x_at_event = x_now[xi]
+                x_new = beta_m[xi] * x_at_event
+                x_base[losers] = x_new
+                t_base[losers] = t_now
+                cut = np.zeros(n_m)
+                cut[xi] = x_at_event - x_new
+                x_now[xi] = x_new
+                post_means[k] = np.add.reduce(x_now) / n_m
+            cuts = np.bincount(at_flat, weights=np.repeat(cut, at_sizes),
+                               minlength=n_bins)
+        if touched is None:
+            b -= cuts
+            np.subtract(cap, b, out=t_hit)
+            t_hit *= inv_growth
+        else:
+            b_t = b[touched] - cuts
+            b[touched] = b_t
+            t_hit[touched] = (cap_t - b_t) * inv_growth_t
 
     # flush the tail segments into Q
     dt = t_now - t_base
@@ -419,6 +493,7 @@ def run_simulation(
         taus=taus,
         post_event_means=post_means,
         congested_edges=live_ids[hits],
+        redraws=redraws,
     )
 
 

@@ -13,6 +13,8 @@ from tcpfluid.aimd_net import (
     FlowSet,
     FluidNetwork,
     SyncModel,
+    _SCALAR_MAX_MEMBERS,
+    _WHOLE_ARRAY_SHARE,
     _connected,
     assign_capacities,
     run_simulation,
@@ -210,9 +212,13 @@ def test_kernel_drops_links_no_flow_grows_on():
     assert np.all(got.congested_edges == 1)
 
 
-# The explicit examples put 6 to 9 members on congested links (the first
-# all four).  numpy sums 8 or more terms pairwise, so a kernel that sums
-# 8 members sequentially on its scalar path fails them.
+# The first three explicit examples put 6 to 9 members on congested
+# links (the first all four).  numpy sums 8 or more terms pairwise, so a
+# kernel that sums 8 members sequentially on its scalar path fails them.
+# At pi = 1 the kernel makes no draw: the fourth example has 9 to 20
+# members on every congested link (the numpy path), the fifth 3 to 7 (the
+# scalar path).  The sixth gives flow 0, on 114 of its 300 events, pi =
+# 0.5 and every other flow 1.0, so the kernel must keep drawing.
 @settings(max_examples=80, deadline=None)
 @given(
     tau=st.integers(2, 60),
@@ -230,6 +236,12 @@ def test_kernel_drops_links_no_flow_grows_on():
          pi=0.7, epochs=300, seed=1)
 @example(tau=45, tree_seed=2, n_flows=40, flow_seed=3, strategy="uniform",
          pi=0.2, epochs=300, seed=2)
+@example(tau=6, tree_seed=2, n_flows=40, flow_seed=3, strategy="uniform",
+         pi=1.0, epochs=300, seed=0)
+@example(tau=30, tree_seed=1, n_flows=15, flow_seed=2, strategy="uniform",
+         pi=1.0, epochs=300, seed=0)
+@example(tau=30, tree_seed=3, n_flows=40, flow_seed=4, strategy="uniform",
+         pi=(0.5,) + (1.0,) * 39, epochs=300, seed=0)
 def test_kernel_matches_frozen_reference(
     tau, tree_seed, n_flows, flow_seed, strategy, pi, epochs, seed
 ):
@@ -252,6 +264,44 @@ def test_kernel_matches_frozen_reference(
     assert got.realized_r == want.realized_r
     route_cap = np.array([net.capacities[r].min() for r in flows.routes])
     assert np.all(got.per_flow_q <= route_cap * (1 + 1e-9))
+
+
+def test_kernel_matches_frozen_reference_on_a_dense_instance():
+    # uniform capacities on a 2000-node tree: 98 members per event on
+    # average.  Every kind of event occurs: 5 on the scalar path, 270 on
+    # the numpy path with whole-array link updates and 25 with gathered ones
+    tree = grow(TreeParams(alpha_t=0.5, tau=1999, seed=0))
+    net = FluidNetwork.from_tree(tree, np.full(1999, 10.0))
+    flows = uniform_tree_flows(tree, 300, seed=0)
+    sync = SyncModel(pi=1.0)
+    got = run_simulation(net, flows, sync, 300, seed=0)
+    want = aimd_reference.run_simulation(net, flows, sync, 300, seed=0)
+    assert np.array_equal(got.taus, want.taus)
+    assert np.array_equal(got.per_flow_q, want.per_flow_q)
+    assert np.array_equal(got.post_event_means, want.post_event_means)
+    assert got.realized_r == want.realized_r == 1.0
+    owner = np.repeat(np.arange(flows.n_flows), np.diff(flows.route_ptr))
+    n_live = np.unique(flows.route_links).size
+    touched = {e: np.unique(flows.route_links[np.isin(owner, owner[flows.route_links == e])]).size
+               for e in np.unique(got.congested_edges)}
+    members = np.bincount(flows.route_links, minlength=net.n_edges)[got.congested_edges]
+    whole = np.array([_WHOLE_ARRAY_SHARE * touched[e] >= n_live for e in got.congested_edges])
+    numpy_path = members > _SCALAR_MAX_MEMBERS
+    assert members.mean() >= 50
+    assert (~numpy_path).any() and (numpy_path & whole).any() and (numpy_path & ~whole).any()
+
+
+def test_redraws_count_the_empty_draws():
+    # no draw at pi = 1; at pi = 0.2 two members draw nothing with
+    # probability 0.64, so the retries per event are geometric with mean
+    # 0.64 / 0.36 and variance 0.64 / 0.36^2
+    net, flows = _single_link(), _flows_on_link(2)
+    assert run_simulation(net, flows, SyncModel(pi=1.0), 500, seed=0).redraws == 0
+    n = 20000
+    report = run_simulation(net, flows, SyncModel(pi=0.2), n, seed=3)
+    empty = (1.0 - 0.2) ** 2
+    mean, var = empty / (1.0 - empty), empty / (1.0 - empty) ** 2
+    assert report.redraws / n == pytest.approx(mean, abs=3 * math.sqrt(var / n))
 
 
 @given(
