@@ -286,6 +286,10 @@ def _tree_counts(payload) -> tuple[np.ndarray, np.ndarray]:
 
 
 def cmd_tree(args) -> int:
+    if args.max_rows < 1 or args.max_q_rows < 1:
+        raise ValueError("--max-rows and --max-q-rows must be at least 1")
+    if args.realizations < 0:
+        raise ValueError(f"--realizations must be nonnegative, got {args.realizations}")
     realizations = args.realizations
     if args.check == "ccdf" and realizations == 0:
         realizations = 20
@@ -305,8 +309,7 @@ def cmd_tree(args) -> int:
     if args.enumerate:
         exact = enumerate_exact(TreeParams(alpha_t=alpha, tau=tau, seed=0))
         analytic = DistTable.from_analytic(tau, alpha)
-        keys = set(exact.values) | set(analytic.values)
-        gap = max(abs(exact.prob(n, q) - analytic.prob(n, q)) for n, q in keys)
+        gap = float(np.abs(exact.grid - analytic.grid).max())
         summary["enumerate_max_abs_error"] = gap
         if gap > 1e-12:
             failed = True
@@ -395,14 +398,38 @@ NETSIM_DEFAULTS = {
 }
 
 
+def _check_netsim_config(file_conf) -> None:
+    """Raise ValueError unless each config value has its flag's JSON type.
+
+    nodes, flows, epochs and seed take integers, the other numeric keys
+    numbers (a bool is neither), strategy one of its choices, and only
+    epochs null (100*flows).
+    """
+    if not isinstance(file_conf, dict):
+        raise ValueError("a netsim config must be a JSON object")
+    unknown = set(file_conf) - set(NETSIM_DEFAULTS)
+    if unknown:
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    strategies = CAPACITY_STRATEGIES + ("all",)
+    for key, value in file_conf.items():
+        integer = key in ("nodes", "flows", "epochs", "seed")
+        if key == "strategy":
+            ok = value in strategies
+        elif value is None:
+            ok = key == "epochs"
+        else:
+            ok = isinstance(value, int if integer else (int, float)) and not isinstance(value, bool)
+        if not ok:
+            want = f"one of {strategies}" if key == "strategy" else "an integer" if integer else "a number"
+            raise ValueError(f"config key {key!r} must be {want}, got {value!r}")
+
+
 def cmd_netsim(args) -> int:
     file_conf = {}
     if args.config is not None:
         with open(args.config) as fh:
             file_conf = json.load(fh)
-        unknown = set(file_conf) - set(NETSIM_DEFAULTS)
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        _check_netsim_config(file_conf)
     # explicit flags beat the config file, the file beats built-ins
     conf = {
         key: getattr(args, key)

@@ -130,10 +130,6 @@ class ResidueTable:
     h: tuple[float, ...]
 
     @property
-    def K(self) -> int:
-        return len(self.h) - 1
-
-    @property
     def weights(self) -> np.ndarray:
         """Mixture weights c^k h_k (sum to 1 up to truncation)."""
         k = np.arange(len(self.h))

@@ -5,12 +5,19 @@ V = W^(m+1) grows linearly at rate g = (m+1)·alpha between losses; link
 losses fire after Exp(lambda) of growth time, buffer losses whenever V
 reaches B_eff^(m+1).  Each loss multiplies V by c = beta^(m+1).
 
-Time bookkeeping is exact, not sampled: a growth segment from V0 to V1
-deposits (min(b,V1) - max(a,V0))/g seconds into volume bin (a, b], so
-histograms carry no discretization noise beyond the binning itself.
+Time bookkeeping is exact, not sampled.  Each clock has one segment
+integral, integral(lo, hi, j): the time integral of W^j over a growth
+segment (lo, hi].  A histogram cell is j = 0 over a segment's overlap with
+one bin, and time and the two moments are j = 0, 1, 2 over whole segments.
+plain and frfr run on the volume clock, V growing at rate g, where the
+integral is hi^e - lo^e with e = (m+1+j)/(m+1) and each chunk sum is
+divided by g and then by e.  wan runs on the window clock split at
+T = bdp, growth below T stretched by T/w as in the analytic reweighting;
+its integral carries its own divisors (m+j)·alpha and (m+1+j)·alpha.
+Exponents are written m + (1 + j), so j = 1, 2 give the doubles m + 2 and
+m + 3; (m + 1) + j rounds differently for some m < 1/2 and moves bits.
 Fast-recovery plateaus enter as atoms (duration R(W_before) at the
-post-halving value) and long-delay idling stretches growth time below the
-bandwidth-delay product by T/w, mirroring the analytic reweighting.
+post-halving value) and add value^j times their duration to the same sums.
 
 The output is fixed to the bit (tests/window_reference.py holds the
 oracle), and the code is arranged for speed within that:
@@ -160,7 +167,7 @@ def merge_results(*results: SimResult) -> SimResult:
 
 
 def _window_path(cfg: SimConfig, total: int, rng: np.random.Generator):
-    """Drive the volume recursion; returns (V_start, V_end, buffer_flag)."""
+    """Drive the volume recursion; returns (V_start, V_end, buffer-hit indices)."""
     tcp = cfg.params.tcp
     g = (tcp.m + 1) * tcp.alpha
     cap = cfg.params.effective_limit ** (tcp.m + 1)
@@ -192,9 +199,7 @@ def _window_path(cfg: SimConfig, total: int, rng: np.random.Generator):
     v_start = np.empty(total)
     v_start[0] = 1.0
     np.multiply(c, v_end[:-1], out=v_start[1:])
-    at_buffer = np.zeros(total, dtype=bool)
-    at_buffer[hits] = True
-    return v_start, v_end, at_buffer
+    return v_start, v_end, np.array(hits, dtype=np.intp)
 
 
 def _chunk_histogram(grid, cell, whole, x0, x1) -> np.ndarray:
@@ -227,73 +232,45 @@ def simulate(cfg: SimConfig) -> SimResult:
     """Run the fluid window process for cfg.horizon recorded loss events."""
     tcp = cfg.params.tcp
     m, alpha, beta = tcp.m, tcp.alpha, tcp.beta
-    g = (m + 1) * alpha
     warmup = max(1, cfg.horizon // 100)
     total = cfg.horizon + warmup
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    v_start, v_end, at_buffer = _window_path(cfg, total, rng)
-    v_start, v_end, at_buffer = (
-        v_start[warmup:],
-        v_end[warmup:],
-        at_buffer[warmup:],
-    )
-
+    v_start, v_end, hits = _window_path(cfg, total, rng)
+    v_start, v_end = v_start[warmup:], v_end[warmup:]
     edges = cfg.bin_edges()
-    hist = np.zeros(cfg.n_bins)
-    time_total = 0.0
-    mean_acc = 0.0
-    second_acc = 0.0
-    T = tcp.bdp if cfg.enable_wan_idle else 0.0
-    exp1 = (m + 2) / (m + 1)
-    exp2 = (m + 3) / (m + 1)
 
-    # a cell is one segment's time in one bin, from the overlap (lo, hi]
-    if not cfg.enable_wan_idle:
-        grid = edges ** (m + 1)
+    # integral(lo, hi, j) is the time integral of W^j over a clock segment
+    # (lo, hi], divided afterwards by rate and then by exps[j]
+    if cfg.enable_wan_idle:
+        T = tcp.bdp
+        grid, x0, x1 = edges, v_start ** (1.0 / (m + 1)), v_end ** (1.0 / (m + 1))
+        rate, exps = 1.0, (1.0, 1.0, 1.0)
 
-        def cell(lo, hi):
-            return np.clip(hi - lo, 0.0, None)
+        def integral(lo, hi, j):
+            # below T the clock runs T/w slower; split the segment at T
+            below = np.minimum(hi, T) ** (m + j) - np.minimum(lo, T) ** (m + j)
+            above = np.maximum(hi, T) ** (m + (1 + j)) - np.maximum(lo, T) ** (m + (1 + j))
+            return T * below / ((m + j) * alpha) + above / ((m + (1 + j)) * alpha)
     else:
-        grid = edges
+        grid, x0, x1 = edges ** (m + 1), v_start, v_end
+        rate, exps = (m + 1) * alpha, tuple((m + (1 + j)) / (m + 1) for j in range(3))
 
-        def cell(lo, hi):
-            # below T the clock runs T/w slower; split the overlap at T
-            lo = np.minimum(lo, hi)  # empty overlaps collapse to hi
-            return T * (np.minimum(hi, T) ** m - np.minimum(lo, T) ** m) / (m * alpha) + (
-                np.maximum(hi, T) ** (m + 1) - np.maximum(lo, T) ** (m + 1)
-            ) / g
+        def integral(lo, hi, j):
+            return hi ** exps[j] - lo ** exps[j]
+
+    def cell(lo, hi):
+        # a segment's time in one bin, from the overlap (lo, hi]; empty
+        # overlaps collapse to hi
+        return integral(np.minimum(lo, hi), hi, 0)
 
     whole = cell(grid[:-1], grid[1:])
-
-    for lo_idx in range(0, len(v_start), _CHUNK):
-        v0 = v_start[lo_idx : lo_idx + _CHUNK]
-        v1 = v_end[lo_idx : lo_idx + _CHUNK]
-        if not cfg.enable_wan_idle:
-            hist += _chunk_histogram(grid, cell, whole, v0, v1) / g
-            time_total += float(np.sum(v1 - v0)) / g
-            mean_acc += float(np.sum(v1 ** exp1 - v0 ** exp1)) / g / exp1
-            second_acc += float(np.sum(v1 ** exp2 - v0 ** exp2)) / g / exp2
-        else:
-            w0 = v0 ** (1.0 / (m + 1))
-            w1 = v1 ** (1.0 / (m + 1))
-            hist += _chunk_histogram(grid, cell, whole, w0, w1)
-            w0c, w1c = np.minimum(w0, T), np.minimum(w1, T)
-            w0a, w1a = np.maximum(w0, T), np.maximum(w1, T)
-            time_total += float(
-                np.sum(T * (w1c ** m - w0c ** m) / (m * alpha) + (w1a ** (m + 1) - w0a ** (m + 1)) / g)
-            )
-            mean_acc += float(
-                np.sum(
-                    T * (w1c ** (m + 1) - w0c ** (m + 1)) / ((m + 1) * alpha)
-                    + (w1a ** (m + 2) - w0a ** (m + 2)) / ((m + 2) * alpha)
-                )
-            )
-            second_acc += float(
-                np.sum(
-                    T * (w1c ** (m + 2) - w0c ** (m + 2)) / ((m + 2) * alpha)
-                    + (w1a ** (m + 3) - w0a ** (m + 3)) / ((m + 3) * alpha)
-                )
-            )
+    hist = np.zeros(cfg.n_bins)
+    acc = [0.0, 0.0, 0.0]  # time, and the time integrals of W and W^2
+    for lo_idx in range(0, len(x0), _CHUNK):
+        c0, c1 = x0[lo_idx : lo_idx + _CHUNK], x1[lo_idx : lo_idx + _CHUNK]
+        hist += _chunk_histogram(grid, cell, whole, c0, c1) / rate
+        for j in range(3):
+            acc[j] += float(np.sum(integral(c0, c1, j))) / rate / exps[j]
 
     if cfg.enable_frfr:
         w_before = v_end ** (1.0 / (m + 1))
@@ -302,21 +279,19 @@ def simulate(cfg: SimConfig) -> SimResult:
         idx = np.searchsorted(edges, value, side="right") - 1
         kept = idx < cfg.n_bins  # atoms at or above the top edge count in mass_above_wmax
         np.add.at(hist, idx[kept], dur[kept])
-        time_total += float(np.sum(dur))
-        mean_acc += float(np.sum(value * dur))
-        second_acc += float(np.sum(value ** 2 * dur))
+        for j in range(3):
+            acc[j] += float(np.sum(value ** j * dur))
 
-    occupancy = hist / time_total
+    time_total, mean_acc, second_acc = acc
     mean = mean_acc / time_total
-    var = second_acc / time_total - mean ** 2
-    n_buffer = int(np.count_nonzero(at_buffer))
+    n_buffer = int(np.count_nonzero(hits >= warmup))
     return SimResult(
         bin_edges=edges,
-        occupancy=occupancy,
+        occupancy=hist / time_total,
         n_buffer_losses=n_buffer,
         n_link_losses=len(v_start) - n_buffer,
         mean_window=mean,
-        window_variance=var,
+        window_variance=second_acc / time_total - mean ** 2,
         total_time=time_total,
     )
 
@@ -358,7 +333,8 @@ def compare_histogram(
     """Goodness of fit of a time-weighted histogram against a density.
 
     Expected bin masses come from Simpson integration of pdf plus the
-    optional atom (location, weight) added to its containing bin.  Bins
+    optional atom (location, weight) added to its containing bin; an atom
+    at or above the top edge is left out, as `simulate` leaves it out.  Bins
     are merged left to right until each carries >= _MIN_EXPECTED (30) events;
     the chi-square statistic uses the event count as sample size.  The KS
     distance compares cumulative occupancy and cumulative expected mass
@@ -374,9 +350,9 @@ def compare_histogram(
     probs = _bin_probabilities(edges, pdf)
     if point_mass is not None:
         loc, weight = point_mass
-        idx = int(np.clip(np.searchsorted(edges, loc, side="right") - 1, 0, len(probs) - 1))
-        probs = probs.copy()
-        probs[idx] += weight
+        idx = int(np.searchsorted(edges, loc, side="right") - 1)
+        if idx < len(probs):  # as in simulate, an atom at or above the top edge is in no bin
+            probs[idx] += weight
 
     ks = float(np.max(np.abs(np.cumsum(result.occupancy) - np.cumsum(probs))))
 

@@ -341,6 +341,16 @@ def test_tree_enumerate_refuses_large_tau(tmp_path, capsys):
         assert "tau <= 8" in capsys.readouterr().err
 
 
+def test_tree_rejects_empty_tables_and_negative_realizations(tmp_path, capsys):
+    out = tmp_path / "out"
+    for flags in (["--max-q-rows", "0", "--realizations", "2", "--check", "ccdf"],
+                  ["--max-rows", "0"], ["--realizations", "-1"]):
+        rc = main(["tree", "--tau", "50", *flags, "--outdir", str(out)])
+        assert rc == 2, flags
+        assert flags[0] in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_tree_ccdf_check_against_simulation(tmp_path):
     rc = main([
         "tree", "--tau", "500", "--realizations", "8", "--check", "ccdf",
@@ -438,12 +448,31 @@ def test_netsim_config_file_and_flag_precedence(tmp_path):
     assert meta["seed"] == 5
 
 
-def test_netsim_unknown_config_key_rejected(tmp_path, capsys):
-    conf = tmp_path / "conf.json"
-    conf.write_text(json.dumps({"nodes": 30, "bogus": 1}))
-    rc = main(["netsim", "--config", str(conf), "--outdir", str(tmp_path)])
+# each config value must have its flag's JSON type, and the top level must
+# be an object; a bool is no number and only epochs may be null
+@pytest.mark.parametrize(
+    "conf, named",
+    [
+        ({"nodes": 30, "bogus": 1}, "bogus"),
+        ({"flows": 10.5}, "flows"),
+        ({"nodes": "300"}, "nodes"),
+        ({"seed": None}, "seed"),
+        ({"seed": 1.5}, "seed"),
+        ({"epochs": 100.0}, "epochs"),
+        ({"pi": "0.5"}, "pi"),
+        ({"beta": True}, "beta"),
+        ({"strategy": "fastest"}, "strategy"),
+        ([{"nodes": 30}], "object"),
+    ],
+)
+def test_netsim_unknown_config_key_rejected(tmp_path, capsys, conf, named):
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps(conf))
+    out = tmp_path / "out"
+    rc = main(["netsim", "--config", str(path), "--outdir", str(out)])
     assert rc == 2
-    assert "bogus" in capsys.readouterr().err
+    assert named in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_netsim_check_ordering_needs_all(tmp_path):

@@ -167,6 +167,15 @@ def test_finite_law_fit_with_point_mass():
     res = simulate(SimConfig(params=fb, horizon=20000, seed=6, enable_frfr=True))
     fit = compare_histogram(res, sol.pdf, point_mass=sol.point_mass)
     assert fit.chi2_pvalue > 0.01
+    # an atom at or above the top edge (here at 21.27) is in no simulated bin,
+    # so it adds to no expected bin either
+    fb = FiniteBufferParams(TcpParams(alpha=1.0, loss_rate=5e-3), buffer_size=40.0)
+    sol = solve_finite_distribution(fb, "frfr")
+    for w_max in (15.0, sol.point_mass[0]):
+        cfg = SimConfig.for_variant(fb, "frfr", horizon=5000, seed=3, n_bins=30, w_max=w_max)
+        res = simulate(cfg)
+        with_atom = compare_histogram(res, sol.pdf, point_mass=sol.point_mass)
+        assert with_atom == compare_histogram(res, sol.pdf), w_max
 
 
 def test_finite_plain_fit():
@@ -189,13 +198,18 @@ def test_windows_never_exceed_buffer_limit():
 
 # (p, m, bdp, buffer, frfr, wan_idle): wan at bdp 170.67 stays below T in
 # every chunk, at bdp 20 it straddles T; B = 3 hits the buffer almost every
-# cycle, and p = 0 hits it every cycle
+# cycle, and p = 0 hits it every cycle; m = 0 and 0.5 put every exponent of
+# the segment integrals off the integers m = 1, 2 take
 _ORACLE_RUNS = {
     "plain": (1e-2, 1.0, 0.0, math.inf, False, False),
+    "plain_m0": (1e-2, 0.0, 0.0, math.inf, False, False),
+    "plain_m05": (1e-2, 0.5, 0.0, math.inf, False, False),
     "frfr": (1e-2, 1.0, 0.0, math.inf, True, False),
+    "frfr_m0": (1e-2, 0.0, 0.0, math.inf, True, False),
     "wan_bdp170": (1e-2, 1.0, 170.67, math.inf, True, True),
     "wan_bdp20": (1e-2, 1.0, 20.0, math.inf, True, True),
     "wan_m2": (1e-2, 2.0, 20.0, math.inf, True, True),
+    "wan_m05": (1e-2, 0.5, 20.0, math.inf, True, True),
     "finite_B60": (1e-2, 1.0, 0.0, 60.0, False, False),
     "finite_B3": (1e-2, 1.0, 0.0, 3.0, True, False),
     "finite_p0": (0.0, 1.0, 0.0, 10.0, False, False),
