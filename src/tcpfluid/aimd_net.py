@@ -21,7 +21,11 @@ integrates exactly over the linear segments.  Congested links with at
 most seven members take a scalar Python path, larger ones a numpy path.
 Both give the bits one vectorized step over every link would: numpy sums
 fewer than eight terms sequentially, as the scalar loop does, and
-pairwise from eight on.
+pairwise from eight on.  The scalar path runs on Python floats, read and
+written through memoryviews of the state arrays: a Python float is the
+same IEEE double, and each touched link takes the two operations numpy
+would apply to its entry, b - cut and then (C - b) * (1/growth), so the
+bits stay while the per-event numpy calls, all but the argmin, go.
 
 Capacity allocation strategies weight links uniformly, by endpoint
 in-degrees (max, min, product), or by edge betweenness (the mean-field
@@ -188,6 +192,22 @@ class FlowSet:
         return self.alphas * self.packet_sizes / self.rtts
 
 
+def _distinct_pairs(rng: np.random.Generator, n_vertices: int, n_pairs: int) -> np.ndarray:
+    """(n_pairs, 2) uniform vertex pairs with u != v, drawn a batch at a time.
+
+    Each batch draws one row per pair still missing and keeps the rows
+    with u != v.  numpy's bounded integers take the generator's words one
+    element at a time, rejections included, so this yields the pairs that
+    drawing `integers(0, n_vertices, size=2)` until a distinct one comes
+    up yields, pair after pair.
+    """
+    pairs = np.empty((0, 2), dtype=np.int64)
+    while len(pairs) < n_pairs:
+        uv = rng.integers(0, n_vertices, size=(n_pairs - len(pairs), 2))
+        pairs = np.concatenate((pairs, uv[uv[:, 0] != uv[:, 1]]))
+    return pairs
+
+
 def uniform_tree_flows(
     tree: GrowingTree,
     n_flows: int,
@@ -197,16 +217,11 @@ def uniform_tree_flows(
 ) -> FlowSet:
     """Flows between uniformly drawn distinct vertex pairs, tree-path routes.
 
-    Every flow has unit alpha, RTT and packet size.
+    Every flow has unit alpha, RTT and packet size.  The pairs are those
+    of drawing one pair at a time until n_flows distinct ones came up;
+    `_distinct_pairs` draws them in batches.
     """
-    rng = np.random.default_rng(seed)
-    nv = tree.n_vertices
-    pairs = []
-    while len(pairs) < n_flows:
-        u, v = rng.integers(0, nv, size=2)
-        if u != v:
-            pairs.append((u, v))
-    u, v = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    u, v = _distinct_pairs(np.random.default_rng(seed), tree.n_vertices, n_flows).T
     return FlowSet(
         *tree_paths(tree, u, v),
         alphas=1.0,
@@ -305,7 +320,10 @@ def run_simulation(
     subtracted once, as one bincount over every link would.  The
     post-event mean sums members sequentially on the scalar path (at
     most seven members, numpy's own order below eight terms) and with
-    np.add.reduce on the numpy path.
+    np.add.reduce on the numpy path.  The scalar path keeps its links'
+    static terms in Python lists and the state behind memoryviews, and
+    makes per entry the float operations the numpy path makes per
+    element, so the two differ in call overhead, not in bits.
 
     When every propensity is 1 every member of every congested link
     loses, the random stream has no other reader, and no draw is made.
@@ -387,6 +405,9 @@ def run_simulation(
                       np.array([len(r) for r in member_routes]), n_bins)
         if touched is None:
             span = (None, None, None)
+        elif arrays is None:
+            span = (touched, [cap_list[j] for j in touched],
+                    [inv_growth_list[j] for j in touched])
         else:
             t = np.array(touched)
             span = (t, cap[t], inv_growth[t])
@@ -394,6 +415,7 @@ def run_simulation(
         return out
 
     g_list, beta_list = g.tolist(), betas.tolist()
+    cap_list, inv_growth_list = cap.tolist(), inv_growth.tolist()
     all_lose = repeat(True)
     # per-flow linear segment: X(t) = x_base + g*(t - t_base) for t >= t_base
     x_base = flows.X.copy()
@@ -402,14 +424,18 @@ def run_simulation(
     taus = np.empty(epochs)
     post_means = np.empty(epochs)
     hits = np.empty(epochs, dtype=np.int64)
+    # the scalar path reads and writes Python floats through these views
+    x_view, t_view, q_view = memoryview(x_base), memoryview(t_base), memoryview(q_integral)
+    b_view, t_hit_view = memoryview(b), memoryview(t_hit)
+    taus_view, post_view, hits_view = memoryview(taus), memoryview(post_means), memoryview(hits)
     losses = draws = redraws = 0
     t_now = 0.0
     for k in range(epochs):
         h = int(t_hit.argmin())
-        t_event = float(t_hit[h])
-        taus[k] = t_event - t_now
+        t_event = t_hit_view[h]
+        taus_view[k] = t_event - t_now
         t_now = t_event
-        hits[k] = h
+        hits_view[k] = h
         member_list, pi_m, touched, cap_t, inv_growth_t, at, arrays = (
             links.get(h) or link(h))
         n_m = len(member_list)
@@ -420,26 +446,29 @@ def run_simulation(
             xi, tries = sync.draw_counted(rng, pi_m)
             redraws += tries
         if arrays is None:
-            cuts = [0.0] * touched.size
+            cuts = [0.0] * len(touched)
             post_sum = 0.0
             for i, lost, at_i in zip(member_list, all_lose if xi is None else xi.tolist(), at):
-                dt = t_now - t_base.item(i)
-                x_base_i, g_i = x_base.item(i), g_list[i]
+                dt = t_now - t_view[i]
+                x_base_i, g_i = x_view[i], g_list[i]
                 x_i = x_base_i + g_i * dt
                 if lost:
                     losses += 1
-                    q_integral[i] = q_integral.item(i) + (
-                        x_base_i * dt + 0.5 * g_i * dt * dt)
+                    q_view[i] += x_base_i * dt + 0.5 * g_i * dt * dt
                     x_new = beta_list[i] * x_i
-                    x_base[i] = x_new
-                    t_base[i] = t_now
+                    x_view[i] = x_new
+                    t_view[i] = t_now
                     cut = x_i - x_new
                     for j in at_i:
                         cuts[j] += cut
                     x_i = x_new
                 post_sum += x_i
-            post_means[k] = post_sum / n_m
-            cuts = np.array(cuts)
+            post_view[k] = post_sum / n_m
+            # per link, the two operations the numpy updates below make
+            for j, cut, cap_j, inv_growth_j in zip(touched, cuts, cap_t, inv_growth_t):
+                b_j = b_view[j] - cut
+                b_view[j] = b_j
+                t_hit_view[j] = (cap_j - b_j) * inv_growth_j
         else:
             members, g_m, half_g_m, beta_m, at_flat, at_sizes, n_bins = arrays
             x_m = x_base[members]
@@ -469,14 +498,14 @@ def run_simulation(
                 post_means[k] = np.add.reduce(x_now) / n_m
             cuts = np.bincount(at_flat, weights=np.repeat(cut, at_sizes),
                                minlength=n_bins)
-        if touched is None:
-            b -= cuts
-            np.subtract(cap, b, out=t_hit)
-            t_hit *= inv_growth
-        else:
-            b_t = b[touched] - cuts
-            b[touched] = b_t
-            t_hit[touched] = (cap_t - b_t) * inv_growth_t
+            if touched is None:
+                b -= cuts
+                np.subtract(cap, b, out=t_hit)
+                t_hit *= inv_growth
+            else:
+                b_t = b[touched] - cuts
+                b[touched] = b_t
+                t_hit[touched] = (cap_t - b_t) * inv_growth_t
 
     # flush the tail segments into Q
     dt = t_now - t_base

@@ -24,9 +24,10 @@ oracle), and the code is arranged for speed within that:
 
 - The path recursion runs on Python floats, because reading and writing
   numpy scalars one event at a time costs several times the arithmetic:
-  the exponential clocks are drawn in blocks of 65536, turned into one
-  list, and the loop collects V_end and the buffer-hit indices; V_start
-  is c·V_end shifted by one, the same multiply.
+  the exponential clocks are drawn in blocks of 65536 (the last one only
+  as long as the run needs), turned into one list, and the loop collects
+  V_end and the buffer-hit indices; V_start is c·V_end shifted by one,
+  the same multiply.
 - The histogram visits only the bins each segment touches.  The bins
   strictly between a segment's two end bins are whole, and a whole bin's
   cell is the same number for every segment: the cell formula evaluated
@@ -180,8 +181,9 @@ def _window_path(cfg: SimConfig, total: int, rng: np.random.Generator):
         scale = g / tcp.loss_rate
         budgets = []
         while len(budgets) < total:
-            # whole blocks keep the stream; only the prefix in use is listed
-            budgets += rng.exponential(scale, size=65536)[: total - len(budgets)].tolist()
+            # blocks of 65536 keep the stream; the last draws only what it
+            # uses, and a shorter draw returns the same leading values
+            budgets += rng.exponential(scale, size=min(65536, total - len(budgets))).tolist()
     ends = []
     hits = []
     v = 1.0
@@ -274,6 +276,9 @@ def simulate(cfg: SimConfig) -> SimResult:
 
     if cfg.enable_frfr:
         w_before = v_end ** (1.0 / (m + 1))
+        # a buffer hit ends at B_eff itself, which the root above can miss
+        # by an ulp and so shift the atom into the bin below the law's
+        w_before[hits[hits >= warmup] - warmup] = cfg.params.effective_limit
         dur = w_before ** m / alpha
         value = beta * w_before
         idx = np.searchsorted(edges, value, side="right") - 1

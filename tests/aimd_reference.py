@@ -10,6 +10,8 @@ before root hooking, frozen as the oracle for `aimd_net._connected`.
 `path_edges` is the per-pair tree climb `uniform_tree_flows` ran before
 the batched `tree_gen.tree_paths`, frozen as its oracle.  `max_min_fair`
 is the water-filling allocation that AIMD approaches on the same routes.
+`vertex_pairs` is the per-pair draw loop `uniform_tree_flows` ran before
+the batched `aimd_net._distinct_pairs`, frozen as its oracle.
 """
 
 from __future__ import annotations
@@ -63,6 +65,16 @@ def path_edges(tree: GrowingTree, u: int, v: int) -> np.ndarray:
         edges.append(w - 1)
         w = int(parent[w])
     return np.asarray(edges, dtype=np.int64)
+
+
+def vertex_pairs(rng: np.random.Generator, nv: int, n_flows: int) -> np.ndarray:
+    """(n_flows, 2) distinct vertex pairs, drawn one pair at a time."""
+    pairs = []
+    while len(pairs) < n_flows:
+        u, v = rng.integers(0, nv, size=2)
+        if u != v:
+            pairs.append((u, v))
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
 
 
 def max_min_fair(capacities, route_ptr, route_links) -> np.ndarray:

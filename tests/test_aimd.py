@@ -1,7 +1,11 @@
 """Multi-link AIMD fluid network: events, closed forms, capacity rules."""
 
+import json
 import math
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ from tcpfluid.aimd_net import (
     _SCALAR_MAX_MEMBERS,
     _WHOLE_ARRAY_SHARE,
     _connected,
+    _distinct_pairs,
     assign_capacities,
     run_simulation,
     uniform_tree_flows,
@@ -289,6 +294,54 @@ def test_kernel_matches_frozen_reference_on_a_dense_instance():
     numpy_path = members > _SCALAR_MAX_MEMBERS
     assert members.mean() >= 50
     assert (~numpy_path).any() and (numpy_path & whole).any() and (numpy_path & ~whole).any()
+
+
+def test_kernel_matches_frozen_reference_on_a_sparse_instance():
+    # mean_field capacities on a 1000-node tree: 1.4 members per event, so
+    # every event takes the scalar path, and some events cut several
+    # members whose routes share links
+    tree = grow(TreeParams(alpha_t=0.5, tau=999, seed=0))
+    base = FluidNetwork.from_tree(tree, np.full(999, 10.0))
+    net = assign_capacities(base, "mean_field", 10.0, tree_stats=measure(tree))
+    flows = uniform_tree_flows(tree, 100, seed=0)
+    sync = SyncModel(pi=1.0)
+    got = run_simulation(net, flows, sync, 1000, seed=0)
+    want = aimd_reference.run_simulation(net, flows, sync, 1000, seed=0)
+    assert np.array_equal(got.taus, want.taus)
+    assert np.array_equal(got.per_flow_q, want.per_flow_q)
+    assert np.array_equal(got.post_event_means, want.post_event_means)
+    assert got.realized_r == want.realized_r == 1.0
+    members = np.bincount(flows.route_links, minlength=net.n_edges)[got.congested_edges]
+    assert members.max() <= _SCALAR_MAX_MEMBERS
+    assert (members > 1).any()
+
+
+@pytest.mark.parametrize("n_vertices", [2, 3, 10**4, 2**31 + 1, 2**32 + 5])
+def test_distinct_pairs_match_the_per_pair_loop(n_vertices):
+    # 2 draws u = v in half the rows, so batches refill; 2^31 + 1 rejects
+    # about half of the 32-bit words; 2^32 + 5 draws 64-bit words
+    for seed in range(6):
+        rng, rng_loop = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _distinct_pairs(rng, n_vertices, 300)
+        want = aimd_reference.vertex_pairs(rng_loop, n_vertices, 300)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        # the same words of the stream, and no more
+        assert rng.bit_generator.state == rng_loop.bit_generator.state
+
+
+@pytest.mark.parametrize("scale", ["full", "tiny"])
+@pytest.mark.parametrize("workload", ["netsim-sparse", "netsim-dense"])
+def test_netsim_benchmark_checks_and_golden_digests_hold(workload, scale):
+    # at seed 0 the run also compares the taus, per_flow_q and grown-tree
+    # parent digests of perfbench/golden.json, which fix every kernel bit
+    run = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+    out = subprocess.run(
+        [sys.executable, str(run), "--workload", workload, "--seed", "0",
+         "--seconds", "0", "--scale", scale],
+        capture_output=True, text=True, check=True, timeout=600,
+    ).stdout
+    last = json.loads(out.strip().splitlines()[-1])
+    assert last["correct"] is True, out
 
 
 def test_redraws_count_the_empty_draws():

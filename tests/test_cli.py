@@ -259,6 +259,15 @@ def test_validate_wan_simulates_the_plateaus_of_its_law(tmp_path):
     assert checks["ks"] is True
 
 
+def test_validate_frfr_atom_after_a_buffer_hit_sits_in_the_laws_bin(tmp_path):
+    # at m = 0.5 the atom beta*B_eff lies on a bin edge, and recovering
+    # W_before as (B_eff^(m+1))^(1/(m+1)) came out one ulp below B_eff, so
+    # every simulated atom fell one bin low of the law's (chi2 1758, exit 3)
+    rc = main(["validate", "--p", "0.01", "--m", "0.5", "--buffer", "30",
+               "--variant", "frfr", "--outdir", str(tmp_path)])
+    assert rc == 0
+
+
 @pytest.mark.parametrize(
     "argv",
     [
