@@ -2,7 +2,7 @@
 
 Subpackages by topic:
 
-- specfun: shared special functions and the lazy scipy.special handle
+- specfun: shared special functions, from numpy and the standard library
 - tcp_infinite: analytic stationary window laws, infinite buffer
 - tcp_finite: finite-buffer loss split and piecewise window laws
 - window_sim: continuous-time Monte Carlo oracle for the window process

@@ -1,38 +1,27 @@
-"""Shared special functions.
+"""Shared special functions, from numpy and the standard library alone.
 
-The log Pochhammer symbol ln[(x)_n] as a log-Gamma difference, for the
-infinite-tree laws, and the Euler-type product L(c) = prod_{l>=1}
-(1 - c^l), which normalizes the window laws' mixture coefficients.
-Both evaluate in 64-bit floats.
+- `pochhammer_log`: the log Pochhammer symbol ln[(x)_n], for the
+  infinite-tree laws;
+- `harmonic_sums`: sum_{j=2..n} j^-s, the polygamma differences of E[q | n];
+- `euler_product_L`: the Euler-type product L(c) = prod_{l>=1} (1 - c^l),
+  which normalizes the window laws' mixture coefficients;
+- `gammainc`: the regularized lower incomplete Gamma P(nu, x), for the
+  window laws' CCDFs and moments;
+- `chi2_sf`: the chi-square survival function at integer degrees of
+  freedom, for the histogram p-values.
 
-This module is the package's one gateway to scipy.special: every other
-module calls it through the `_sp` handle below, which imports it on the
-first attribute access.  So `import tcpfluid`, the AIMD simulator, tree
-growth and the finite-tau tree laws never load scipy.
+All evaluate in 64-bit floats.  The package needs no scipy at run time.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
+from typing import NamedTuple
+
 import numpy as np
 
-
-class _LazySpecial:
-    """scipy.special, imported on the first attribute access.
-
-    Each fetched function is stored on the instance, so later lookups are
-    plain attribute reads and never reach __getattr__ again.
-    """
-
-    def __getattr__(self, name: str):
-        from scipy import special
-
-        value = getattr(special, name)
-        setattr(self, name, value)
-        return value
-
-
-_sp = _LazySpecial()
+_EPS = 2.0**-53
 
 
 def pochhammer_log(x: float, n: float) -> float:
@@ -49,7 +38,41 @@ def pochhammer_log(x: float, n: float) -> float:
         raise ValueError(
             f"pochhammer_log requires positive Gamma arguments, got x={x}, n={n}"
         )
-    return float(_sp.gammaln(x + n) - _sp.gammaln(x))
+    return math.lgamma(x + n) - math.lgamma(x)
+
+
+# harmonic_sums adds the terms j < _DIRECT_TERMS one by one and the rest
+# through Euler-Maclaurin with B_2..B_8, whose remainder is below 1e-17 of
+# the sum at every s >= 1
+_DIRECT_TERMS = 64
+_BERNOULLI_2K = (1 / 6, -1 / 30, 1 / 42, -1 / 30)
+
+
+def harmonic_sums(s, n: int) -> np.ndarray:
+    """Return sum_{j=2..n} j^-s for each exponent s >= 1 of an array; 0 if n < 2.
+
+    At integers these are the polygamma differences (Abramowitz & Stegun
+    6.4.6): psi^(m)(n+1) - psi^(m)(2) = (-1)^m m! · sum_{j=2..n} j^-(m+1).
+    Every term is positive, so no digits cancel.
+    """
+    s = np.asarray(s, dtype=float)
+    j = np.arange(2.0, min(n, _DIRECT_TERMS - 1) + 1)
+    out = np.sum(j ** -s[..., None], axis=-1)
+    if n < _DIRECT_TERMS:
+        return out
+    # sum_{j=a..b} j^-s = ∫_a^b + (a^-s + b^-s)/2
+    #     + sum_k B_2k/(2k)! · (s)_(2k-1) · (a^(1-s-2k) - b^(1-s-2k))
+    a, b = float(_DIRECT_TERMS), float(n)
+    out += np.divide(
+        a ** (1.0 - s) - b ** (1.0 - s), s - 1.0,
+        out=np.full(s.shape, math.log(b / a)), where=s != 1.0,
+    )
+    out += 0.5 * (a**-s + b**-s)
+    rising = s.copy()
+    for k, b2k in enumerate(_BERNOULLI_2K, 1):
+        out += b2k / math.factorial(2 * k) * rising * (a ** (1 - s - 2 * k) - b ** (1 - s - 2 * k))
+        rising *= (s + 2 * k - 1) * (s + 2 * k)
+    return out
 
 
 # euler_product_L drops the factors 1 - c^l once c^l falls below this
@@ -72,3 +95,195 @@ def euler_product_L(c: float) -> float:
     n_terms = int(math.ceil(math.log(_PRODUCT_TAIL) / math.log(c)))
     powers = c ** np.arange(1, max(n_terms, 1) + 1)
     return float(math.exp(np.sum(np.log1p(-powers))))
+
+
+# the longest series or continued fraction gammainc evaluates
+_MAX_TERMS = 2048
+# up to this nu the series prefactor x^nu e^-x / Γ(nu+1) is formed from
+# power and exp, each within an ulp; above it, where x^nu may overflow,
+# from the exponent of its logarithm, whose rounding grows like nu·|ln x| + x
+_DIRECT_SCALE_NU = 100.0
+
+
+def _series_rest_negligible(term, total, ratio):
+    # the terms after `term` fall by at least `ratio` each, so they add at
+    # most term·ratio/(1 - ratio); false while ratio >= 1
+    return term * ratio <= _EPS * total * (1.0 - ratio)
+
+
+class _GammaincPlan(NamedTuple):
+    split: float
+    cut: float
+    capped: bool
+    denominators: np.ndarray  # nu + 1, ..., nu + n
+    fraction_a: np.ndarray  # a_k = -k(k - nu) for k = depth down to 1
+    fraction_b: np.ndarray  # b_(k-1) - x = 2k - 1 - nu
+    tail: float  # b_depth - x
+    lgamma_nu: float
+    lgamma_nu1: float
+    gamma_nu1: float | None  # Γ(nu+1) while x^nu, e^-x and it stay in range
+
+
+@lru_cache(maxsize=32)
+def _gammainc_plan(nu: float) -> _GammaincPlan:
+    """How gammainc evaluates P(nu, x), decided once per nu.
+
+    Below `split` = nu + sqrt(nu) + 2 it sums the series, with `n` terms:
+    the first count after which, at x = split, the rest of the series is
+    below 2^-53 of the sum.  With r = x/(nu+n+1) < 1 the ratio of the next
+    term, the rest is at most term_n · r/(1-r), and that bound relative to
+    the sum grows with x, so it holds at every smaller x too.  `capped` is
+    set when the budget stops at _MAX_TERMS first.  From `split` to `cut`
+    it takes Q = 1 - P from the continued fraction, to the depth at which
+    the modified Lentz method converges to 2^-53 at x = split (larger x
+    converge faster), plus one.  At and above `cut` it returns 1: there
+    the bound Q <= x^(nu-1) e^-x / Γ(nu) · max(1, x/(x-nu+1)) is below
+    2^-54, half an ulp of 1, so 1 - Q rounds to 1.
+
+    Raises:
+        ValueError: if the continued fraction needs more than _MAX_TERMS.
+    """
+    split = nu + math.sqrt(nu) + 2.0
+    term, total, n = 1.0, 1.0, 0
+    while not _series_rest_negligible(term, total, split / (nu + n + 1)):
+        if n == _MAX_TERMS:
+            break
+        n += 1
+        term *= split / (nu + n)
+        total += term
+    capped = n == _MAX_TERMS
+
+    lgamma_nu = math.lgamma(nu)
+
+    def log_q_bound(x: float) -> float:
+        return (nu - 1.0) * math.log(x) - x - lgamma_nu + max(0.0, math.log(x / (x - nu + 1.0)))
+
+    target = -54.0 * math.log(2.0)
+    lo, hi = split, 2.0 * split
+    while log_q_bound(hi) > target:
+        lo, hi = hi, 2.0 * hi
+    while hi - lo > 1e-9 * hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if log_q_bound(mid) > target else (lo, mid)
+
+    # Lentz on 1/(b_0 + a_1/(b_1 + a_2/(b_2 + ...))), b_k = x + 2k + 1 - nu,
+    # a_k = -k(k - nu) (Press et al., Numerical Recipes, 3rd ed., §6.2)
+    tiny = 1e-300
+    b = split + 1.0 - nu
+    c, d = 1.0 / tiny, 1.0 / b
+    for depth in range(1, _MAX_TERMS + 1):
+        a_k = -depth * (depth - nu)
+        b += 2.0
+        d = a_k * d + b
+        c = b + a_k / c
+        d = 1.0 / (d if abs(d) > tiny else tiny)
+        c = c if abs(c) > tiny else tiny
+        if abs(c * d - 1.0) <= _EPS:
+            break
+    else:
+        raise ValueError(f"gammainc: continued fraction does not converge for nu={nu}")
+    depth += 1
+    k = np.arange(depth, 0.0, -1.0)
+    return _GammaincPlan(
+        split, hi, capped, nu + np.arange(1.0, n + 1.0),
+        -k * (k - nu), 2.0 * k - 1.0 - nu,
+        2.0 * depth + 1.0 - nu, lgamma_nu, math.lgamma(nu + 1.0),
+        math.gamma(nu + 1.0) if nu <= _DIRECT_SCALE_NU else None,
+    )
+
+
+def gammainc(nu: float, x) -> np.ndarray:
+    """Regularized lower incomplete Gamma P(nu, x) for one nu > 0, elementwise.
+
+    P = x^nu e^-x / Γ(nu+1) · sum_j prod_{i<=j} x/(nu+i) below nu + sqrt(nu)
+    + 2, as one cumulative product over a fixed term budget (Abramowitz &
+    Stegun 6.5.29); 1 - Q from the Legendre continued fraction above it
+    (Press et al., Numerical Recipes, 3rd ed., §6.2); exactly 1 where Q
+    is provably below half an ulp of 1.  So 0 <= P <= 1 without a clamp,
+    and every value comes from its own x alone.  For nu from 0.23 to 10
+    and x from 1e-12 to 100 it was measured within 7.6e-16 relative of
+    30-digit values; scipy.special.gammainc, whose series prefactor is the
+    exponent of a logarithm, was off by up to 1.7e-14 at nu <= 3.
+
+    Raises:
+        ValueError: if nu <= 0, or if the series budget cannot bring the
+        last term below round-off at some x.
+    """
+    if not nu > 0:
+        raise ValueError(f"gammainc requires nu > 0, got {nu}")
+    plan = _gammainc_plan(float(nu))
+    x = np.asarray(x, dtype=float)
+    out = np.where(x >= plan.cut, 1.0, np.nan)
+    series = x < plan.split
+    if series.any():
+        xs = x[series]
+        terms = np.cumprod(xs[..., None] / plan.denominators, axis=-1)
+        total = 1.0 + terms.sum(axis=-1)
+        if plan.capped:
+            ratio = xs / (nu + terms.shape[-1] + 1)
+            if not np.all(_series_rest_negligible(terms[:, -1], total, ratio)):
+                raise ValueError(
+                    f"gammainc: {_MAX_TERMS} series terms do not reach round-off "
+                    f"at nu={nu}, x={xs.max()}"
+                )
+        if plan.gamma_nu1 is None:
+            with np.errstate(divide="ignore"):
+                scale = np.exp(nu * np.log(xs) - xs - plan.lgamma_nu1)
+        else:
+            scale = np.power(xs, nu) * np.exp(-xs) / plan.gamma_nu1
+        out[series] = scale * total
+    fraction = (x >= plan.split) & (x < plan.cut)
+    if fraction.any():
+        xf = x[fraction]
+        # every level of the fraction divided by x, so each step is one
+        # division and one addition of precomputed rows
+        inv = 1.0 / xf
+        rows_a = np.multiply.outer(plan.fraction_a, inv * inv)
+        rows_b = 1.0 + np.multiply.outer(plan.fraction_b, inv)
+        g = 1.0 + plan.tail * inv
+        for a_k, b_k in zip(rows_a, rows_b):
+            g = b_k + a_k / g
+        out[fraction] = 1.0 - np.exp(nu * np.log(xf) - xf - plan.lgamma_nu) / (xf * g)
+    return out
+
+
+def _log_poisson_term(a: float, lam: float) -> float:
+    """ln(e^-lam · lam^a / Γ(a+1)) for a >= 0 and lam > 0.
+
+    From a = 20 on, Stirling's series for ln Γ(a+1) and the deviance
+    a·ln(a/lam) + lam - a, taken through log1p near lam = a, keep the
+    error near 2^-53 of the result's size (Loader, "Fast and accurate
+    computation of binomial probabilities", 2000).
+    """
+    if a < 20:
+        return a * math.log(lam) - lam - math.lgamma(a + 1.0)
+    inv2 = 1.0 / (a * a)
+    stirling = (1 / 12 - inv2 * (1 / 360 - inv2 * (1 / 1260 - inv2 / 1680))) / a
+    gap = lam - a
+    if abs(gap) < 0.5 * a:
+        t = gap / a
+        deviance = a * (t - math.log1p(t))
+    else:
+        deviance = a * math.log(a / lam) + gap
+    return -stirling - 0.5 * math.log(2.0 * math.pi * a) - deviance
+
+
+def chi2_sf(dof: int, x: float) -> float:
+    """P(chi^2 > x) at dof degrees of freedom: A&S 26.4.4 and 26.4.5.
+
+    The sum over a = dof/2 - 1, dof/2 - 2, ... down to 0 or 1/2 of
+    e^(-x/2) (x/2)^a / Γ(a+1), plus erfc(sqrt(x/2)) when dof is odd.  Each
+    term's logarithm is formed whole, so neither e^(-x/2) underflowing nor
+    the powers overflowing cuts the tail short.
+
+    Raises:
+        ValueError: if dof is not a positive integer.
+    """
+    if dof < 1 or dof != int(dof):
+        raise ValueError(f"chi2_sf requires a positive integer dof, got {dof}")
+    if x <= 0:
+        return 1.0
+    lam = 0.5 * x
+    orders = np.arange(dof % 2 / 2, dof / 2).tolist()
+    head = math.erfc(math.sqrt(lam)) if dof % 2 else 0.0
+    return head + math.fsum(math.exp(_log_poisson_term(a, lam)) for a in orders)

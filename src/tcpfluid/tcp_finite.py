@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import _sp, euler_product_L
+from .specfun import euler_product_L, gammainc
 from .tcp_infinite import _WEIGHT_FLOOR, TcpParams, _guard_cancellation
 
 # the loss-split sum stops once c^k·x is small and a term falls below
@@ -339,19 +339,25 @@ def phi_moment(sol: FiniteBufferSolution, s: float = 0.0, lo=0.0, hi: float | No
         raise ValueError(f"integral diverges at the origin for s={s}")
     scale = ((m + 1) / p) ** (s / (m + 1)) * math.gamma(nu)
     edges = sol.level_edges()
-    total = np.zeros(np.shape(lo))
+    rows = []
     for n in range(sol.N_levels + 1):
         b = min(hi, edges[n])
         a = np.maximum(lo, edges[n + 1]) if n < sol.N_levels else lo
         if np.all(a >= b):
             continue
-        h = sol.h_rows[n]
-        k = np.arange(len(h))
+        k = np.arange(len(sol.h_rows[n]))
         a_k = p * c ** -k.astype(float) / (m + 1)
         # entries with a >= b integrate over nothing
         lower = np.multiply.outer(np.minimum(a, b) ** (m + 1), a_k)
-        seg = _sp.gammainc(nu, a_k * b ** (m + 1)) - _sp.gammainc(nu, lower)
-        total += np.sum(h * c ** (k * nu) * seg, axis=-1)
+        rows.append((n, k, a_k * b ** (m + 1), lower))
+    total = np.zeros(np.shape(lo))
+    if rows:
+        # one call for every row's bounds: each value depends on its own x alone
+        values = gammainc(nu, np.concatenate([x.ravel() for row in rows for x in row[2:]]))
+        for n, k, upper, lower in rows:
+            p_upper, p_lower, values = np.split(values, [upper.size, upper.size + lower.size])
+            seg = p_upper - p_lower.reshape(lower.shape)
+            total += np.sum(sol.h_rows[n] * c ** (k * nu) * seg, axis=-1)
     out = scale * total
     return out if np.ndim(lo) else float(out)
 

@@ -20,7 +20,7 @@ from functools import partial
 
 import numpy as np
 
-from .specfun import _sp, euler_product_L
+from .specfun import euler_product_L, gammainc
 
 VARIANTS = ("plain", "frfr", "wan")
 
@@ -328,7 +328,7 @@ def _truncated_moment(params: TcpParams, res: ResidueTable, s: float, limit=math
     if np.ndim(limit) == 0 and math.isinf(limit):
         return scale * gamma_nu * float(np.sum(h * res.c ** (k * nu)))
     x = np.multiply.outer(limit ** (m + 1), p * res.c ** -k / (m + 1))
-    out = scale * gamma_nu * np.sum(h * res.c ** (k * nu) * _sp.gammainc(nu, x), axis=-1)
+    out = scale * gamma_nu * np.sum(h * res.c ** (k * nu) * gammainc(nu, x), axis=-1)
     return out if np.ndim(limit) else float(out)
 
 

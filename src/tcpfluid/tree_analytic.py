@@ -50,7 +50,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .specfun import _sp, pochhammer_log
+from .specfun import harmonic_sums, pochhammer_log
 
 __all__ = [
     "DistTable",
@@ -368,9 +368,10 @@ def cond_mean_q_given_n(alpha_t: float, n: int) -> float:
     E[q | n] = 1 + (X - 1)/a with X = Gamma(2-a) Gamma(n+1) / Gamma(n+1-a).
     log X / a is the Taylor series in a of the two log-Gamma differences,
 
-        sum_m (-a)^m / (m+1)! * (psi^(m)(n+1) - psi^(m)(2)),
+        sum_m (-a)^m / (m+1)! * (psi^(m)(n+1) - psi^(m)(2))
+            = sum_m a^m / (m+1) * sum_{j=2..n} j^-(m+1),
 
-    whose terms all have one sign, and X - 1 comes from expm1, so no
+    whose terms are all positive, and X - 1 comes from expm1, so no
     digits cancel as a -> 0.  At a = 0 it is H_n, uniform attachment.
     """
     alpha = _check_alpha(alpha_t, allow_er=True)
@@ -380,8 +381,7 @@ def cond_mean_q_given_n(alpha_t: float, n: int) -> float:
     if n == 0:
         return 0.0
     m = _SERIES_ORDERS
-    psi = _sp.polygamma
-    terms = (-alpha) ** m / _sp.gamma(m + 2.0) * (psi(m, n + 1.0) - psi(m, 2.0))
+    terms = alpha**m / (m + 1.0) * harmonic_sums(m + 1.0, n)
     # at n = 1 every term is zero and E[q | n=1] = 1 exactly
     slope = math.fsum(terms.tolist())
     x = alpha * slope

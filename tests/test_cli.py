@@ -80,6 +80,40 @@ def test_commands_without_special_functions_never_load_scipy(tmp_path, argv):
     assert out.split()[-2:] == ["0", "False"]
 
 
+_SMALL = ["--grid-points", "64"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tcp-dist", "--p", "1e-3", *_SMALL],
+        ["tcp-dist", "--p", "1e-3", "--variant", "frfr", *_SMALL],
+        ["tcp-dist", "--p", "5e-3", "--buffer", "40", "--format", "json", *_SMALL],
+        ["validate", "--p", "1e-2", "--events", "4000"],
+        ["validate", "--p", "1e-2", "--events", "4000", "--variant", "wan", "--bdp", "10"],
+        ["validate", "--p", "1e-2", "--events", "4000", "--buffer", "20"],
+        ["tree", "--tau", "2000", "--realizations", "2", "--check", "ccdf",
+         "--check-tolerance", "0.05", "--max-rows", "50"],
+        ["tree", "--tau", "5", "--enumerate"],
+        ["netsim", "--nodes", "300", "--flows", "30"],
+    ],
+    ids=[
+        "tcp-dist", "tcp-dist-frfr", "tcp-dist-buffer", "validate", "validate-wan",
+        "validate-buffer", "tree-check-ccdf", "tree-enumerate", "netsim",
+    ],
+)
+def test_no_readme_command_loads_scipy(tmp_path, argv):
+    # the special functions come from numpy and the standard library, so
+    # not even the window laws and the histogram p-value import scipy
+    code = (
+        "import sys; from tcpfluid.cli import main; "
+        f"rc = main({argv + ['--outdir', str(tmp_path)]!r}); "
+        "print(rc, 'scipy' in sys.modules)"
+    )
+    out = _fresh_python(code)
+    assert out.split()[-2:] == ["0", "False"]
+
+
 def test_tcp_dist_infinite_outputs(tmp_path):
     out = tmp_path / "d"
     rc = main(["tcp-dist", "--p", "0.01", "--outdir", str(out)])
