@@ -14,18 +14,18 @@ flow i crosses the link ids route_links[route_ptr[i]:route_ptr[i+1]].
 
 Between events every throughput is linear in t, so each link keeps an
 absolute hitting time that stays fixed until one of its flows is cut.
-`run_simulation` indexes its state by the links some flow grows on and
-recomputes, per event, only the links on the losers' routes, or every
-link in three array passes when those routes touch a tenth of them; Q
-integrates exactly over the linear segments.  Congested links with at
-most seven members take a scalar Python path, larger ones a numpy path.
-Both give the bits one vectorized step over every link would: numpy sums
-fewer than eight terms sequentially, as the scalar loop does, and
-pairwise from eight on.  The scalar path runs on Python floats, read and
-written through memoryviews of the state arrays: a Python float is the
-same IEEE double, and each touched link takes the two operations numpy
-would apply to its entry, b - cut and then (C - b) * (1/growth), so the
-bits stay while the per-event numpy calls, all but the argmin, go.
+`run_simulation` indexes its state by the links some flow grows on, and
+Q integrates exactly over the linear segments.  Congested links with at
+most seven members take a scalar Python path that recomputes only the
+links on the losers' routes; larger ones take a numpy path that
+recomputes every link in whole-array passes.  Both give the bits one
+vectorized step over every link would: numpy sums fewer than eight
+terms sequentially, as the scalar loop does, and pairwise from eight
+on.  The scalar path runs on Python floats, read and written through
+memoryviews of the state arrays: a Python float is the same IEEE
+double, and each touched link takes the two operations numpy would
+apply to its entry, b - cut and then (C - b) * (1/growth), so the bits
+stay while the per-event numpy calls, all but the argmin, go.
 
 Capacity allocation strategies weight links uniformly, by endpoint
 in-degrees (max, min, product), or by edge betweenness (the mean-field
@@ -294,10 +294,6 @@ class PerformanceReport:
 # Largest member count on the scalar path: numpy's add.reduce sums fewer
 # than 8 terms sequentially from 0.0, and from 8 on pairwise
 _SCALAR_MAX_MEMBERS = 7
-# Whole-array passes over the live links (the bincount and three updates)
-# cost about what gathering and scattering the touched entries does once
-# a link's routes touch a tenth of them, at 3000 and at 10^4 live links
-_WHOLE_ARRAY_SHARE = 10
 
 
 def run_simulation(
@@ -311,15 +307,14 @@ def run_simulation(
 
     X is stored per flow as intercept-at-t0 plus rate, and Q accumulates
     closed-form segment integrals.  Each link some flow grows on keeps
-    its load intercept b and hitting time (C - b) / growth; an event
-    recomputes both only on the links its members' routes touch, so it
-    costs the touched entries, not the link count.  Once those are a
-    tenth of the links, whole-array passes cost less; untouched links
-    then subtract +0.0 and recompute the time they hold, the same bits.
-    Each touched link's cuts are summed in member order from 0.0 and
-    subtracted once, as one bincount over every link would.  The
-    post-event mean sums members sequentially on the scalar path (at
-    most seven members, numpy's own order below eight terms) and with
+    its load intercept b and hitting time (C - b) / growth.  The scalar
+    path (at most seven members) recomputes both only on the links its
+    members' routes touch; the numpy path recomputes every link in
+    whole-array passes, where untouched links subtract +0.0 and
+    recompute the time they hold, the same bits.  Each touched link's
+    cuts are summed in member order from 0.0 and subtracted once, on
+    both paths.  The post-event mean sums members sequentially on the
+    scalar path (numpy's own order below eight terms) and with
     np.add.reduce on the numpy path.  The scalar path keeps its links'
     static terms in Python lists and the state behind memoryviews, and
     makes per entry the float operations the numpy path makes per
@@ -375,43 +370,32 @@ def run_simulation(
     links = {}
 
     def link(h: int) -> tuple:
-        """Link h's members, the links their routes touch, static terms.
+        """Link h's members and static terms.
 
-        Scalar-path links keep Python lists, and their last entry is None.
-        Numpy-path links hold their member arrays there instead.  A link
-        that touches at least 1/_WHOLE_ARRAY_SHARE of the live links
-        updates b and t_hit in whole-array passes; its touched is None
-        and at_flat holds live positions rather than touched positions.
+        Scalar-path links keep Python lists: the links their members'
+        routes touch, those links' capacities and inverse growths, and
+        each member's route as positions among them; the last entry is
+        None.  Numpy-path links hold their member arrays there instead,
+        with each route as live positions, and leave the lists None.
         """
         member_list = members_by_link[member_ptr[h]:member_ptr[h + 1]]
         member_routes = [routes[i] for i in member_list]
-        touched = sorted(set().union(*member_routes))
         pi_m = None if certain else pi[member_list]
-        at = arrays = None
         if len(member_list) <= _SCALAR_MAX_MEMBERS:
+            touched = sorted(set().union(*member_routes))
             where = {j: n for n, j in enumerate(touched)}
-            at = [[where[j] for j in r] for r in member_routes]
+            out = (member_list, pi_m, touched, [cap_list[j] for j in touched],
+                   [inv_growth_list[j] for j in touched],
+                   [[where[j] for j in r] for r in member_routes], None)
         else:
             members = np.array(member_list)
             g_m = g[members]
-            at_flat = np.array([j for r in member_routes for j in r])
-            if _WHOLE_ARRAY_SHARE * len(touched) >= live_ids.size:
-                touched, n_bins = None, live_ids.size
-            else:
-                n_bins = len(touched)
-                at_flat = np.searchsorted(touched, at_flat)
             # 0.5 * g_m * dt * dt evaluates (0.5 * g_m) first
-            arrays = (members, g_m, 0.5 * g_m, betas[members], at_flat,
-                      np.array([len(r) for r in member_routes]), n_bins)
-        if touched is None:
-            span = (None, None, None)
-        elif arrays is None:
-            span = (touched, [cap_list[j] for j in touched],
-                    [inv_growth_list[j] for j in touched])
-        else:
-            t = np.array(touched)
-            span = (t, cap[t], inv_growth[t])
-        links[h] = out = (member_list, pi_m, *span, at, arrays)
+            arrays = (members, g_m, 0.5 * g_m, betas[members],
+                      np.array([j for r in member_routes for j in r]),
+                      np.array([len(r) for r in member_routes]))
+            out = (member_list, pi_m, None, None, None, None, arrays)
+        links[h] = out
         return out
 
     g_list, beta_list = g.tolist(), betas.tolist()
@@ -470,7 +454,7 @@ def run_simulation(
                 b_view[j] = b_j
                 t_hit_view[j] = (cap_j - b_j) * inv_growth_j
         else:
-            members, g_m, half_g_m, beta_m, at_flat, at_sizes, n_bins = arrays
+            members, g_m, half_g_m, beta_m, at_flat, at_sizes = arrays
             x_m = x_base[members]
             dt = t_now - t_base[members]
             x_now = x_m + g_m * dt
@@ -496,16 +480,10 @@ def run_simulation(
                 cut[xi] = x_at_event - x_new
                 x_now[xi] = x_new
                 post_means[k] = np.add.reduce(x_now) / n_m
-            cuts = np.bincount(at_flat, weights=np.repeat(cut, at_sizes),
-                               minlength=n_bins)
-            if touched is None:
-                b -= cuts
-                np.subtract(cap, b, out=t_hit)
-                t_hit *= inv_growth
-            else:
-                b_t = b[touched] - cuts
-                b[touched] = b_t
-                t_hit[touched] = (cap_t - b_t) * inv_growth_t
+            b -= np.bincount(at_flat, weights=np.repeat(cut, at_sizes),
+                             minlength=b.size)
+            np.subtract(cap, b, out=t_hit)
+            t_hit *= inv_growth
 
     # flush the tail segments into Q
     dt = t_now - t_base

@@ -286,6 +286,8 @@ def _tree_counts(payload) -> tuple[np.ndarray, np.ndarray]:
 
 
 def cmd_tree(args) -> int:
+    # TreeParams checks tau and alpha before any file is written
+    params = TreeParams(alpha_t=args.alpha, tau=args.tau)
     if args.max_rows < 1 or args.max_q_rows < 1:
         raise ValueError("--max-rows and --max-q-rows must be at least 1")
     if args.realizations < 0:
@@ -307,7 +309,7 @@ def cmd_tree(args) -> int:
     failed = False
 
     if args.enumerate:
-        exact = enumerate_exact(TreeParams(alpha_t=alpha, tau=tau, seed=0))
+        exact = enumerate_exact(params)
         analytic = DistTable.from_analytic(tau, alpha)
         gap = float(np.abs(exact.grid - analytic.grid).max())
         summary["enumerate_max_abs_error"] = gap
@@ -441,6 +443,8 @@ def cmd_netsim(args) -> int:
         conf["epochs"] = 100 * conf["flows"]
     if conf["nodes"] < 3:
         raise ValueError("--nodes must be at least 3")
+    if conf["flows"] < 1:
+        raise ValueError("--flows must be at least 1")
     cfg = RunConfig(
         "netsim",
         {k: v for k, v in conf.items() if k != "seed"} | {"check": args.check},

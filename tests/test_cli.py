@@ -394,6 +394,23 @@ def test_tree_rejects_empty_tables_and_negative_realizations(tmp_path, capsys):
         assert not out.exists()
 
 
+# --tau 0 and -4 once exited 0 with header-only tables and zero means, and
+# at --tau 0 an --alpha of 5 passed too
+@pytest.mark.parametrize("flags, named", [
+    (["--tau", "0"], "tau"),
+    (["--tau", "-4"], "tau"),
+    (["--tau", "0", "--alpha", "5"], "alpha"),
+    (["--tau", "50", "--alpha", "5"], "alpha"),
+    (["--tau", "50", "--alpha", "-0.5"], "alpha"),
+])
+def test_tree_rejects_bad_tau_and_alpha(tmp_path, capsys, flags, named):
+    out = tmp_path / "out"
+    rc = main(["tree", *flags, "--outdir", str(out)])
+    assert rc == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_tree_ccdf_check_against_simulation(tmp_path):
     rc = main([
         "tree", "--tau", "500", "--realizations", "8", "--check", "ccdf",
@@ -515,6 +532,24 @@ def test_netsim_unknown_config_key_rejected(tmp_path, capsys, conf, named):
     rc = main(["netsim", "--config", str(path), "--outdir", str(out)])
     assert rc == 2
     assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+# no flows once escaped main as a StagnationError traceback (exit 1), and
+# a negative count exited with numpy's "negative dimensions" message
+@pytest.mark.parametrize("flows", ["0", "-3", "config 0"])
+def test_netsim_rejects_fewer_than_one_flow(tmp_path, capsys, flows):
+    out = tmp_path / "out"
+    argv = ["netsim", "--nodes", "10", "--epochs", "10", "--strategy", "uniform"]
+    if flows.startswith("config"):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"flows": int(flows.split()[1])}))
+        argv += ["--config", str(conf)]
+    else:
+        argv += ["--flows", flows]
+    rc = main(argv + ["--outdir", str(out)])
+    assert rc == 2
+    assert "--flows" in capsys.readouterr().err
     assert not out.exists()
 
 
