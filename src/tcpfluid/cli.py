@@ -172,6 +172,8 @@ def _window_law(args, params: TcpParams):
 
 
 def cmd_tcp_dist(args) -> int:
+    if args.grid_points < 2:
+        raise ValueError(f"--grid-points must be at least 2, got {args.grid_points}")
     cfg = RunConfig("tcp-dist", _echoed_flags(args), args.outdir, args.seed, args.format)
     params = _tcp_params(args)
     law = _window_law(args, params)
@@ -221,6 +223,8 @@ def _validate_chunk(payload) -> "object":
 def cmd_validate(args) -> int:
     if args.events < 1000:
         raise ValueError("--events must be at least 1000")
+    if args.bins < 2:
+        raise ValueError(f"--bins must be at least 2, got {args.bins}")
     analytic_beta = args.beta if args.analytic_beta is None else args.analytic_beta
     cfg = RunConfig(
         "validate",
@@ -441,10 +445,20 @@ def cmd_netsim(args) -> int:
     }
     if conf["epochs"] is None:
         conf["epochs"] = 100 * conf["flows"]
-    if conf["nodes"] < 3:
-        raise ValueError("--nodes must be at least 3")
-    if conf["flows"] < 1:
-        raise ValueError("--flows must be at least 1")
+    # every value is checked before the output directory is made
+    for key, ok, want in (
+        ("nodes", conf["nodes"] >= 3, "at least 3"),
+        ("flows", conf["flows"] >= 1, "at least 1"),
+        ("epochs", conf["epochs"] >= 1, "at least 1"),
+        ("mean_capacity", conf["mean_capacity"] > 0, "positive"),
+        ("pi", 0 < conf["pi"] <= 1, "in (0, 1]"),
+        ("beta", 0 < conf["beta"] < 1, "in (0, 1)"),
+        ("alpha", 0 <= conf["alpha"] <= 1, "in [0, 1]"),
+    ):
+        if not ok:
+            raise ValueError(f"--{key.replace('_', '-')} must be {want}, got {conf[key]!r}")
+    if args.check == "ordering" and conf["strategy"] != "all":
+        raise ValueError("--check ordering needs --strategy all")
     cfg = RunConfig(
         "netsim",
         {k: v for k, v in conf.items() if k != "seed"} | {"check": args.check},
@@ -529,8 +543,6 @@ def cmd_netsim(args) -> int:
             orderings.append(ordered)
         if args.check == "ordering":
             failed = not all(orderings)
-    elif args.check == "ordering":
-        raise ValueError("--check ordering needs --strategy all")
 
     _write_json(os.path.join(args.outdir, "netsim_summary.json"), summary)
     return EXIT_CHECK if failed else EXIT_OK

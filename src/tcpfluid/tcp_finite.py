@@ -12,14 +12,15 @@ geometry through c = beta^(m+1):
   stationary density, one row per halving level below B_eff.  Rows are
   added until a new one moves the phi mass below its upper edge by at most
   2^-53·(1-A); the last row then holds down to w = 0.
-- Every tail mass and mean of the plain and fast-recovery laws is a sum of
-  incomplete Gamma functions over rows and levels (`phi_moment`).
+- Every tail mass and mean is a sum of incomplete Gamma functions over
+  rows and levels (`phi_moment`).
 
 `solve_finite_distribution(params, variant)` returns the law as a
-`FiniteBufferSolution` with the interface of the infinite-buffer
-`AnalyticWindowDistribution`: `pdf(w)`, `ccdf(w)`, `mean()`,
-`support_cutoff()` (= B_eff) and `point_mass`, the fast-recovery atom
-at beta·B_eff (None for the plain law).
+`FiniteBufferSolution`, built like the infinite-buffer law by
+`tcp_infinite._VariantLaw`: plain law phi/(1-A) + fast-recovery plateau +
+the atom at beta·B_eff that buffer losses leave (`point_mass`), over their
+total mass.  It has `pdf(w)`, `ccdf(w)`, `mean()` and `support_cutoff()`
+(= B_eff); no finite-buffer wan law exists.
 
 Every exponential is arranged to have a nonpositive argument, so the
 evaluation never overflows regardless of x.
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .specfun import euler_product_L, gammainc
-from .tcp_infinite import _WEIGHT_FLOOR, TcpParams, _guard_cancellation
+from .tcp_infinite import _WEIGHT_FLOOR, TcpParams, _guard_cancellation, _VariantLaw
 
 # the loss-split sum stops once c^k·x is small and a term falls below
 # this share of the sum
@@ -133,7 +134,7 @@ def effective_loss(params: FiniteBufferParams) -> float:
 
 
 @dataclass(frozen=True)
-class FiniteBufferSolution:
+class FiniteBufferSolution(_VariantLaw):
     """The finite-buffer window law of one variant, from its density rows.
 
     Row n holds h_{n,0..n} for the window interval
@@ -175,67 +176,48 @@ class FiniteBufferSolution:
         """B_eff: the window never exceeds it."""
         return self.effective_limit
 
-    def _frfr_terms(self) -> tuple[float, float]:
-        """(Z, atom weight) of the fast-recovery law."""
-        tcp = self.params.tcp
-        p, m, B = tcp.p, tcp.m, self.effective_limit
-        share = self.one_minus_A
-        Z = 1.0 + p * (phi_moment(self, m) + self.A * B ** m) / share
-        return Z, p * B ** m * self.A / (share * Z)
+    @property
+    def _tcp(self) -> TcpParams:
+        return self.params.tcp
+
+    @property
+    def _mass(self) -> float:
+        return self.one_minus_A
+
+    @property
+    def _buffer(self) -> tuple[float, float]:
+        """(beta·B_eff, A·B_eff^m): every buffer loss halves from B_eff."""
+        B = self.effective_limit
+        return self._tcp.beta * B, self.A * B ** self._tcp.m
 
     @property
     def point_mass(self) -> tuple[float, float] | None:
         """(beta·B_eff, weight) of the frfr atom; None for plain."""
-        if self.variant != "frfr":
-            return None
-        return self.params.tcp.beta * self.effective_limit, self._frfr_terms()[1]
+        return self._total()[1]
 
-    def pdf(self, w):
-        """Continuous window density at w (scalar or array); zero above B_eff.
+    def _density(self, w: np.ndarray) -> np.ndarray:
+        """Unnormalized continuous density phi(w); zero outside (0, B_eff]."""
+        tcp = self._tcp
+        p, m, c, B = tcp.p, tcp.m, self.c, self.effective_limit
+        out = np.zeros_like(w)
+        inside = (w > 0) & (w <= B)
+        if not np.any(inside):
+            return out
+        wi = w[inside]
+        # row n holds (B·beta^(n+1), B·beta^n]; the last row holds down to 0
+        rows = self.N_levels - np.searchsorted(self.level_edges()[self.N_levels :: -1], wi)
+        vals = np.zeros_like(wi)
+        scaled = (wi / B) ** (m + 1) * self.x
+        for n in np.unique(rows):
+            sel = rows == n
+            h = self.h_rows[n]
+            k = np.arange(len(h), dtype=float)
+            vals[sel] = h @ np.exp(-np.outer(c ** -k, scaled[sel]))
+        out[inside] = p * wi ** m * vals
+        return out
 
-        frfr adds the plateau density p·beta^-(m+1)·w^m·phi(w/beta) and
-        divides by the normalizer Z that the atom shares.
-        """
-        w_arr = np.atleast_1d(np.asarray(w, dtype=float))
-        if np.any(w_arr < 0):
-            raise ValueError("pdf requires w >= 0")
-        share = self.one_minus_A
-        out = _phi(self, w_arr) / share
-        if self.variant == "frfr":
-            tcp = self.params.tcp
-            p, m, beta = tcp.p, tcp.m, tcp.beta
-            plateau = p * beta ** -(m + 1) * w_arr ** m * _phi(self, w_arr / beta) / share
-            out = (out + plateau) / self._frfr_terms()[0]
-        return out if np.ndim(w) else float(out[0])
-
-    def ccdf(self, w):
-        """P(W > w) in closed form.
-
-        The plain tail is phi's mass above w over 1-A.  For frfr the
-        plateau density above w integrates to p·∫ v^m phi(v) over
-        v > w/beta, and the atom counts for every w below beta·B_eff.
-        """
-        tcp = self.params.tcp
-        w_arr = np.atleast_1d(np.asarray(w, dtype=float))
-        if np.any(w_arr < 0):
-            raise ValueError("ccdf requires w >= 0")
-        if self.variant == "frfr":
-            Z, weight = self._frfr_terms()
-            tail = phi_moment(self, 0.0, w_arr) + tcp.p * phi_moment(self, tcp.m, w_arr / tcp.beta)
-            at = tcp.beta * self.effective_limit
-            out = tail / (self.one_minus_A * Z) + np.where(w_arr < at, weight, 0.0)
-        else:
-            out = phi_moment(self, 0.0, w_arr) / self.one_minus_A
-        return out if np.ndim(w) else float(out[0])
-
-    def mean(self) -> float:
-        """E[W], the frfr atom included."""
-        if self.variant != "frfr":
-            return phi_moment(self, 1.0) / self.one_minus_A
-        tcp = self.params.tcp
-        Z, weight = self._frfr_terms()
-        density_part = phi_moment(self, 1.0) + tcp.p * tcp.beta * phi_moment(self, tcp.m + 1.0)
-        return density_part / (self.one_minus_A * Z) + tcp.beta * self.effective_limit * weight
+    def _integral(self, s: float, lo=0.0, hi: float = math.inf):
+        return phi_moment(self, s, lo, hi)
 
 
 def solve_finite_distribution(
@@ -298,28 +280,6 @@ def solve_finite_distribution(
         N_levels=len(rows) - 1,
         variant=variant,
     )
-
-
-def _phi(sol: FiniteBufferSolution, w: np.ndarray) -> np.ndarray:
-    """Unnormalized continuous density phi(w); zero outside (0, B_eff]."""
-    tcp = sol.params.tcp
-    p, m, c, B = tcp.p, tcp.m, sol.c, sol.effective_limit
-    out = np.zeros_like(w)
-    inside = (w > 0) & (w <= B)
-    if not np.any(inside):
-        return out
-    wi = w[inside]
-    # row n holds (B·beta^(n+1), B·beta^n]; the last row holds down to 0
-    rows = sol.N_levels - np.searchsorted(sol.level_edges()[sol.N_levels :: -1], wi)
-    vals = np.zeros_like(wi)
-    scaled = (wi / B) ** (m + 1) * sol.x
-    for n in np.unique(rows):
-        sel = rows == n
-        h = sol.h_rows[n]
-        k = np.arange(len(h), dtype=float)
-        vals[sel] = h @ np.exp(-np.outer(c ** -k, scaled[sel]))
-    out[inside] = p * wi ** m * vals
-    return out
 
 
 def phi_moment(sol: FiniteBufferSolution, s: float = 0.0, lo=0.0, hi: float | None = None):

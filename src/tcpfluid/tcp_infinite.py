@@ -2,21 +2,22 @@
 
 Between losses the window obeys dW/dt = alpha/W^m, so W^(m+1) grows
 linearly in time; losses arrive as a Poisson stream of rate lambda and
-multiply W by beta.  The stationary density is a finite mixture of
+multiply W by beta.  The plain stationary density is a finite mixture of
 stretched exponentials whose coefficients h_k come from a partial-fraction
-expansion; everything else here (moments, fast-recovery plateaus, idle-mode
-reweighting for long-delay links, the parallel-flow mean-field fixed point)
-is built from that mixture.  Every tail and mean of every variant is a sum
-of incomplete Gamma functions over the mixture terms (`_truncated_moment`),
-so nothing here integrates numerically.  All laws depend on lambda and alpha
-only through the loss ratio p = lambda/alpha.
+expansion (Dumas, Guillemin & Robert, Adv. Appl. Probab. 34 (2002) 85).
+Every variant, here and in `tcp_finite`, is built in one place
+(`_VariantLaw`): plain law + fast-recovery plateau + buffer atom (none
+here) + idle time below the bandwidth-delay product, over their total
+mass.  Every tail and mean is a sum of incomplete Gamma functions over the
+mixture terms (`_truncated_moment`), so nothing here integrates
+numerically.  All laws depend on lambda and alpha only through the loss
+ratio p = lambda/alpha.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import partial
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -179,8 +180,99 @@ def compute_residues(c: float, K: int | None = None) -> ResidueTable:
     return ResidueTable(c=c, h=tuple(h))
 
 
+def _points(w) -> np.ndarray:
+    """w as a 1-d float array, checked to be >= 0."""
+    w_arr = np.atleast_1d(np.asarray(w, dtype=float))
+    if np.any(w_arr < 0):
+        raise ValueError("window laws are evaluated at w >= 0")
+    return w_arr
+
+
+class _VariantLaw:
+    """pdf, ccdf and mean of every variant of one plain stationary law.
+
+    A variant is the plain law f, plus the fast-recovery plateau
+    p·beta^-(m+1)·w^m·f(w/beta), plus the atom p·A·B_eff^m at beta·B_eff
+    that buffer losses leave, plus, for wan, the idle time ((T-w)/w)·f(w)
+    below T = bdp, over their total mass.  A law supplies `_tcp`, its plain
+    density f up to the mass `_mass` (`_density`), the integral of w^s·f
+    over (lo, hi] with lo scalar or array (`_integral`), and `_buffer`,
+    (beta·B_eff, A·B_eff^m) or None when no buffer bounds the window.
+    """
+
+    _clamp = False
+
+    @property
+    def _idle_limit(self) -> float:
+        """T below which the window idles; 0 unless the variant is wan."""
+        return self._tcp.bdp if self.variant == "wan" else 0.0
+
+    def _total(self) -> tuple[float, tuple[float, float] | None]:
+        """(total mass, FR/FR atom as (location, weight) or None)."""
+        if self.variant == "plain":
+            return self._mass, None
+        tcp, T, buffer = self._tcp, self._idle_limit, self._buffer
+        loss = 0.0 if buffer is None else buffer[1]
+        total = self._mass + tcp.p * (self._integral(tcp.m) + loss)
+        if T > 0:
+            total += T * self._integral(-1.0, 0.0, T) - self._integral(0.0, 0.0, T)
+        return total, None if buffer is None else (buffer[0], tcp.p * loss / total)
+
+    def pdf(self, w):
+        """Density of the continuous part at w (scalar or array)."""
+        w_arr = _points(w)
+        tcp, T = self._tcp, self._idle_limit
+        base = out = self._density(w_arr)
+        if self.variant != "plain":
+            p, m, beta = tcp.p, tcp.m, tcp.beta
+            out = base + p * beta ** -(m + 1) * w_arr ** m * self._density(w_arr / beta)
+        if T > 0:
+            below = (w_arr < T) & (w_arr > 0)
+            out[below] += (T - w_arr[below]) / w_arr[below] * base[below]
+        out = out / self._total()[0]
+        if self._clamp:
+            out = np.maximum(out, 0.0)
+        return out if np.ndim(w) else float(out[0])
+
+    def ccdf(self, w):
+        """P(W > w) in closed form, the atom included.
+
+        The plateau above w holds p·∫ v^m·f(v) over v > w/beta; the idle
+        time above w < T holds ∫ (T-v)/v·f(v) over (w, T].
+        """
+        w_arr = _points(w)
+        tcp, T = self._tcp, self._idle_limit
+        total, atom = self._total()
+        out = self._integral(0.0, w_arr)
+        if self.variant != "plain":
+            out = out + tcp.p * self._integral(tcp.m, w_arr / tcp.beta)
+        if T > 0:
+            below = w_arr < T
+            lo = w_arr[below]
+            idle = T * self._integral(-1.0, lo, T)
+            out[below] += idle - (self._integral(0.0, lo) - self._integral(0.0, T))
+        out = out / total
+        if atom is not None:
+            out += np.where(w_arr < atom[0], atom[1], 0.0)
+        if self._clamp:
+            out = np.clip(out, 0.0, 1.0)
+        return out if np.ndim(w) else float(out[0])
+
+    def mean(self) -> float:
+        """E[W], the atom included."""
+        tcp, T = self._tcp, self._idle_limit
+        total, atom = self._total()
+        out = self._integral(1.0)
+        if self.variant != "plain":
+            out += tcp.p * tcp.beta * self._integral(tcp.m + 1.0)
+        if T > 0:
+            out += T * self._integral(0.0, 0.0, T) - self._integral(1.0, 0.0, T)
+        out /= total
+        return out if atom is None else out + atom[0] * atom[1]
+
+
 @dataclass(frozen=True)
-class AnalyticWindowDistribution:
+class AnalyticWindowDistribution(_VariantLaw):
     """Evaluable stationary window law.
 
     variant "plain" is the bare halving process; "frfr" adds the
@@ -192,8 +284,12 @@ class AnalyticWindowDistribution:
     params: TcpParams
     residues: ResidueTable
     variant: str = "plain"
-    # no infinite-buffer variant has an atom (not a dataclass field)
-    point_mass = None
+    # no buffer, so no variant has an atom (not dataclass fields)
+    point_mass = _buffer = None
+    _mass = 1.0
+    # the mixture cancels to all orders as w -> 0, so rounding can leave
+    # its pdf just below 0 and its CCDF just above 1
+    _clamp = True
 
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
@@ -209,80 +305,36 @@ class AnalyticWindowDistribution:
     def build(cls, params: TcpParams, variant: str = "plain") -> "AnalyticWindowDistribution":
         return cls(params, compute_residues(params.c), variant)
 
-    def pdf(self, w):
-        """Stationary density of the window at w (scalar or array).
+    @property
+    def _tcp(self) -> TcpParams:
+        return self.params
 
-        The frfr variant divides by 1 + p·E[W^m]; the wan variant adds the
-        idle-mode term ((T-w)/w)·f(w) below T = bdp and renormalizes.
+    def _rates(self) -> np.ndarray:
+        """Mixture decay rates a_k = p·c^-k/(m+1) of exp(-a_k·w^(m+1))."""
+        res = self.residues
+        return self.params.p * res.c ** -np.arange(len(res.h)) / (self.params.m + 1)
+
+    def _density(self, w: np.ndarray) -> np.ndarray:
+        p, m = self.params.p, self.params.m
+        ew = np.exp(-np.outer(self._rates(), w ** (m + 1)))
+        return p * w ** m * (np.asarray(self.residues.h) @ ew)
+
+    def _integral(self, s: float, lo=0.0, hi: float = math.inf):
+        """∫ w^s·f(w) dw over (lo, hi]: the mixture's own tail at s = 0,
+        else differences of `_truncated_moment`.  The whole mean (s = 1) is
+        `window_moment(params, 1/(m+1))`'s: the product closed form at m = 0
+        on a complete table, else its order r(m+1), which need not round to 1.
         """
-        params, res = self.params, self.residues
-        w_arr = np.atleast_1d(np.asarray(w, dtype=float))
-        if np.any(w_arr < 0):
-            raise ValueError("pdf requires w >= 0")
-        base = _mixture_pdf(params, res, w_arr)
-        if self.variant == "plain":
-            out = base
-        else:
-            p, m, beta = params.p, params.m, params.beta
-            plateau = p * beta ** -(m + 1) * w_arr ** m * _mixture_pdf(params, res, w_arr / beta)
-            if self.variant == "frfr":
-                out = (base + plateau) / (1.0 + p * _truncated_moment(params, res, m))
-            else:
-                T = params.bdp
-                idle = np.zeros_like(w_arr)
-                below = (w_arr < T) & (w_arr > 0)
-                idle[below] = (T - w_arr[below]) / w_arr[below] * base[below]
-                out = (base + plateau + idle) / _wan_mean_terms(params, res, T)[1]
-        out = np.maximum(out, 0.0)
-        return out if np.ndim(w) else float(out[0])
-
-    def ccdf(self, w):
-        """P(W > w) in closed form for every variant.
-
-        frfr adds the plateau tail p·E[W^m·1{W > w/beta}]; wan also adds, below
-        T = bdp, the idle tail T·E[W^-1·1{w < W <= T}] - P(w < W <= T).  Both
-        then divide by the normalizer of their pdf.
-        """
-        params, res = self.params, self.residues
-        w_arr = np.atleast_1d(np.asarray(w, dtype=float))
-        if np.any(w_arr < 0):
-            raise ValueError("ccdf requires w >= 0")
-        fbar = partial(_mixture_ccdf, params, res)
-        moment = partial(_truncated_moment, params, res)
-        out = fbar(w_arr)
-        if self.variant != "plain":
-            p, m, T = params.p, params.m, params.bdp
-            out += p * (moment(m) - moment(m, w_arr / params.beta))
-            if self.variant == "frfr":
-                out /= 1.0 + p * moment(m)
-            else:
-                below = w_arr < T
-                idle_mass = T * (moment(-1.0, T) - moment(-1.0, w_arr[below]))
-                out[below] += idle_mass - (fbar(w_arr[below]) - fbar(np.array([T])))
-                out /= _wan_mean_terms(params, res, T)[1]
-        out = np.clip(out, 0.0, 1.0)
-        return out if np.ndim(w) else float(out[0])
-
-    def mean(self) -> float:
-        """E[W] on this law's own residue table, as `pdf` and `ccdf` use it.
-
-        wan takes num/den; plain and frfr take the plain-law mean, plus
-        the fast-recovery shift for frfr.  At m = 0 a complete table (last
-        weight at most 2^-53) takes the product closed form instead, which
-        keeps the digits the alternating sum loses.
-        """
-        params, res = self.params, self.residues
-        if self.variant == "wan":
-            num, den = _wan_mean_terms(params, res, params.bdp)
-            return num / den
-        r = 1.0 / (params.m + 1.0)
-        if params.m == 0 and abs(res.weights[-1]) <= _WEIGHT_FLOOR:
-            mean = window_moment(params, r)
-        else:
-            # window_moment's order r(m+1), which need not round to 1
-            mean = _truncated_moment(params, res, r * (params.m + 1.0))
-        shift = _frfr_shift(params, res) if self.variant == "frfr" else 0.0
-        return mean + shift
+        params, res, m = self.params, self.residues, self.params.m
+        whole = np.ndim(lo) == 0 and lo == 0
+        if hi == math.inf and s == 0:
+            return res.weights @ np.exp(-np.multiply.outer(self._rates(), lo ** (m + 1)))
+        if hi == math.inf and s == 1 and whole:
+            if m == 0 and abs(res.weights[-1]) <= _WEIGHT_FLOOR:
+                return window_moment(params, 1.0)
+            s = 1.0 / (m + 1.0) * (m + 1.0)
+        upper = _truncated_moment(params, res, s, hi)
+        return upper if whole else upper - _truncated_moment(params, res, s, lo)
 
     def support_cutoff(self) -> float:
         """w beyond which the plain-law CCDF is below 1e-13."""
@@ -291,23 +343,6 @@ class AnalyticWindowDistribution:
         if self.variant == "wan":
             return max(w_tail, 1.01 * self.params.bdp)
         return w_tail
-
-
-def _mixture_pdf(params: TcpParams, res: ResidueTable, w: np.ndarray) -> np.ndarray:
-    p, m = params.p, params.m
-    k = np.arange(len(res.h))
-    a = p * res.c ** -k / (m + 1)
-    h = np.asarray(res.h)
-    ew = np.exp(-np.outer(a, w ** (m + 1)))
-    return p * w ** m * (h @ ew)
-
-
-def _mixture_ccdf(params: TcpParams, res: ResidueTable, w: np.ndarray) -> np.ndarray:
-    p, m = params.p, params.m
-    k = np.arange(len(res.h))
-    a = p * res.c ** -k / (m + 1)
-    weights = res.weights
-    return weights @ np.exp(-np.outer(a, w ** (m + 1)))
 
 
 def _truncated_moment(params: TcpParams, res: ResidueTable, s: float, limit=math.inf):
@@ -330,19 +365,6 @@ def _truncated_moment(params: TcpParams, res: ResidueTable, s: float, limit=math
     x = np.multiply.outer(limit ** (m + 1), p * res.c ** -k / (m + 1))
     out = scale * gamma_nu * np.sum(h * res.c ** (k * nu) * gammainc(nu, x), axis=-1)
     return out if np.ndim(limit) else float(out)
-
-
-def _wan_mean_terms(params: TcpParams, res: ResidueTable, T: float) -> tuple[float, float]:
-    """(num, den) with E[W] = num/den for the wan law idling below T.
-
-    den = P(W > T) + p·E[W^m] + T·E[W^-1·1{W <= T}] also normalizes its pdf.
-    """
-    p, m, beta = params.p, params.m, params.beta
-    moment = partial(_truncated_moment, params, res)
-    fbar = float(_mixture_ccdf(params, res, np.array([T]))[0]) if T > 0 else 1.0
-    num = moment(1.0) + p * beta * moment(m + 1.0) + T * (1.0 - fbar) - moment(1.0, T)
-    den = fbar + p * moment(m) + T * moment(-1.0, T)
-    return num, den
 
 
 def window_moment(params: TcpParams, r: float) -> float:
@@ -379,14 +401,8 @@ def frfr_mean_correction(params: TcpParams) -> float:
     """
     if params.loss_rate <= 0:
         raise ValueError("frfr_mean_correction requires loss_rate > 0")
-    return _frfr_shift(params, compute_residues(params.c))
-
-
-def _frfr_shift(params: TcpParams, res: ResidueTable) -> float:
-    p, m = params.p, params.m
-    ew = _truncated_moment(params, res, 1.0)
-    ewm = _truncated_moment(params, res, m)
-    ewm1 = _truncated_moment(params, res, m + 1.0)
+    p, m, res = params.p, params.m, compute_residues(params.c)
+    ew, ewm, ewm1 = (_truncated_moment(params, res, s) for s in (1.0, m, m + 1.0))
     return -p * (ew * ewm - params.beta * ewm1) / (1.0 + p * ewm)
 
 
@@ -414,8 +430,8 @@ def mean_field_fixed_point(params: TcpParams, N: int) -> float:
     res = compute_residues(params.c)
     T = N / _truncated_moment(params, res, -1.0)
     for _ in range(_MAX_ITER):
-        num, den = _wan_mean_terms(params, res, T)
-        T_new = N * num / den
+        idle = replace(params, link_delay=T / (2.0 * params.alpha))  # bdp = T
+        T_new = N * AnalyticWindowDistribution(idle, res, "wan").mean()
         if abs(T_new - T) <= 1e-10 * max(1.0, abs(T_new)):
             return T_new
         T = T_new

@@ -554,10 +554,48 @@ def test_netsim_rejects_fewer_than_one_flow(tmp_path, capsys, flows):
 
 
 def test_netsim_check_ordering_needs_all(tmp_path):
+    out = tmp_path / "out"
     rc = main(["netsim", "--nodes", "30", "--flows", "8", "--epochs", "100",
                "--strategy", "uniform", "--check", "ordering",
-               "--outdir", str(tmp_path)])
+               "--outdir", str(out)])
     assert rc == 2
+    assert not out.exists()
+
+
+_NETSIM = ["netsim", "--nodes", "10", "--flows", "3", "--strategy", "uniform"]
+
+
+# each once exited 2 only after making an empty output directory, with the
+# library's term ("capacities must be positive") or numpy's in place of the
+# flag, and --grid-points 0 exited 0 with a header-only table
+@pytest.mark.parametrize("argv, conf, flag", [
+    (_NETSIM + ["--epochs", "0"], None, "--epochs"),
+    (_NETSIM + ["--mean-capacity", "0"], None, "--mean-capacity"),
+    (_NETSIM + ["--pi", "0"], None, "--pi"),
+    (_NETSIM + ["--pi", "1.5"], None, "--pi"),
+    (_NETSIM + ["--beta", "1"], None, "--beta"),
+    (_NETSIM + ["--beta", "0"], None, "--beta"),
+    (_NETSIM + ["--alpha", "2"], None, "--alpha"),
+    (_NETSIM + ["--alpha", "-0.5"], None, "--alpha"),
+    (_NETSIM, {"epochs": 0}, "--epochs"),
+    (_NETSIM, {"mean_capacity": -1.0}, "--mean-capacity"),
+    (_NETSIM, {"pi": 0}, "--pi"),
+    (_NETSIM, {"beta": 1.0}, "--beta"),
+    (_NETSIM, {"alpha": 1.5}, "--alpha"),
+    (["validate", "--p", "1e-2", "--bins", "1"], None, "--bins"),
+    (["tcp-dist", "--p", "1e-2", "--grid-points", "-1"], None, "--grid-points"),
+    (["tcp-dist", "--p", "1e-2", "--grid-points", "0"], None, "--grid-points"),
+    (["tcp-dist", "--p", "1e-2", "--grid-points", "1"], None, "--grid-points"),
+])
+def test_bad_value_exits_2_naming_its_flag_before_the_outdir(tmp_path, capsys, argv, conf, flag):
+    out = tmp_path / "out"
+    if conf is not None:
+        path = tmp_path / "conf.json"
+        path.write_text(json.dumps(conf))
+        argv = argv + ["--config", str(path)]
+    assert main(argv + ["--outdir", str(out)]) == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
 
 
 # seeds of a 500-node run whose mean and median orderings disagree, and one

@@ -208,16 +208,22 @@ def test_level_edges_partition_support():
     assert all(edges[i] > edges[i + 1] for i in range(len(edges) - 1))
 
 
-def test_finite_matches_infinite_when_buffer_huge():
-    # with the buffer far beyond the window scale the finite density
-    # collapses onto the unconstrained law
+@pytest.mark.parametrize("variant", ["plain", "frfr"])
+def test_finite_matches_infinite_when_buffer_huge(variant):
+    # with the buffer far beyond the window scale (A = 0.0 exactly here) the
+    # finite law is the unconstrained one; measured within 5.9e-16
     p = 1e-2
-    sol = solve_finite_distribution(_fb(p, 400.0))
-    dist = AnalyticWindowDistribution.build(TcpParams(alpha=1.0, loss_rate=p), "plain")
-    w = np.linspace(0.5, 60.0, 200)
-    got = sol.pdf(w)
+    sol = solve_finite_distribution(_fb(p, 400.0), variant)
+    dist = AnalyticWindowDistribution.build(TcpParams(alpha=1.0, loss_rate=p), variant)
+    w = np.linspace(0.0, dist.support_cutoff(), 512)
     want = dist.pdf(w)
-    assert np.max(np.abs(got - want)) < 1e-6
+    assert np.max(np.abs(sol.pdf(w) - want)) <= 1e-14 * want.max()
+    assert np.max(np.abs(sol.ccdf(w) - dist.ccdf(w))) <= 1e-14
+    assert sol.mean() == pytest.approx(dist.mean(), rel=1e-14)
+    # the atom stays, with weight 0.0, where A underflows
+    assert sol.A == 0.0
+    want_atom = (0.5 * sol.effective_limit, 0.0) if variant == "frfr" else None
+    assert sol.point_mass == want_atom
 
 
 def test_frfr_atom_and_density_normalize():

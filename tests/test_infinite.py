@@ -1,5 +1,6 @@
 """Infinite-buffer stationary window laws: residues, moments, variants."""
 
+import itertools
 import math
 
 import numpy as np
@@ -230,6 +231,18 @@ def test_frfr_mean_consistency_with_grid():
     grid_mean = np.trapezoid(w * dist.pdf(w), w)
     want = window_moment(_p(p), 0.5) + frfr_mean_correction(_p(p))
     assert grid_mean == pytest.approx(want, rel=1e-5)
+
+
+def test_frfr_mean_routes_agree():
+    # the law's own mean against the plain mean plus the public shift; the
+    # guard admits every c = beta^(m+1) here (c <= 0.8)
+    for p, m, beta in itertools.product(
+        (1e-2, 1e-3, 1e-4, 1e-6), (0.0, 0.5, 1.0, 2.0), (0.3, 0.5, 0.7, 0.8)
+    ):
+        params = _p(p, m=m, beta=beta)
+        law = AnalyticWindowDistribution.build(params, "frfr")
+        want = window_moment(params, 1.0 / (m + 1.0)) + frfr_mean_correction(params)
+        assert law.mean() == pytest.approx(want, rel=1e-13, abs=0.0), (p, m, beta)
 
 
 def test_wan_distribution_normalizes():
