@@ -80,6 +80,13 @@ def _prepare_outdir(path: str) -> None:
         raise ValueError(f"output directory not writable: {exc}") from exc
 
 
+def _check_tolerance(flag: str, value: float) -> None:
+    # NaN fails every comparison, so a NaN tolerance would fail its check
+    # only after the whole job ran
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{flag} must be finite and at least 0, got {value!r}")
+
+
 def _fmt(value) -> str:
     if isinstance(value, np.generic):
         # numpy 2 scalars repr as "np.float64(...)", which no CSV reader parses
@@ -225,6 +232,12 @@ def cmd_validate(args) -> int:
         raise ValueError("--events must be at least 1000")
     if args.bins < 2:
         raise ValueError(f"--bins must be at least 2, got {args.bins}")
+    if not 0 <= args.chi2_significance <= 1:
+        raise ValueError(
+            f"--chi2-significance must lie in [0, 1], got {args.chi2_significance!r}"
+        )
+    _check_tolerance("--ks-threshold", args.ks_threshold)
+    _check_tolerance("--loss-ratio-tolerance", args.loss_ratio_tolerance)
     analytic_beta = args.beta if args.analytic_beta is None else args.analytic_beta
     cfg = RunConfig(
         "validate",
@@ -296,6 +309,7 @@ def cmd_tree(args) -> int:
         raise ValueError("--max-rows and --max-q-rows must be at least 1")
     if args.realizations < 0:
         raise ValueError(f"--realizations must be nonnegative, got {args.realizations}")
+    _check_tolerance("--check-tolerance", args.check_tolerance)
     realizations = args.realizations
     if args.check == "ccdf" and realizations == 0:
         realizations = 20

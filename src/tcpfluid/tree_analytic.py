@@ -98,26 +98,31 @@ def _prefactor(tau, alpha: float) -> float:
 
 
 # chain rows per block: the block's coefficient arrays are built in one
-# vectorized step and stay small even for a full-width table row
+# vectorized step.  The in-degree pass and the betweenness column sum
+# over these blocks, so their bits depend on the size
 _CHAIN_BLOCK = 256
+# elements per block of a full-width table: its rows are as wide as tau,
+# and a block this small stays in cache
+_TABLE_BLOCK_ELEMENTS = 16384
 
 
 def _in_degree_chain(
-    alpha: float, n_rows: int, top: int
+    alpha: float, n_rows: int, top: int, rows: int = _CHAIN_BLOCK
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Yield blocks (lo, K) with K[i, q] = K_{lo+i}(q), covering n < n_rows.
 
     Bin `top` absorbs every in-degree q >= top.  K_n(q) = 0 for q > n, so
     a block [lo, hi) carries only bins q <= min(hi, top): K's width can
-    be less than top + 1, and the bins past it are zero.  Requires
-    alpha < 1.
+    be less than top + 1, and the bins past it are zero.  Each block has
+    `rows` rows, the last fewer; the entries do not depend on it.
+    Requires alpha < 1.
     """
     q = np.arange(top + 1.0)
     rise_weight = 1.0 - alpha + alpha * q[:-1]
     row = np.zeros(top + 1)
     row[0] = 1.0
-    for lo in range(0, n_rows, _CHAIN_BLOCK):
-        hi = min(lo + _CHAIN_BLOCK, n_rows)
+    for lo in range(0, n_rows, rows):
+        hi = min(lo + rows, n_rows)
         w = min(hi, top) + 1
         n = np.arange(lo, hi, dtype=float)[:, None]
         size = n + 1.0 - alpha
@@ -128,10 +133,10 @@ def _in_degree_chain(
         out[0] = row[:w]
         # row views made once per block: indexing per step costs as much
         # as the arithmetic on a 65-bin row
-        rows, lows, highs = list(out), list(out[:, :-1]), list(out[:, 1:])
+        fulls, lows, highs = list(out), list(out[:, :-1]), list(out[:, 1:])
         stays, rises = list(stay), list(rise)
         for i in range(len(n)):
-            np.multiply(rows[i], stays[i], out=rows[i + 1])
+            np.multiply(fulls[i], stays[i], out=fulls[i + 1])
             highs[i + 1] += lows[i] * rises[i]
         row[:w] = out[-1]
         yield lo, out[:-1]
@@ -247,7 +252,8 @@ class DistTable:
             grid[0, 0] = 1.0
             return cls(tau=tau, alpha_t=1.0, grid=grid)
         p_n = _cluster_pmf(tau, alpha)
-        for lo, k in _in_degree_chain(alpha, tau, tau - 1):
+        rows = max(1, _TABLE_BLOCK_ELEMENTS // tau)
+        for lo, k in _in_degree_chain(alpha, tau, tau - 1, rows):
             hi, w = lo + len(k), k.shape[1]
             np.multiply(k, p_n[lo:hi, None], out=grid[lo:hi, :w])
         return cls(tau=tau, alpha_t=alpha, grid=grid)

@@ -108,9 +108,11 @@ def grow(params: TreeParams) -> GrowingTree:
     The RNG stream is drawn per `_BLOCK` steps, u_branch then u_pick.  One
     array expression decides a block's branches with the scalar test's
     float ops, u_branch * (a*t + (t-1)) < a*t.  Copy chains s -> s' -> ...
-    fall in index to a uniform step or an earlier block, and pointer
-    jumping resolves them in a few doubling rounds.  The parents are the
-    sequential loop's over the same stream, bit for bit.
+    fall in index to a root, whose parent is known at once: a uniform step
+    or a step of an earlier block.  Pointer jumping runs only over the
+    open copy steps, those whose hop is not yet a root; the set shrinks
+    every doubling round, and the loop ends when it is empty.  The
+    parents are the sequential loop's over the same stream, bit for bit.
     """
     tau = params.tau
     parent = np.empty(tau + 1, dtype=np.int64)
@@ -129,22 +131,31 @@ def grow(params: TreeParams) -> GrowingTree:
             stop = min(start + _BLOCK, tau + 1)
             u_branch = rng.random(stop - start)
             u_pick = rng.random(stop - start)
-            steps = np.arange(start, stop)
-            t = steps.astype(float)
+            t = np.arange(float(start), float(stop))
             w_uniform = a * t
             # t = 1 always takes the uniform branch: u_branch * a < a
-            uniform = u_branch * (w_uniform + (t - 1.0)) < w_uniform
-            # hop[i]: the step whose parent step start+i takes; a uniform
-            # step points at itself and keeps its own draw
-            hop = np.where(uniform, steps, (u_pick * (t - 1.0)).astype(np.int64) + 1)
-            parent[start:stop] = (u_pick * t).astype(np.int64)
-            while True:
-                inside = hop >= start
-                nxt = hop[hop[inside] - start]
-                if np.array_equal(nxt, hop[inside]):
-                    break
-                hop[inside] = nxt
-            parent[start:stop] = parent[hop]
+            root = u_branch * (w_uniform + (t - 1.0)) < w_uniform
+            # a root's parent is known at once: a uniform step keeps its
+            # own draw, and a copy of an earlier block's step takes that
+            # step's parent
+            root_parent = (u_pick * t).astype(np.int64)
+            copy = np.flatnonzero(~root)
+            target = (u_pick[copy] * (t[copy] - 1.0)).astype(np.int64) + 1
+            early = target < start
+            root_parent[copy[early]] = parent[target[early]]
+            root[copy[early]] = True
+            # hop[i]: the block step, as an offset from start, whose parent
+            # step start+i takes; the open steps are those whose hop is not
+            # yet a root
+            hop = np.arange(stop - start)
+            open_ = copy[~early]
+            hop[open_] = target[~early] - start
+            open_ = open_[~root[hop[open_]]]
+            while open_.size:
+                nxt = hop[hop[open_]]
+                hop[open_] = nxt
+                open_ = open_[~root[nxt]]
+            parent[start:stop] = root_parent[hop]
 
     in_degree = np.bincount(parent[1:], minlength=tau + 1)
     return GrowingTree(
@@ -207,15 +218,15 @@ def measure(tree: GrowingTree) -> EdgeMeasurements:
     """Per-edge (n, q_younger, q_older, L) records from a single reverse pass."""
     tau = tree.tau
     child, older = tree.edge_endpoints()
-    sizes = subtree_sizes(tree)
-    n = sizes[child] - 1
+    # the younger endpoints are vertices 1..tau in order: slices, not gathers
+    n = subtree_sizes(tree)[1:] - 1
     betweenness = (n + 1) * (tau - n)
     return EdgeMeasurements(
         tau=tau,
         child=child,
         parent=older,
         n=n,
-        q_younger=tree.in_degree[child],
+        q_younger=tree.in_degree[1:].copy(),
         q_older=tree.in_degree[older],
         betweenness=betweenness,
     )
@@ -224,14 +235,18 @@ def measure(tree: GrowingTree) -> EdgeMeasurements:
 def enumerate_exact(params: TreeParams) -> DistTable:
     """Exact edge-state distribution P_tau(n, q) by exhausting all histories.
 
-    Walks every attachment history and accumulates, for each history, the
-    empirical (n, q) frequency over its tau edges.  With alpha_t snapped
-    to the nearest small-denominator rational and a = p/r, step t picks
-    vertex v with probability (p + r q_v) / ((p+r) t - r), and the totals
-    do not depend on the history.  So the walk carries integer products
-    of the numerators, and each (n, q) key becomes one `Fraction` over
-    the common denominator at the end.  Serves as the ground-truth
-    oracle for the closed-form joint distribution at small sizes.
+    Accumulates, over every attachment history, the empirical (n, q)
+    frequency of its tau edges.  With alpha_t snapped to the nearest
+    small-denominator rational and a = p/r, step t picks vertex v with
+    probability (p + r q_v) / ((p+r) t - r), and the totals do not depend
+    on the history.  So a history's weight is the integer product of its
+    picks' numerators, and each (n, q) key becomes one `Fraction` over
+    the common denominator at the end.  All prod_{t=2..tau} t histories
+    are tallied at once as arrays, in the order of a depth-first walk
+    over the picks, and `exact` lists the keys in the order that walk
+    first meets them.  Sums are exact: int64 while total * tau fits, and
+    Python ints beyond.  Serves as the ground-truth oracle for the
+    closed-form joint distribution at small sizes.
 
     Raises:
         ValueError: if tau > 8; the history space grows like tau!.
@@ -248,36 +263,51 @@ def enumerate_exact(params: TreeParams) -> DistTable:
         p, r = a.numerator, a.denominator
     total = math.prod((p + r) * t - r for t in range(2, tau + 1))
 
-    parent = [0] * (tau + 1)
-    q = [0] * (tau + 1)
-    acc: dict[tuple[int, int], int] = {}
-
-    def tally(weight: int) -> None:
-        sizes = [1] * (tau + 1)
-        for v in range(tau, 0, -1):
-            sizes[parent[v]] += sizes[v]
-        for v in range(1, tau + 1):
-            key = (sizes[v] - 1, q[v])
-            acc[key] = acc.get(key, 0) + weight
-
-    def walk(t: int, weight: int) -> None:
-        if t > tau:
-            tally(weight)
-            return
-        for v in range(t):
-            w = p + r * q[v]
-            if w == 0:
-                continue
-            parent[t] = v
-            q[v] += 1
-            walk(t + 1, weight * w)
-            q[v] -= 1
-
-    # only the root exists at t = 1; it takes the whole total
-    q[0] = 1
-    walk(2, 1)
-
-    exact = {key: Fraction(count, total * tau) for key, count in acc.items()}
+    # history h holds the picks of steps 2..tau as mixed-radix digits,
+    # step 2 the slowest, which is the order of a depth-first walk;
+    # parent[v-1, h] is vertex v's parent, and vertex 1's is the root
+    n_hist = math.prod(range(2, tau + 1))
+    parent = np.zeros((tau, n_hist), dtype=np.int64)
+    parent[1:] = np.indices(range(2, tau + 1)).reshape(tau - 1, n_hist)
+    # a history's weight is the product of its picks' p + r q_v, q_v the
+    # in-degree just before the pick; every partial product is at most
+    # total, so int64 holds them whenever it holds total * tau
+    weight = np.ones(n_hist, dtype=np.int64 if total * tau < 2**63 else object)
+    q = np.zeros((tau + 1, n_hist), dtype=np.int64)
+    q[0] = 1  # step 1's edge
+    hists, q_flat = np.arange(n_hist), q.reshape(-1)
+    for t in range(2, tau + 1):
+        pick = parent[t - 1] * n_hist + hists
+        before = q_flat[pick]
+        weight *= p + r * before
+        q_flat[pick] = before + 1
+    # the walk skips a pick of weight 0, a childless vertex at a = 0
+    live = weight != 0
+    if not live.all():
+        parent, q, weight = parent[:, live], q[:, live], weight[live]
+        n_hist = len(weight)
+        hists = np.arange(n_hist)
+    # subtree sizes by one reverse pass, a vertex at a time over all
+    # histories; then the key n * tau + q of every (edge, history)
+    sizes = np.ones((tau + 1, n_hist), dtype=np.int64)
+    sizes_flat = sizes.reshape(-1)
+    for v in range(tau, 0, -1):
+        sizes_flat[parent[v - 1] * n_hist + hists] += sizes[v]
+    keys = (sizes[1:] - 1) * tau + q[1:]
+    # exact sums per key, and each key's first place in the walk's tally
+    # order, history by history and edge by edge within one
+    acc = np.zeros(tau * tau, dtype=weight.dtype)
+    first = np.full(tau * tau, tau * n_hist)
+    # one edge's row at a time: numpy 2.4.6's add.at gave wrong sums, and
+    # could crash, with values broadcast along the indices' first axis
+    for e, row in enumerate(keys):
+        np.add.at(acc, row, weight)
+        np.minimum.at(first, row, hists * tau + e)
+    found = np.flatnonzero(first < tau * n_hist)
+    exact = {
+        divmod(key, tau): Fraction(int(acc[key]), total * tau)
+        for key in found[np.argsort(first[found])].tolist()
+    }
     grid = np.zeros((tau, tau))
     for (n, k), val in exact.items():
         grid[n, k] = float(val)

@@ -567,7 +567,9 @@ _NETSIM = ["netsim", "--nodes", "10", "--flows", "3", "--strategy", "uniform"]
 
 # each once exited 2 only after making an empty output directory, with the
 # library's term ("capacities must be positive") or numpy's in place of the
-# flag, and --grid-points 0 exited 0 with a header-only table
+# flag, and --grid-points 0 exited 0 with a header-only table; a tolerance
+# or significance out of range ran the whole job, wrote its files and
+# exited 3
 @pytest.mark.parametrize("argv, conf, flag", [
     (_NETSIM + ["--epochs", "0"], None, "--epochs"),
     (_NETSIM + ["--mean-capacity", "0"], None, "--mean-capacity"),
@@ -586,6 +588,16 @@ _NETSIM = ["netsim", "--nodes", "10", "--flows", "3", "--strategy", "uniform"]
     (["tcp-dist", "--p", "1e-2", "--grid-points", "-1"], None, "--grid-points"),
     (["tcp-dist", "--p", "1e-2", "--grid-points", "0"], None, "--grid-points"),
     (["tcp-dist", "--p", "1e-2", "--grid-points", "1"], None, "--grid-points"),
+    (["tree", "--tau", "50", "--check", "ccdf", "--check-tolerance", "-1"], None,
+     "--check-tolerance"),
+    (["tree", "--tau", "50", "--check", "ccdf", "--check-tolerance", "nan"], None,
+     "--check-tolerance"),
+    (["validate", "--p", "1e-2", "--chi2-significance", "2"], None, "--chi2-significance"),
+    (["validate", "--p", "1e-2", "--chi2-significance", "nan"], None, "--chi2-significance"),
+    (["validate", "--p", "1e-2", "--ks-threshold", "-1"], None, "--ks-threshold"),
+    (["validate", "--p", "1e-2", "--ks-threshold", "inf"], None, "--ks-threshold"),
+    (["validate", "--p", "1e-2", "--buffer", "30", "--loss-ratio-tolerance", "-0.1"], None,
+     "--loss-ratio-tolerance"),
 ])
 def test_bad_value_exits_2_naming_its_flag_before_the_outdir(tmp_path, capsys, argv, conf, flag):
     out = tmp_path / "out"

@@ -339,12 +339,29 @@ def test_narrow_chain_matches_frozen_chain(monkeypatch):
                 out["column", q, alpha] = _betweenness_column.__wrapped__(alpha, q, 512)
         return {key: np.array(value) for key, value in out.items()}
 
+    def frozen_chain(alpha, n_rows, top, rows=None):
+        # the frozen chain always runs 256-row blocks, so the table's own
+        # block size is dropped: equal bytes show the grid does not depend
+        # on it
+        return tree_reference.in_degree_chain(alpha, n_rows, top)
+
     got = results()
-    monkeypatch.setattr(tree_analytic, "_in_degree_chain", tree_reference.in_degree_chain)
+    monkeypatch.setattr(tree_analytic, "_in_degree_chain", frozen_chain)
     want = results()
     for key, value in want.items():
         assert got[key].shape == value.shape, key
         assert got[key].tobytes() == value.tobytes(), key
+
+
+@pytest.mark.parametrize("tau", [257, 1000])
+def test_table_does_not_depend_on_chain_block(monkeypatch, tau):
+    def grids():
+        return [DistTable.from_analytic(tau, alpha).grid.tobytes() for alpha in (0.0, 0.5, 0.9)]
+
+    want = grids()
+    for rows in (1, 7, 64, 256):
+        monkeypatch.setattr(tree_analytic, "_TABLE_BLOCK_ELEMENTS", rows * tau)
+        assert grids() == want, rows
 
 
 def test_ccdf_n_exact_near_tree_size():

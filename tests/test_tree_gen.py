@@ -198,8 +198,10 @@ def test_grow_matches_frozen_loop(alpha, tau, seed):
 
 
 def test_grow_matches_frozen_loop_across_blocks():
-    # 140000 steps span three RNG blocks; copies reach into earlier blocks
-    for alpha in (0.5, 0.9):
+    # 140000 steps span three RNG blocks; copies reach into earlier blocks.
+    # At 0.99 a step copies with probability about 0.99, so its copy
+    # chains are the longest and most cross a block edge
+    for alpha in (0.5, 0.9, 0.99):
         params = TreeParams(alpha_t=alpha, tau=140_000, seed=7)
         got = grow(params)
         want = tree_reference.grow(params)
@@ -220,9 +222,12 @@ def test_subtree_sizes_match_frozen_loop():
         assert np.array_equal(want, np.arange(tau + 1, 0, -1)), tau
 
 
-@pytest.mark.parametrize("alpha", [0.0, 1 / 3, 0.5, 2 / 3, 1.0])
+# a = p/r = 876543/123457 at alpha 0.123457: past tau = 3 the history
+# weights outgrow int64 and are summed as Python ints.  tau = 8 at 0.5 is
+# the README's `tree --tau 8 --enumerate`; the frozen walk takes about 1.4 s
+@pytest.mark.parametrize("alpha", [0.0, 1 / 3, 0.5, 2 / 3, 1.0, 0.123457])
 def test_enumerate_exact_matches_frozen_fraction_walk(alpha):
-    for tau in range(1, 8):
+    for tau in range(1, 9 if alpha == 0.5 else 8):
         params = TreeParams(alpha_t=alpha, tau=tau, seed=0)
         got = enumerate_exact(params).exact
         want = tree_reference.enumerate_exact(params)
