@@ -12,15 +12,15 @@ geometry through c = beta^(m+1):
   stationary density, one row per halving level below B_eff.  Rows are
   added until a new one moves the phi mass below its upper edge by at most
   2^-53·(1-A); the last row then holds down to w = 0.
-- Every tail mass and mean is a sum of incomplete Gamma functions over
-  rows and levels (`phi_moment`).
 
 `solve_finite_distribution(params, variant)` returns the law as a
-`FiniteBufferSolution`, built like the infinite-buffer law by
-`tcp_infinite._VariantLaw`: plain law phi/(1-A) + fast-recovery plateau +
-the atom at beta·B_eff that buffer losses leave (`point_mass`), over their
-total mass.  It has `pdf(w)`, `ccdf(w)`, `mean()` and `support_cutoff()`
-(= B_eff); no finite-buffer wan law exists.
+`FiniteBufferSolution`.  Its density phi is the infinite-buffer mixture
+with one coefficient row per level, so it supplies only its rows and level
+edges: `tcp_infinite._VariantLaw` evaluates it as it evaluates the
+infinite-buffer law, and builds its variant, plain law phi/(1-A) +
+fast-recovery plateau + the atom at beta·B_eff that buffer losses leave
+(`point_mass`), over their total mass.  It has `pdf(w)`, `ccdf(w)`,
+`mean()` and `support_cutoff()` (= B_eff); no finite-buffer wan law exists.
 
 Every exponential is arranged to have a nonpositive argument, so the
 evaluation never overflows regardless of x.
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import euler_product_L, gammainc
+from .specfun import euler_product_L
 from .tcp_infinite import _WEIGHT_FLOOR, TcpParams, _guard_cancellation, _VariantLaw
 
 # the loss-split sum stops once c^k·x is small and a term falls below
@@ -152,8 +152,12 @@ class FiniteBufferSolution(_VariantLaw):
     A: float
     one_minus_A: float
     h_rows: tuple[np.ndarray, ...]
-    N_levels: int
     variant: str = "plain"
+
+    @property
+    def N_levels(self) -> int:
+        """Index of the last row, the one that holds down to w = 0."""
+        return len(self.h_rows) - 1
 
     @property
     def x(self) -> float:
@@ -185,6 +189,15 @@ class FiniteBufferSolution(_VariantLaw):
         return self.one_minus_A
 
     @property
+    def _rows(self) -> tuple[np.ndarray, ...]:
+        return self.h_rows
+
+    @property
+    def _edges(self) -> np.ndarray:
+        # the last row holds down to w = 0
+        return np.append(self.level_edges()[:-1], 0.0)
+
+    @property
     def _buffer(self) -> tuple[float, float]:
         """(beta·B_eff, A·B_eff^m): every buffer loss halves from B_eff."""
         B = self.effective_limit
@@ -194,30 +207,6 @@ class FiniteBufferSolution(_VariantLaw):
     def point_mass(self) -> tuple[float, float] | None:
         """(beta·B_eff, weight) of the frfr atom; None for plain."""
         return self._total()[1]
-
-    def _density(self, w: np.ndarray) -> np.ndarray:
-        """Unnormalized continuous density phi(w); zero outside (0, B_eff]."""
-        tcp = self._tcp
-        p, m, c, B = tcp.p, tcp.m, self.c, self.effective_limit
-        out = np.zeros_like(w)
-        inside = (w > 0) & (w <= B)
-        if not np.any(inside):
-            return out
-        wi = w[inside]
-        # row n holds (B·beta^(n+1), B·beta^n]; the last row holds down to 0
-        rows = self.N_levels - np.searchsorted(self.level_edges()[self.N_levels :: -1], wi)
-        vals = np.zeros_like(wi)
-        scaled = (wi / B) ** (m + 1) * self.x
-        for n in np.unique(rows):
-            sel = rows == n
-            h = self.h_rows[n]
-            k = np.arange(len(h), dtype=float)
-            vals[sel] = h @ np.exp(-np.outer(c ** -k, scaled[sel]))
-        out[inside] = p * wi ** m * vals
-        return out
-
-    def _integral(self, s: float, lo=0.0, hi: float = math.inf):
-        return phi_moment(self, s, lo, hi)
 
 
 def solve_finite_distribution(
@@ -277,49 +266,13 @@ def solve_finite_distribution(
         A=A,
         one_minus_A=one_minus_A,
         h_rows=tuple(rows),
-        N_levels=len(rows) - 1,
         variant=variant,
     )
 
 
-def phi_moment(sol: FiniteBufferSolution, s: float = 0.0, lo=0.0, hi: float | None = None):
-    """Exact integral of w^s·phi(w) over (lo, hi) via incomplete Gamma.
-
-    s = 0 gives the phi mass (1 - A over the full range); s = m feeds the
-    fast-recovery normalizer.  lo may be an array, giving one integral per
-    entry.
-    """
-    tcp = sol.params.tcp
-    p, m, c, B = tcp.p, tcp.m, sol.c, sol.effective_limit
-    if hi is None:
-        hi = B
-    hi = min(hi, B)
-    nu = 1.0 + s / (m + 1)
-    if nu <= 0:
-        raise ValueError(f"integral diverges at the origin for s={s}")
-    scale = ((m + 1) / p) ** (s / (m + 1)) * math.gamma(nu)
-    edges = sol.level_edges()
-    rows = []
-    for n in range(sol.N_levels + 1):
-        b = min(hi, edges[n])
-        a = np.maximum(lo, edges[n + 1]) if n < sol.N_levels else lo
-        if np.all(a >= b):
-            continue
-        k = np.arange(len(sol.h_rows[n]))
-        a_k = p * c ** -k.astype(float) / (m + 1)
-        # entries with a >= b integrate over nothing
-        lower = np.multiply.outer(np.minimum(a, b) ** (m + 1), a_k)
-        rows.append((n, k, a_k * b ** (m + 1), lower))
-    total = np.zeros(np.shape(lo))
-    if rows:
-        # one call for every row's bounds: each value depends on its own x alone
-        values = gammainc(nu, np.concatenate([x.ravel() for row in rows for x in row[2:]]))
-        for n, k, upper, lower in rows:
-            p_upper, p_lower, values = np.split(values, [upper.size, upper.size + lower.size])
-            seg = p_upper - p_lower.reshape(lower.shape)
-            total += np.sum(sol.h_rows[n] * c ** (k * nu) * seg, axis=-1)
-    out = scale * total
-    return out if np.ndim(lo) else float(out)
+def phi_moment(sol: FiniteBufferSolution, s: float = 0.0, lo=0.0, hi: float = math.inf):
+    """∫ w^s·phi(w) dw over (lo, hi], lo scalar or array; `sol._integral` as a function."""
+    return sol._integral(s, lo, hi)
 
 
 def finite_window_pdf(sol: FiniteBufferSolution, w):

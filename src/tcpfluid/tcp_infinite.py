@@ -3,15 +3,17 @@
 Between losses the window obeys dW/dt = alpha/W^m, so W^(m+1) grows
 linearly in time; losses arrive as a Poisson stream of rate lambda and
 multiply W by beta.  The plain stationary density is a finite mixture of
-stretched exponentials whose coefficients h_k come from a partial-fraction
+stretched exponentials p·w^m·sum_k h_k·e^(-a_k·w^(m+1)), a_k =
+p·c^-k/(m+1), whose coefficients h_k come from a partial-fraction
 expansion (Dumas, Guillemin & Robert, Adv. Appl. Probab. 34 (2002) 85).
-Every variant, here and in `tcp_finite`, is built in one place
-(`_VariantLaw`): plain law + fast-recovery plateau + buffer atom (none
-here) + idle time below the bandwidth-delay product, over their total
-mass.  Every tail and mean is a sum of incomplete Gamma functions over the
-mixture terms (`_truncated_moment`), so nothing here integrates
-numerically.  All laws depend on lambda and alpha only through the loss
-ratio p = lambda/alpha.
+The finite-buffer law of `tcp_finite` is the same mixture with one
+coefficient row per halving level, and `_VariantLaw` evaluates both from
+their rows: every density, tail and mean is a row-wise sum of exponentials
+or incomplete Gamma functions, so nothing here integrates numerically.  It
+also builds every variant in one place: plain law + fast-recovery plateau +
+buffer atom (none here) + idle time below the bandwidth-delay product, over
+their total mass.  All laws depend on lambda and alpha only through the
+loss ratio p = lambda/alpha.
 """
 
 from __future__ import annotations
@@ -191,13 +193,15 @@ def _points(w) -> np.ndarray:
 class _VariantLaw:
     """pdf, ccdf and mean of every variant of one plain stationary law.
 
-    A variant is the plain law f, plus the fast-recovery plateau
-    p·beta^-(m+1)·w^m·f(w/beta), plus the atom p·A·B_eff^m at beta·B_eff
-    that buffer losses leave, plus, for wan, the idle time ((T-w)/w)·f(w)
-    below T = bdp, over their total mass.  A law supplies `_tcp`, its plain
-    density f up to the mass `_mass` (`_density`), the integral of w^s·f
-    over (lo, hi] with lo scalar or array (`_integral`), and `_buffer`,
-    (beta·B_eff, A·B_eff^m) or None when no buffer bounds the window.
+    The plain density f is the mixture p·w^m·sum_k h_{n,k}·e^(-a_k·w^(m+1))
+    on row n's window interval, up to the mass `_mass`.  A law supplies
+    `_tcp`, `_mass`, `_rows`, the coefficient arrays h_n, `_edges`, the
+    descending row edges (row n holds (edges[n+1], edges[n]], the last
+    edge is 0), and `_buffer`, (beta·B_eff, A·B_eff^m) or None when no
+    buffer bounds the window.  A variant is the plain law f, plus the
+    fast-recovery plateau p·beta^-(m+1)·w^m·f(w/beta), plus the atom
+    p·A·B_eff^m at beta·B_eff that buffer losses leave, plus, for wan, the
+    idle time ((T-w)/w)·f(w) below T = bdp, over their total mass.
     """
 
     _clamp = False
@@ -217,6 +221,68 @@ class _VariantLaw:
         if T > 0:
             total += T * self._integral(-1.0, 0.0, T) - self._integral(0.0, 0.0, T)
         return total, None if buffer is None else (buffer[0], tcp.p * loss / total)
+
+    def _density(self, w: np.ndarray) -> np.ndarray:
+        """Plain density f(w) up to `_mass`; zero outside the rows."""
+        tcp, edges = self._tcp, self._edges
+        p, m, c = tcp.p, tcp.m, tcp.c
+        volume = w ** (m + 1)
+        out = np.zeros_like(w)
+        for h, top, bottom in zip(self._rows, edges, edges[1:]):
+            inside = (w > bottom) & (w <= top)
+            if inside.any():
+                rates = p * c ** -np.arange(len(h)) / (m + 1)
+                out[inside] = h @ np.exp(-np.multiply.outer(rates, volume[inside]))
+        return p * w ** m * out
+
+    def _integral(self, s: float, lo=0.0, hi: float = math.inf):
+        """∫ w^s·f(w) dw over (lo, hi], one value per entry of lo.
+
+        Row n adds, over its overlap (a, b] with (lo, hi] and with
+        nu = 1 + s/(m+1) and x = a_k·w^(m+1),
+            ((m+1)/p)^(s/(m+1))·Γ(nu)·sum_k h_{n,k}·c^(k·nu)·[P(nu, x_b) - P(nu, x_a)];
+        at s = 0 the bracket is e^(-x_a)·(-expm1(x_a - x_b)), exact in the
+        tail.  P(nu, 0) = 0 and P(nu, inf) = 1 are taken as such, and every
+        other bound of every row goes to one `gammainc` call.
+        """
+        tcp, edges = self._tcp, self._edges
+        p, m, c = tcp.p, tcp.m, tcp.c
+        nu = 1.0 + s / (m + 1)
+        if nu <= 0:
+            raise ValueError(f"integral diverges at the origin for s={s}")
+        lo = np.asarray(lo, dtype=float)
+        rows = []
+        for h, top, bottom in zip(self._rows, edges, edges[1:]):
+            b = min(hi, top)
+            # entries with a >= b integrate over nothing
+            a = np.minimum(np.maximum(lo, bottom), b)
+            if (a >= b).all():
+                continue
+            k = np.arange(len(h))
+            # one rate per term, along the first axis of every bound
+            rates = (p * c ** -k / (m + 1)).reshape(k.shape + (1,) * lo.ndim)
+            rows.append((h * c ** (k * nu), rates * b ** (m + 1), rates * a ** (m + 1)))
+        total = np.zeros(lo.shape)
+        if s == 0:
+            for weights, x_b, x_a in rows:
+                tail = np.exp(-x_a)
+                if x_b.flat[0] < math.inf:
+                    tail *= -np.expm1(x_a - x_b)
+                total += weights @ tail
+        elif rows:
+            x = np.concatenate([bound.ravel() for row in rows for bound in row[1:]])
+            values = np.sign(x)  # P(nu, x) at x = 0 and x = inf
+            inner = (x > 0) & (x < math.inf)
+            if inner.any():
+                values[inner] = gammainc(nu, x[inner])
+            end = 0
+            for weights, x_b, x_a in rows:
+                start, mid, end = end, end + x_b.size, end + x_b.size + x_a.size
+                bracket = values[start:mid].reshape(x_b.shape) - values[mid:end].reshape(x_a.shape)
+                # numpy's pairwise sum, not @: it keeps window_moment bit for bit
+                total += (weights * bracket.T).sum(axis=-1)
+            total *= ((m + 1) / p) ** (s / (m + 1)) * math.gamma(nu)
+        return total if lo.ndim else float(total)
 
     def pdf(self, w):
         """Density of the continuous part at w (scalar or array)."""
@@ -287,6 +353,8 @@ class AnalyticWindowDistribution(_VariantLaw):
     # no buffer, so no variant has an atom (not dataclass fields)
     point_mass = _buffer = None
     _mass = 1.0
+    # one row of residues on (0, inf)
+    _edges = (math.inf, 0.0)
     # the mixture cancels to all orders as w -> 0, so rounding can leave
     # its pdf just below 0 and its CCDF just above 1
     _clamp = True
@@ -309,32 +377,17 @@ class AnalyticWindowDistribution(_VariantLaw):
     def _tcp(self) -> TcpParams:
         return self.params
 
-    def _rates(self) -> np.ndarray:
-        """Mixture decay rates a_k = p·c^-k/(m+1) of exp(-a_k·w^(m+1))."""
-        res = self.residues
-        return self.params.p * res.c ** -np.arange(len(res.h)) / (self.params.m + 1)
-
-    def _density(self, w: np.ndarray) -> np.ndarray:
-        p, m = self.params.p, self.params.m
-        ew = np.exp(-np.outer(self._rates(), w ** (m + 1)))
-        return p * w ** m * (np.asarray(self.residues.h) @ ew)
+    @property
+    def _rows(self) -> tuple[np.ndarray]:
+        return (np.asarray(self.residues.h),)
 
     def _integral(self, s: float, lo=0.0, hi: float = math.inf):
-        """∫ w^s·f(w) dw over (lo, hi]: the mixture's own tail at s = 0,
-        else differences of `_truncated_moment`.  The whole mean (s = 1) is
-        `window_moment(params, 1/(m+1))`'s: the product closed form at m = 0
-        on a complete table, else its order r(m+1), which need not round to 1.
-        """
-        params, res, m = self.params, self.residues, self.params.m
-        whole = np.ndim(lo) == 0 and lo == 0
-        if hi == math.inf and s == 0:
-            return res.weights @ np.exp(-np.multiply.outer(self._rates(), lo ** (m + 1)))
-        if hi == math.inf and s == 1 and whole:
-            if m == 0 and abs(res.weights[-1]) <= _WEIGHT_FLOOR:
-                return window_moment(params, 1.0)
-            s = 1.0 / (m + 1.0) * (m + 1.0)
-        upper = _truncated_moment(params, res, s, hi)
-        return upper if whole else upper - _truncated_moment(params, res, s, lo)
+        # the whole mean at m = 0 on a complete table is the product closed
+        # form of `window_moment`
+        if (s == 1 and self.params.m == 0 and hi == math.inf and np.ndim(lo) == 0
+                and lo == 0 and abs(self.residues.weights[-1]) <= _WEIGHT_FLOOR):
+            return window_moment(self.params, 1.0)
+        return super()._integral(s, lo, hi)
 
     def support_cutoff(self) -> float:
         """w beyond which the plain-law CCDF is below 1e-13."""
@@ -345,34 +398,12 @@ class AnalyticWindowDistribution(_VariantLaw):
         return w_tail
 
 
-def _truncated_moment(params: TcpParams, res: ResidueTable, s: float, limit=math.inf):
-    """E[W^s · 1{W <= limit}] under the plain law; limit may be an array.
-
-    Closed form through the lower incomplete Gamma: with nu = 1 + s/(m+1),
-    E[W^s·1{W<=T}] = ((m+1)/p)^(s/(m+1)) · sum_k h_k c^(k·nu) γ(nu, a_k T^(m+1)).
-    Requires nu > 0, i.e. s > -(m+1).
-    """
-    p, m = params.p, params.m
-    nu = 1.0 + s / (m + 1)
-    if nu <= 0:
-        raise ValueError(f"moment diverges: need s > -(m+1), got s={s}")
-    k = np.arange(len(res.h))
-    h = np.asarray(res.h)
-    scale = ((m + 1) / p) ** (s / (m + 1))
-    gamma_nu = math.gamma(nu)
-    if np.ndim(limit) == 0 and math.isinf(limit):
-        return scale * gamma_nu * float(np.sum(h * res.c ** (k * nu)))
-    x = np.multiply.outer(limit ** (m + 1), p * res.c ** -k / (m + 1))
-    out = scale * gamma_nu * np.sum(h * res.c ** (k * nu) * gammainc(nu, x), axis=-1)
-    return out if np.ndim(limit) else float(out)
-
-
 def window_moment(params: TcpParams, r: float) -> float:
     """E[W^(r(m+1))] of the plain law.
 
     Integer r uses the product closed form
         n! ((m+1)·alpha/lambda)^n · prod_{k=1..n} 1/(1-c^k),
-    non-integer r the Gamma-series path.
+    non-integer r the incomplete-Gamma sum of the plain law's `_integral`.
 
     Raises:
         ValueError: loss_rate = 0, or r <= -1/(m+1) (the moment diverges).
@@ -389,8 +420,7 @@ def window_moment(params: TcpParams, r: float) -> float:
         for k in range(1, n + 1):
             value /= 1.0 - c ** k
         return value
-    res = compute_residues(params.c)
-    return _truncated_moment(params, res, r * (m + 1))
+    return AnalyticWindowDistribution.build(params)._integral(r * (m + 1))
 
 
 def frfr_mean_correction(params: TcpParams) -> float:
@@ -401,8 +431,8 @@ def frfr_mean_correction(params: TcpParams) -> float:
     """
     if params.loss_rate <= 0:
         raise ValueError("frfr_mean_correction requires loss_rate > 0")
-    p, m, res = params.p, params.m, compute_residues(params.c)
-    ew, ewm, ewm1 = (_truncated_moment(params, res, s) for s in (1.0, m, m + 1.0))
+    p, m, plain = params.p, params.m, AnalyticWindowDistribution.build(params)
+    ew, ewm, ewm1 = (plain._integral(s) for s in (1.0, m, m + 1.0))
     return -p * (ew * ewm - params.beta * ewm1) / (1.0 + p * ewm)
 
 
@@ -428,7 +458,7 @@ def mean_field_fixed_point(params: TcpParams, N: int) -> float:
     if params.m <= 0:
         raise ValueError("mean_field_fixed_point requires m > 0")
     res = compute_residues(params.c)
-    T = N / _truncated_moment(params, res, -1.0)
+    T = N / AnalyticWindowDistribution(params, res)._integral(-1.0)
     for _ in range(_MAX_ITER):
         idle = replace(params, link_delay=T / (2.0 * params.alpha))  # bdp = T
         T_new = N * AnalyticWindowDistribution(idle, res, "wan").mean()

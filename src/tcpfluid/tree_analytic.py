@@ -65,12 +65,10 @@ __all__ = [
     "unconditional_betweenness_ccdf",
 ]
 
-def _is_infinite(tau) -> bool:
-    return tau is None or (isinstance(tau, float) and math.isinf(tau))
-
-
-def _check_tau(tau) -> int:
-    if _is_infinite(tau):
+def _check_tau(tau, allow_infinite: bool = False) -> int | None:
+    if tau is None or (isinstance(tau, float) and math.isinf(tau)):
+        if allow_infinite:
+            return None
         raise ValueError("this operation requires a finite tau")
     if tau < 1 or tau != int(tau):
         raise ValueError(f"tau must be a positive integer, got {tau}")
@@ -91,8 +89,15 @@ def _check_index(name: str, value) -> int:
     return int(value)
 
 
-def _prefactor(tau, alpha: float) -> float:
-    if _is_infinite(tau):
+def _scalar_args(tau, alpha_t: float, name: str, value) -> tuple[int | None, float, int]:
+    """(tau, alpha, index) of a scalar tree law, each checked once in that
+    order; tau is None for the infinite tree (None or inf)."""
+    alpha = _check_alpha(alpha_t, allow_er=True)
+    return _check_tau(tau, allow_infinite=True), alpha, _check_index(name, value)
+
+
+def _prefactor(tau: int | None, alpha: float) -> float:
+    if tau is None:
         return 1.0
     return (tau + 1.0 - alpha) / tau
 
@@ -261,11 +266,8 @@ class DistTable:
 
 def marginal_n(tau, alpha_t: float, n: int) -> float:
     """Cluster-size marginal; tau=None or inf selects the infinite-tree law."""
-    alpha = _check_alpha(alpha_t, allow_er=True)
-    if not _is_infinite(tau):
-        tau = _check_tau(tau)
-    n = _check_index("n", n)
-    if n < 0 or (not _is_infinite(tau) and n >= tau):
+    tau, alpha, n = _scalar_args(tau, alpha_t, "n", n)
+    if n < 0 or (tau is not None and n >= tau):
         return 0.0
     pref = _prefactor(tau, alpha)
     if n == 0:
@@ -276,15 +278,12 @@ def marginal_n(tau, alpha_t: float, n: int) -> float:
 
 def marginal_q(tau, alpha_t: float, q: int) -> float:
     """In-degree marginal of the edge ensemble."""
-    alpha = _check_alpha(alpha_t, allow_er=True)
-    if not _is_infinite(tau):
-        tau = _check_tau(tau)
-    q = _check_index("q", q)
-    if q < 0 or (not _is_infinite(tau) and q >= tau):
+    tau, alpha, q = _scalar_args(tau, alpha_t, "q", q)
+    if q < 0 or (tau is not None and q >= tau):
         return 0.0
     if alpha == 1.0:
         return 1.0 if q == 0 else 0.0
-    if not _is_infinite(tau):
+    if tau is not None:
         return _finite_q_laws(tau, alpha, q)[0]
     if alpha == 0.0:
         return 2.0 ** -(q + 1)
@@ -296,13 +295,10 @@ def marginal_q(tau, alpha_t: float, q: int) -> float:
 
 def ccdf_n(tau, alpha_t: float, n: int) -> float:
     """P(cluster size >= n); tau=None or inf selects the infinite-tree law."""
-    alpha = _check_alpha(alpha_t, allow_er=True)
-    if not _is_infinite(tau):
-        tau = _check_tau(tau)
-    n = _check_index("n", n)
+    tau, alpha, n = _scalar_args(tau, alpha_t, "n", n)
     if n <= 0:
         return 1.0
-    if _is_infinite(tau):
+    if tau is None:
         return (1.0 - alpha) / (n + 1.0 - alpha)
     if n >= tau:
         return 0.0
@@ -312,17 +308,14 @@ def ccdf_n(tau, alpha_t: float, n: int) -> float:
 
 def ccdf_q(tau, alpha_t: float, q: int) -> float:
     """P(in-degree >= q) of the edge ensemble."""
-    alpha = _check_alpha(alpha_t, allow_er=True)
-    if not _is_infinite(tau):
-        tau = _check_tau(tau)
-    q = _check_index("q", q)
+    tau, alpha, q = _scalar_args(tau, alpha_t, "q", q)
     if q <= 0:
         return 1.0
-    if not _is_infinite(tau) and q >= tau:
+    if tau is not None and q >= tau:
         return 0.0
     if alpha == 1.0:
         return 0.0
-    if not _is_infinite(tau):
+    if tau is not None:
         return _finite_q_laws(tau, alpha, q)[1]
     if alpha == 0.0:
         return 2.0**-q
@@ -336,10 +329,9 @@ def cond_mean_n_given_q(tau, alpha_t: float, q: int) -> float:
     Raises ValueError at finite tau where P(q) underflows to zero.
     """
     alpha = _check_alpha(alpha_t, allow_er=True)
-    if not _is_infinite(tau):
-        tau = _check_tau(tau)
-        if q >= tau:
-            raise ValueError(f"q must satisfy q < tau, got q={q}, tau={tau}")
+    tau = _check_tau(tau, allow_infinite=True)
+    if tau is not None and q >= tau:
+        raise ValueError(f"q must satisfy q < tau, got q={q}, tau={tau}")
     q = _check_index("q", q)
     if q < 0:
         raise ValueError(f"q must be nonnegative, got {q}")
@@ -347,7 +339,7 @@ def cond_mean_n_given_q(tau, alpha_t: float, q: int) -> float:
         if q != 0:
             raise ValueError("alpha_t=1 concentrates on q=0")
         return 0.0
-    if not _is_infinite(tau):
+    if tau is not None:
         mass, _, moment = _finite_q_laws(tau, alpha, q)
         if mass == 0.0:
             raise ValueError(

@@ -18,7 +18,6 @@ from tcpfluid.tcp_infinite import (
     sqrt_law_throughput,
     window_moment,
 )
-from tcpfluid.tcp_infinite import _truncated_moment
 
 # published residue coefficients h_k(1/4); six significant digits each
 H_TABLE = (
@@ -132,7 +131,7 @@ def test_moment_series_vs_closed_routes():
     # integer orders have a product closed form; the Gamma series must agree
     params = _p(3e-3)
     for r in (1.0, 2.0, 3.0):
-        a = _truncated_moment(params, compute_residues(params.c), r * (params.m + 1.0))
+        a = AnalyticWindowDistribution.build(params)._integral(r * (params.m + 1.0))
         b = window_moment(params, r)
         assert a == pytest.approx(b, rel=1e-10)
 
@@ -207,7 +206,7 @@ def test_mean_reads_its_own_residue_table():
         params = _p(1e-2, m=m)
         table = compute_residues(params.c, 2)
         plain = AnalyticWindowDistribution(params, table)
-        want = _truncated_moment(params, table, 1.0)
+        want = AnalyticWindowDistribution(params, table)._integral(1.0)
         assert plain.mean() == pytest.approx(want, rel=1e-12), m
         frfr = AnalyticWindowDistribution(params, table, "frfr")
         w = np.linspace(0.0, frfr.support_cutoff(), 40001)

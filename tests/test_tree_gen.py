@@ -1,6 +1,10 @@
 """Growing preferential-attachment trees: structure, measures, enumeration."""
 
+import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -240,3 +244,18 @@ def test_validation():
         grow(TreeParams(alpha_t=-0.1, tau=5, seed=0))
     with pytest.raises(ValueError):
         grow(TreeParams(alpha_t=0.5, tau=0, seed=0))
+
+
+@pytest.mark.parametrize("scale", ["full", "tiny"])
+def test_tree_benchmark_checks_and_golden_digests_hold(scale):
+    # at seed 0 the run also compares the tree_gen.grow and
+    # tree_gen.measure digests of perfbench/golden.json, which fix every
+    # grown tree bit, and its closed-form and DistTable tables
+    run = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+    out = subprocess.run(
+        [sys.executable, str(run), "--workload", "tree", "--seed", "0",
+         "--seconds", "0", "--scale", scale],
+        capture_output=True, text=True, check=True, timeout=600,
+    ).stdout
+    last = json.loads(out.strip().splitlines()[-1])
+    assert last["correct"] is True, out
