@@ -5,10 +5,8 @@
 - `harmonic_sums`: sum_{j=2..n} j^-s, the polygamma differences of E[q | n];
 - `euler_product_L`: the Euler-type product L(c) = prod_{l>=1} (1 - c^l),
   which normalizes the window laws' mixture coefficients;
-- `gammainc`: the regularized lower incomplete Gamma P(nu, x), for the
-  window laws' CCDFs and moments;
-- `chi2_sf`: the chi-square survival function at integer degrees of
-  freedom, for the histogram p-values.
+- `gammainc`: the regularized incomplete Gammas P(nu, x) and Q(nu, x), for
+  the window laws' CCDFs and moments and the histogram p-values.
 
 All evaluate in 64-bit floats.  The package needs no scipy at run time.
 """
@@ -99,10 +97,10 @@ def euler_product_L(c: float) -> float:
 
 # the longest series or continued fraction gammainc evaluates
 _MAX_TERMS = 2048
-# up to this nu the series prefactor x^nu e^-x / Γ(nu+1) is formed from
-# power and exp, each within an ulp; above it, where x^nu may overflow,
-# from the exponent of its logarithm, whose rounding grows like nu·|ln x| + x
-_DIRECT_SCALE_NU = 100.0
+# below this nu the series prefactor x^nu e^-x / Γ(nu+1) is formed from
+# power and exp, each within an ulp; from it on, where x^nu may overflow,
+# from Stirling's series and the deviance (`_log_poisson`)
+_STIRLING_NU = 20.0
 
 
 def _series_rest_negligible(term, total, ratio):
@@ -111,34 +109,55 @@ def _series_rest_negligible(term, total, ratio):
     return term * ratio <= _EPS * total * (1.0 - ratio)
 
 
+def _log_poisson(nu: float, x: np.ndarray) -> np.ndarray:
+    """ln(x^nu e^-x / Γ(nu+1)) for nu >= 20, elementwise.
+
+    Stirling's series for ln Γ(nu+1) and the deviance nu·ln(nu/x) + x - nu,
+    taken through log1p near x = nu, keep the error near 2^-53 of the
+    result's size (Loader, "Fast and accurate computation of binomial
+    probabilities", 2000).
+    """
+    inv2 = 1.0 / (nu * nu)
+    stirling = (1 / 12 - inv2 * (1 / 360 - inv2 * (1 / 1260 - inv2 / 1680))) / nu
+    gap = x - nu
+    t = gap / nu
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        deviance = np.where(
+            np.abs(gap) < 0.5 * nu, nu * (t - np.log1p(t)), nu * np.log(nu / x) + gap
+        )
+    return -stirling - 0.5 * math.log(2.0 * math.pi * nu) - deviance
+
+
 class _GammaincPlan(NamedTuple):
     split: float
-    cut: float
+    cut: float  # P = 1 from here on
+    zero: float  # Q = 0 from here on
     capped: bool
     denominators: np.ndarray  # nu + 1, ..., nu + n
     fraction_a: np.ndarray  # a_k = -k(k - nu) for k = depth down to 1
     fraction_b: np.ndarray  # b_(k-1) - x = 2k - 1 - nu
-    tail: float  # b_depth - x
+    far_depth: int  # the depth that converges at `cut`
     lgamma_nu: float
-    lgamma_nu1: float
-    gamma_nu1: float | None  # Γ(nu+1) while x^nu, e^-x and it stay in range
+    gamma_nu1: float | None  # Γ(nu+1) below _STIRLING_NU
 
 
 @lru_cache(maxsize=32)
 def _gammainc_plan(nu: float) -> _GammaincPlan:
-    """How gammainc evaluates P(nu, x), decided once per nu.
+    """How gammainc evaluates P(nu, x) and Q(nu, x), decided once per nu.
 
-    Below `split` = nu + sqrt(nu) + 2 it sums the series, with `n` terms:
-    the first count after which, at x = split, the rest of the series is
-    below 2^-53 of the sum.  With r = x/(nu+n+1) < 1 the ratio of the next
-    term, the rest is at most term_n · r/(1-r), and that bound relative to
-    the sum grows with x, so it holds at every smaller x too.  `capped` is
-    set when the budget stops at _MAX_TERMS first.  From `split` to `cut`
-    it takes Q = 1 - P from the continued fraction, to the depth at which
-    the modified Lentz method converges to 2^-53 at x = split (larger x
-    converge faster), plus one.  At and above `cut` it returns 1: there
-    the bound Q <= x^(nu-1) e^-x / Γ(nu) · max(1, x/(x-nu+1)) is below
-    2^-54, half an ulp of 1, so 1 - Q rounds to 1.
+    Below `split` = nu + sqrt(nu) + 2 it sums the series for P, with `n`
+    terms: the first count after which, at x = split, the rest of the
+    series is below 2^-53 of the sum.  With r = x/(nu+n+1) < 1 the ratio
+    of the next term, the rest is at most term_n · r/(1-r), and that bound
+    relative to the sum grows with x, so it holds at every smaller x too.
+    `capped` is set when the budget stops at _MAX_TERMS first.  From
+    `split` on it takes Q from the continued fraction, to the depth at
+    which the modified Lentz method converges to 2^-53 at x = split
+    (larger x converge faster), plus one.  The bound
+    Q <= x^(nu-1) e^-x / Γ(nu) · max(1, x/(x-nu+1)) falls below 2^-54, half
+    an ulp of 1, at `cut`: from there on P is 1 and the fraction runs to
+    the shorter depth that converges at `cut`.  The bound falls below
+    2^-1075, half the least subnormal, at `zero`, and Q is 0 from there on.
 
     Raises:
         ValueError: if the continued fraction needs more than _MAX_TERMS.
@@ -158,52 +177,57 @@ def _gammainc_plan(nu: float) -> _GammaincPlan:
     def log_q_bound(x: float) -> float:
         return (nu - 1.0) * math.log(x) - x - lgamma_nu + max(0.0, math.log(x / (x - nu + 1.0)))
 
-    target = -54.0 * math.log(2.0)
-    lo, hi = split, 2.0 * split
-    while log_q_bound(hi) > target:
-        lo, hi = hi, 2.0 * hi
-    while hi - lo > 1e-9 * hi:
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if log_q_bound(mid) > target else (lo, mid)
+    def crossing(log2_target: float, lo: float) -> float:
+        target, hi = log2_target * math.log(2.0), 2.0 * lo
+        while log_q_bound(hi) > target:
+            lo, hi = hi, 2.0 * hi
+        while hi - lo > 1e-9 * hi:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if log_q_bound(mid) > target else (lo, mid)
+        return hi
 
-    # Lentz on 1/(b_0 + a_1/(b_1 + a_2/(b_2 + ...))), b_k = x + 2k + 1 - nu,
-    # a_k = -k(k - nu) (Press et al., Numerical Recipes, 3rd ed., §6.2)
-    tiny = 1e-300
-    b = split + 1.0 - nu
-    c, d = 1.0 / tiny, 1.0 / b
-    for depth in range(1, _MAX_TERMS + 1):
-        a_k = -depth * (depth - nu)
-        b += 2.0
-        d = a_k * d + b
-        c = b + a_k / c
-        d = 1.0 / (d if abs(d) > tiny else tiny)
-        c = c if abs(c) > tiny else tiny
-        if abs(c * d - 1.0) <= _EPS:
-            break
-    else:
+    def depth_at(x: float) -> int:
+        # Lentz on 1/(b_0 + a_1/(b_1 + a_2/(b_2 + ...))), b_k = x + 2k + 1 - nu,
+        # a_k = -k(k - nu) (Press et al., Numerical Recipes, 3rd ed., §6.2)
+        tiny = 1e-300
+        b = x + 1.0 - nu
+        c, d = 1.0 / tiny, 1.0 / b
+        for depth in range(1, _MAX_TERMS + 1):
+            a_k = -depth * (depth - nu)
+            b += 2.0
+            d = a_k * d + b
+            c = b + a_k / c
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = c if abs(c) > tiny else tiny
+            if abs(c * d - 1.0) <= _EPS:
+                return depth + 1
         raise ValueError(f"gammainc: continued fraction does not converge for nu={nu}")
-    depth += 1
+
+    cut, depth = crossing(-54.0, split), depth_at(split)
     k = np.arange(depth, 0.0, -1.0)
     return _GammaincPlan(
-        split, hi, capped, nu + np.arange(1.0, n + 1.0),
-        -k * (k - nu), 2.0 * k - 1.0 - nu,
-        2.0 * depth + 1.0 - nu, lgamma_nu, math.lgamma(nu + 1.0),
-        math.gamma(nu + 1.0) if nu <= _DIRECT_SCALE_NU else None,
+        split, cut, crossing(-1075.0, cut), capped,
+        nu + np.arange(1.0, n + 1.0), -k * (k - nu), 2.0 * k - 1.0 - nu,
+        min(depth_at(cut), depth), lgamma_nu,
+        math.gamma(nu + 1.0) if nu < _STIRLING_NU else None,
     )
 
 
-def gammainc(nu: float, x) -> np.ndarray:
-    """Regularized lower incomplete Gamma P(nu, x) for one nu > 0, elementwise.
+def gammainc(nu: float, x) -> tuple[np.ndarray, np.ndarray]:
+    """Regularized incomplete Gammas (P(nu, x), Q(nu, x)) for one nu > 0, elementwise.
 
     P = x^nu e^-x / Γ(nu+1) · sum_j prod_{i<=j} x/(nu+i) below nu + sqrt(nu)
     + 2, as one cumulative product over a fixed term budget (Abramowitz &
-    Stegun 6.5.29); 1 - Q from the Legendre continued fraction above it
-    (Press et al., Numerical Recipes, 3rd ed., §6.2); exactly 1 where Q
-    is provably below half an ulp of 1.  So 0 <= P <= 1 without a clamp,
-    and every value comes from its own x alone.  For nu from 0.23 to 10
-    and x from 1e-12 to 100 it was measured within 7.6e-16 relative of
-    30-digit values; scipy.special.gammainc, whose series prefactor is the
-    exponent of a logarithm, was off by up to 1.7e-14 at nu <= 3.
+    Stegun 6.5.29), and Q = 1 - P there; Q from the Legendre continued
+    fraction above it (Press et al., Numerical Recipes, 3rd ed., §6.2), and
+    P = 1 - Q; P exactly 1 where Q is provably below half an ulp of 1, and
+    Q exactly 0 where it is provably below half the least subnormal.  So
+    each tail keeps its relative digits wherever it is the smaller one,
+    0 <= P, Q <= 1 without a clamp, x = 0 gives (0, 1) and x = inf gives
+    (1, 0), and every value comes from its own x alone.  For nu from 0.23
+    to 10 and x from 1e-12 to 100, P was measured within 7.6e-16 relative
+    of 30-digit values; scipy.special.gammainc, whose series prefactor is
+    the exponent of a logarithm, was off by up to 1.7e-14 at nu <= 3.
 
     Raises:
         ValueError: if nu <= 0, or if the series budget cannot bring the
@@ -213,7 +237,8 @@ def gammainc(nu: float, x) -> np.ndarray:
         raise ValueError(f"gammainc requires nu > 0, got {nu}")
     plan = _gammainc_plan(float(nu))
     x = np.asarray(x, dtype=float)
-    out = np.where(x >= plan.cut, 1.0, np.nan)
+    p = np.where(x >= plan.cut, 1.0, np.nan)
+    q = np.where(x >= plan.zero, 0.0, np.nan)
     series = x < plan.split
     if series.any():
         xs = x[series]
@@ -227,63 +252,32 @@ def gammainc(nu: float, x) -> np.ndarray:
                     f"at nu={nu}, x={xs.max()}"
                 )
         if plan.gamma_nu1 is None:
-            with np.errstate(divide="ignore"):
-                scale = np.exp(nu * np.log(xs) - xs - plan.lgamma_nu1)
+            scale = np.exp(_log_poisson(nu, xs))
         else:
             scale = np.power(xs, nu) * np.exp(-xs) / plan.gamma_nu1
-        out[series] = scale * total
-    fraction = (x >= plan.split) & (x < plan.cut)
-    if fraction.any():
-        xf = x[fraction]
-        # every level of the fraction divided by x, so each step is one
-        # division and one addition of precomputed rows
+        p[series] = scale * total
+        q[series] = 1.0 - p[series]
+    fraction = (x >= plan.split) & (x < plan.zero)
+    if not fraction.any():
+        return p, q
+    near = fraction & (x < plan.cut)
+    for region, depth in ((near, len(plan.fraction_a)), (fraction & ~near, plan.far_depth)):
+        if not region.any():
+            continue
+        xf = x[region]
+        # the last `depth` levels of the fraction, each divided by x, so each
+        # step is one division and one addition of precomputed rows
         inv = 1.0 / xf
-        rows_a = np.multiply.outer(plan.fraction_a, inv * inv)
-        rows_b = 1.0 + np.multiply.outer(plan.fraction_b, inv)
-        g = 1.0 + plan.tail * inv
+        rows_a = np.multiply.outer(plan.fraction_a[-depth:], inv * inv)
+        rows_b = 1.0 + np.multiply.outer(plan.fraction_b[-depth:], inv)
+        g = 1.0 + (2.0 * depth + 1.0 - nu) * inv
         for a_k, b_k in zip(rows_a, rows_b):
             g = b_k + a_k / g
-        out[fraction] = 1.0 - np.exp(nu * np.log(xf) - xf - plan.lgamma_nu) / (xf * g)
-    return out
-
-
-def _log_poisson_term(a: float, lam: float) -> float:
-    """ln(e^-lam · lam^a / Γ(a+1)) for a >= 0 and lam > 0.
-
-    From a = 20 on, Stirling's series for ln Γ(a+1) and the deviance
-    a·ln(a/lam) + lam - a, taken through log1p near lam = a, keep the
-    error near 2^-53 of the result's size (Loader, "Fast and accurate
-    computation of binomial probabilities", 2000).
-    """
-    if a < 20:
-        return a * math.log(lam) - lam - math.lgamma(a + 1.0)
-    inv2 = 1.0 / (a * a)
-    stirling = (1 / 12 - inv2 * (1 / 360 - inv2 * (1 / 1260 - inv2 / 1680))) / a
-    gap = lam - a
-    if abs(gap) < 0.5 * a:
-        t = gap / a
-        deviance = a * (t - math.log1p(t))
-    else:
-        deviance = a * math.log(a / lam) + gap
-    return -stirling - 0.5 * math.log(2.0 * math.pi * a) - deviance
-
-
-def chi2_sf(dof: int, x: float) -> float:
-    """P(chi^2 > x) at dof degrees of freedom: A&S 26.4.4 and 26.4.5.
-
-    The sum over a = dof/2 - 1, dof/2 - 2, ... down to 0 or 1/2 of
-    e^(-x/2) (x/2)^a / Γ(a+1), plus erfc(sqrt(x/2)) when dof is odd.  Each
-    term's logarithm is formed whole, so neither e^(-x/2) underflowing nor
-    the powers overflowing cuts the tail short.
-
-    Raises:
-        ValueError: if dof is not a positive integer.
-    """
-    if dof < 1 or dof != int(dof):
-        raise ValueError(f"chi2_sf requires a positive integer dof, got {dof}")
-    if x <= 0:
-        return 1.0
-    lam = 0.5 * x
-    orders = np.arange(dof % 2 / 2, dof / 2).tolist()
-    head = math.erfc(math.sqrt(lam)) if dof % 2 else 0.0
-    return head + math.fsum(math.exp(_log_poisson_term(a, lam)) for a in orders)
+        if plan.gamma_nu1 is None:
+            # x^(nu-1) e^-x / Γ(nu) = nu/x · x^nu e^-x / Γ(nu+1)
+            front = nu * np.exp(_log_poisson(nu, xf))
+        else:
+            front = np.exp(nu * np.log(xf) - xf - plan.lgamma_nu)
+        q[region] = front / (xf * g)
+    p[near] = 1.0 - q[near]
+    return p, q

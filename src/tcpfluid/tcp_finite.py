@@ -206,7 +206,7 @@ class FiniteBufferSolution(_VariantLaw):
     @property
     def point_mass(self) -> tuple[float, float] | None:
         """(beta·B_eff, weight) of the frfr atom; None for plain."""
-        return self._total()[1]
+        return self._total[1]
 
 
 def solve_finite_distribution(

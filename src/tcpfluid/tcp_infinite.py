@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -211,8 +212,9 @@ class _VariantLaw:
         """T below which the window idles; 0 unless the variant is wan."""
         return self._tcp.bdp if self.variant == "wan" else 0.0
 
+    @cached_property
     def _total(self) -> tuple[float, tuple[float, float] | None]:
-        """(total mass, FR/FR atom as (location, weight) or None)."""
+        """(total mass, FR/FR atom as (location, weight) or None), once per law."""
         if self.variant == "plain":
             return self._mass, None
         tcp, T, buffer = self._tcp, self._idle_limit, self._buffer
@@ -241,9 +243,10 @@ class _VariantLaw:
         Row n adds, over its overlap (a, b] with (lo, hi] and with
         nu = 1 + s/(m+1) and x = a_k·w^(m+1),
             ((m+1)/p)^(s/(m+1))·Γ(nu)·sum_k h_{n,k}·c^(k·nu)·[P(nu, x_b) - P(nu, x_a)];
-        at s = 0 the bracket is e^(-x_a)·(-expm1(x_a - x_b)), exact in the
-        tail.  P(nu, 0) = 0 and P(nu, inf) = 1 are taken as such, and every
-        other bound of every row goes to one `gammainc` call.
+        every bound of every row goes to one `gammainc` call, and the bracket
+        is Q(nu, x_a) - Q(nu, x_b) wherever P(nu, x_a) > 1/2, so upper tails
+        keep their relative digits.  At s = 0 it is e^(-x_a)·(-expm1(x_a - x_b)),
+        exact in the tail.  An entry whose overlap is empty adds exactly 0.
         """
         tcp, edges = self._tcp, self._edges
         p, m, c = tcp.p, tcp.m, tcp.c
@@ -261,26 +264,25 @@ class _VariantLaw:
             k = np.arange(len(h))
             # one rate per term, along the first axis of every bound
             rates = (p * c ** -k / (m + 1)).reshape(k.shape + (1,) * lo.ndim)
-            rows.append((h * c ** (k * nu), rates * b ** (m + 1), rates * a ** (m + 1)))
+            rows.append((h * c ** (k * nu), rates * b ** (m + 1), rates * a ** (m + 1), a >= b))
         total = np.zeros(lo.shape)
         if s == 0:
-            for weights, x_b, x_a in rows:
+            for weights, x_b, x_a, empty in rows:
                 tail = np.exp(-x_a)
                 if x_b.flat[0] < math.inf:
                     tail *= -np.expm1(x_a - x_b)
-                total += weights @ tail
+                total += np.where(empty, 0.0, weights @ tail)
         elif rows:
-            x = np.concatenate([bound.ravel() for row in rows for bound in row[1:]])
-            values = np.sign(x)  # P(nu, x) at x = 0 and x = inf
-            inner = (x > 0) & (x < math.inf)
-            if inner.any():
-                values[inner] = gammainc(nu, x[inner])
+            x = np.concatenate([bound.ravel() for row in rows for bound in row[1:3]])
+            P, Q = gammainc(nu, x)
             end = 0
-            for weights, x_b, x_a in rows:
+            for weights, x_b, x_a, empty in rows:
                 start, mid, end = end, end + x_b.size, end + x_b.size + x_a.size
-                bracket = values[start:mid].reshape(x_b.shape) - values[mid:end].reshape(x_a.shape)
+                p_b, q_b = P[start:mid].reshape(x_b.shape), Q[start:mid].reshape(x_b.shape)
+                p_a, q_a = P[mid:end].reshape(x_a.shape), Q[mid:end].reshape(x_a.shape)
+                bracket = np.where(p_a > 0.5, q_a - q_b, p_b - p_a)
                 # numpy's pairwise sum, not @: it keeps window_moment bit for bit
-                total += (weights * bracket.T).sum(axis=-1)
+                total += np.where(empty, 0.0, (weights * bracket.T).sum(axis=-1))
             total *= ((m + 1) / p) ** (s / (m + 1)) * math.gamma(nu)
         return total if lo.ndim else float(total)
 
@@ -288,14 +290,16 @@ class _VariantLaw:
         """Density of the continuous part at w (scalar or array)."""
         w_arr = _points(w)
         tcp, T = self._tcp, self._idle_limit
-        base = out = self._density(w_arr)
-        if self.variant != "plain":
-            p, m, beta = tcp.p, tcp.m, tcp.beta
-            out = base + p * beta ** -(m + 1) * w_arr ** m * self._density(w_arr / beta)
+        with np.errstate(invalid="ignore"):  # w^m·f(w) reads inf·0 at w = inf
+            base = out = self._density(w_arr)
+            if self.variant != "plain":
+                p, m, beta = tcp.p, tcp.m, tcp.beta
+                out = base + p * beta ** -(m + 1) * w_arr ** m * self._density(w_arr / beta)
+        out = np.where(w_arr < math.inf, out, 0.0)
         if T > 0:
             below = (w_arr < T) & (w_arr > 0)
             out[below] += (T - w_arr[below]) / w_arr[below] * base[below]
-        out = out / self._total()[0]
+        out = out / self._total[0]
         if self._clamp:
             out = np.maximum(out, 0.0)
         return out if np.ndim(w) else float(out[0])
@@ -308,7 +312,7 @@ class _VariantLaw:
         """
         w_arr = _points(w)
         tcp, T = self._tcp, self._idle_limit
-        total, atom = self._total()
+        total, atom = self._total
         out = self._integral(0.0, w_arr)
         if self.variant != "plain":
             out = out + tcp.p * self._integral(tcp.m, w_arr / tcp.beta)
@@ -327,7 +331,7 @@ class _VariantLaw:
     def mean(self) -> float:
         """E[W], the atom included."""
         tcp, T = self._tcp, self._idle_limit
-        total, atom = self._total()
+        total, atom = self._total
         out = self._integral(1.0)
         if self.variant != "plain":
             out += tcp.p * tcp.beta * self._integral(tcp.m + 1.0)

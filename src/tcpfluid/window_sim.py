@@ -48,7 +48,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .specfun import chi2_sf
+from .specfun import gammainc
 from .tcp_finite import FiniteBufferParams
 from .tcp_infinite import VARIANTS
 
@@ -381,5 +381,6 @@ def compare_histogram(
     exp = np.array(merged_exp)
     chi2 = float(np.sum((obs - exp) ** 2 / exp))
     dof = max(len(obs) - 1, 1)
-    pvalue = chi2_sf(dof, chi2)
+    # P(chi^2_dof > chi2) = Q(dof/2, chi2/2)
+    pvalue = float(gammainc(dof / 2, chi2 / 2)[1])
     return HistogramFit(chi2, ks, pvalue, dof, len(obs), events)

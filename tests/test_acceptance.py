@@ -8,6 +8,8 @@ fixed seeds; tolerances are the contract values, not tuned to the seed.
 import hashlib
 import math
 import time
+from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import get_context
 
 import numpy as np
 import pytest
@@ -359,19 +361,31 @@ def _sha256(values: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(values).tobytes()).hexdigest()
 
 
+def _c12_run(payload):
+    """(mean Q, median per-flow Q, digests) of one strategy's run."""
+    net, flows = payload
+    rep = run_simulation(net, flows, SyncModel(pi=1.0), 1_000_000, seed=303)
+    digests = (_sha256(rep.taus), _sha256(rep.per_flow_q))
+    return rep.mean_q, float(np.median(rep.per_flow_q)), digests
+
+
 def test_c12_strategy_ordering_at_scale():
     tree = grow(TreeParams(alpha_t=0.5, tau=9999, seed=101))
     stats = measure(tree)
     base = FluidNetwork.from_tree(tree, np.full(9999, 1e5))
     flows = uniform_tree_flows(tree, 1000, beta=0.5, seed=202)
-    sync = SyncModel(pi=1.0)
-    q, med, digests = {}, {}, {}
-    for name in CAPACITY_STRATEGIES:
-        net = assign_capacities(base, name, 1e5, tree_stats=stats)
-        rep = run_simulation(net, flows, sync, 1_000_000, seed=303)
-        q[name] = rep.mean_q
-        med[name] = float(np.median(rep.per_flow_q))
-        digests[name] = (_sha256(rep.taus), _sha256(rep.per_flow_q))
+    payloads = [
+        (assign_capacities(base, name, 1e5, tree_stats=stats), flows)
+        for name in CAPACITY_STRATEGIES
+    ]
+    # the five runs are independent and each is pinned by its digests, so
+    # two worker processes cut the wall time and move no bit; uniform, the
+    # slowest, is submitted first
+    with ProcessPoolExecutor(max_workers=2, mp_context=get_context("spawn")) as pool:
+        runs = dict(zip(CAPACITY_STRATEGIES, pool.map(_c12_run, payloads)))
+    q = {name: run[0] for name, run in runs.items()}
+    med = {name: run[1] for name, run in runs.items()}
+    digests = {name: run[2] for name, run in runs.items()}
     order = ("mean_field", "minimum", "product", "maximum", "uniform")
     ordered = all(q[a] > q[b] for a, b in zip(order, order[1:]))
     med_ordered = all(med[a] > med[b] for a, b in zip(order, order[1:]))

@@ -305,3 +305,12 @@ def test_infinite_buffer_params_allowed():
     # an infinite buffer is the natural way to express the unconstrained case
     fb = _fb(1e-3, math.inf)
     assert math.isinf(fb.effective_limit)
+
+
+@pytest.mark.parametrize("variant", ["plain", "frfr"])
+def test_an_empty_row_overlap_adds_exactly_zero(variant):
+    # at w = B_eff every row's overlap is empty; inside an array the
+    # bounds of a row could round an ulp apart and add about 1e-15
+    sol = solve_finite_distribution(_fb(0.05, 5.0, m=0.5, beta=0.8), variant)
+    w = np.linspace(0.0, sol.support_cutoff(), 512)
+    assert sol.ccdf(w)[-1] == 0.0 == sol.ccdf(w[-1])

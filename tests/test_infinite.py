@@ -2,16 +2,20 @@
 
 import itertools
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from tcpfluid.tcp_finite import FiniteBufferParams, solve_finite_distribution
 from tcpfluid.tcp_infinite import (
     AnalyticWindowDistribution,
     TcpParams,
+    _VariantLaw,
     compute_residues,
     frfr_mean_correction,
     mean_field_fixed_point,
@@ -304,3 +308,106 @@ def test_residue_runtime_budget():
         compute_residues(0.25, 9)
         best = min(best, time.perf_counter() - t0)
     assert best < 1e-3
+
+
+def test_normalizer_is_integrated_once_per_law(monkeypatch):
+    calls = []
+    integral = _VariantLaw._integral
+
+    def counted(self, *args):
+        calls.append(args)
+        return integral(self, *args)
+
+    monkeypatch.setattr(_VariantLaw, "_integral", counted)
+    finite = solve_finite_distribution(
+        FiniteBufferParams(_p(1e-2), buffer_size=40.0), "frfr"
+    )
+    for law in (*itertools.islice(_variants(1e-2), 1, None), finite):
+        law.pdf(10.0)
+        assert calls, law.variant
+        calls.clear()
+        law.pdf(10.0)
+        assert calls == [], law.variant
+
+
+def test_pdf_at_infinity_is_zero_for_every_law():
+    finite = FiniteBufferParams(_p(1e-2), buffer_size=40.0)
+    laws = [*_variants(1e-2), *(solve_finite_distribution(finite, v) for v in ("plain", "frfr"))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for law in laws:
+            assert law.pdf(math.inf) == 0.0, law.variant
+            both = law.pdf(np.array([10.0, math.inf]))
+            # the row sums' order depends on the array's shape, so the
+            # finite entry may differ from the scalar call by an ulp
+            assert both[1] == 0.0, law.variant
+            assert both[0] == pytest.approx(law.pdf(10.0), rel=1e-14, abs=0.0), law.variant
+            assert law.ccdf(math.inf) == 0.0, law.variant
+
+
+def _integral_mp(params: TcpParams, s, lo, hi=mpmath.inf):
+    """∫ w^s·f(w) over (lo, hi] of the plain infinite law, in 40 digits.
+
+    The same mixture as `_VariantLaw._integral`, with the residues h_k
+    from the exact recurrence and L(c) from mpmath's q-Pochhammer symbol.
+    """
+    with mpmath.workdps(40):
+        p, m, c, s = (mpmath.mpf(v) for v in (params.p, params.m, params.c, s))
+        nu = 1 + s / (m + 1)
+        lo_v, hi_v = mpmath.mpf(lo) ** (m + 1), mpmath.mpf(hi) ** (m + 1)
+        h, total = 1 / mpmath.qp(c, c), mpmath.mpf(0)
+        for k in range(80):
+            if k:
+                h /= c - c ** (1 - k)
+            rate = p * c**-k / (m + 1)
+            bracket = mpmath.gammainc(nu, rate * lo_v, rate * hi_v, regularized=True)
+            total += h * c ** (k * nu) * bracket
+        return ((m + 1) / p) ** (s / (m + 1)) * mpmath.gamma(nu) * total
+
+
+def _median(law) -> float:
+    lo, hi = 0.0, law.support_cutoff()
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if law.ccdf(mid) > 0.5 else (lo, mid)
+    return hi
+
+
+@pytest.mark.parametrize("c", [0.25, 0.5, 0.8])
+def test_upper_tail_integrals_keep_their_relative_digits(c):
+    # from the median to twice the cutoff the tails fall from O(1) to
+    # about 1e-39, and each keeps 12 significant digits throughout
+    m = 0.5
+    params = _p(1e-2, m=m, beta=c ** (1.0 / (m + 1.0)))
+    law = AnalyticWindowDistribution.build(params)
+    lo = np.linspace(_median(law), 2.0 * law.support_cutoff(), 25)
+    for s in (-1.0, m, 1.0, 2.0):
+        got = law._integral(s, lo)
+        for lo_i, got_i in zip(lo, got):
+            want = float(_integral_mp(params, s, lo_i))
+            if want > 1e-300:
+                assert abs(got_i - want) <= 1e-12 * want, (s, lo_i, got_i, want)
+
+
+def test_wan_ccdf_keeps_its_tail():
+    # criterion 7's wan law: every tail term keeps its relative digits, so
+    # the CCDF on the CLI's grid stays positive and falls at every point
+    params = _p(1e-2, link_delay=85.335)
+    law = AnalyticWindowDistribution.build(params, "wan")
+    w = np.linspace(0.0, law.support_cutoff(), 512)
+    ccdf = law.ccdf(w)[w < law.support_cutoff()]
+    assert np.all(ccdf > 0.0)
+    assert np.all(np.diff(ccdf) < 0.0)
+    p, beta, T = params.p, params.beta, params.bdp
+    with mpmath.workdps(40):
+        total = (
+            1 + p * _integral_mp(params, params.m, 0)
+            + T * _integral_mp(params, -1.0, 0, T) - _integral_mp(params, 0.0, 0, T)
+        )
+        for wi in (70.0, 80.0, 90.0, 100.0, 120.0, 150.0, 170.0):
+            plateau = p * _integral_mp(params, params.m, mpmath.mpf(wi) / beta)
+            tail = _integral_mp(params, 0.0, wi) + plateau
+            if wi < T:
+                tail += T * _integral_mp(params, -1.0, wi, T) - _integral_mp(params, 0.0, wi, T)
+            want = float(tail / total)
+            assert abs(law.ccdf(wi) - want) <= 1e-8 * want, (wi, law.ccdf(wi), want)

@@ -17,7 +17,6 @@ from scipy import special as sp
 
 import tcpfluid
 from tcpfluid.specfun import (
-    chi2_sf,
     euler_product_L,
     gammainc,
     harmonic_sums,
@@ -106,8 +105,8 @@ def test_euler_product_rejects_bad_c():
 
 
 # One identity per kernel the laws call: pochhammer_log (tree laws),
-# euler_product_L and gammainc (window laws), harmonic_sums (E[q | n]),
-# chi2_sf (histogram p-values).
+# euler_product_L and gammainc (window laws and histogram p-values),
+# harmonic_sums (E[q | n]).
 
 
 def test_pochhammer_log_matches_direct_product():
@@ -142,8 +141,8 @@ def test_gammainc_recurrence():
     worst = 0.0
     for z, x in ((0.5, 0.3), (2.0, 1.0), (3.5, 7.0)):
         # P(z+1, x) = P(z, x) - x^z e^-x / Gamma(z+1)
-        lhs = float(gammainc(z + 1.0, x))
-        rhs = float(gammainc(z, x)) - x**z * math.exp(-x) / math.gamma(z + 1.0)
+        lhs = float(gammainc(z + 1.0, x)[0])
+        rhs = float(gammainc(z, x)[0]) - x**z * math.exp(-x) / math.gamma(z + 1.0)
         worst = max(worst, abs(lhs - rhs) / lhs)
     assert worst <= 1e-12
 
@@ -165,10 +164,15 @@ def test_polygamma_recurrence():
     assert worst <= 1e-12
 
 
+def _chi2_sf(dof: int, x: float) -> float:
+    # P(chi2_dof > x) = Q(dof/2, x/2)
+    return float(gammainc(dof / 2, x / 2)[1])
+
+
 def test_chdtrc_with_two_degrees_of_freedom_is_exponential():
     # P(chi2 > x) = e^{-x/2}
     want = math.exp(-1.5)
-    assert abs(chi2_sf(2, 3.0) - want) / want <= 1e-14
+    assert abs(_chi2_sf(2, 3.0) - want) / want <= 1e-14
 
 
 # Accuracy of each replacement for a scipy.special function, over the
@@ -193,7 +197,7 @@ def test_gammainc_matches_scipy_over_the_laws_orders():
         split = nu + math.sqrt(nu) + 2.0
         grid = np.concatenate([x, [0.0, nu + 1.0, split, np.nextafter(split, 0.0), 700.0, 9.7e6]])
         want = sp.gammainc(nu, grid)
-        got = gammainc(nu, grid)
+        got = gammainc(nu, grid)[0]
         assert np.array_equal(got == 0.0, want == 0.0)
         ok = want > 0.0
         worst = max(worst, float(np.max(np.abs(got[ok] - want[ok]) / want[ok])))
@@ -202,11 +206,17 @@ def test_gammainc_matches_scipy_over_the_laws_orders():
 
 def test_gammainc_values_depend_on_their_own_argument_alone():
     # no entry may depend on the others, so a caller may split or join its calls
-    x = 10.0 ** np.random.default_rng(4).uniform(-3.0, 2.0, 300)
+    rng = np.random.default_rng(4)
+    x = 10.0 ** rng.uniform(-3.0, 2.0, 300)
+    # and past the cut, where Q takes the shorter fraction and then 0
+    x = np.concatenate([x, 10.0 ** rng.uniform(1.5, 2.9, 60)])
     for nu in (0.5, 1.5):
-        whole = gammainc(nu, x)
-        assert all(gammainc(nu, x[i : i + 1])[0] == whole[i] for i in range(x.size))
-        assert np.array_equal(gammainc(nu, x.reshape(20, 15)), whole.reshape(20, 15))
+        for whole, part, grid in zip(
+            gammainc(nu, x), zip(*(gammainc(nu, x[i : i + 1]) for i in range(x.size))),
+            gammainc(nu, x.reshape(24, 15)),
+        ):
+            assert np.array_equal(np.concatenate(part), whole)
+            assert np.array_equal(grid, whole.reshape(24, 15))
 
 
 @given(
@@ -218,9 +228,13 @@ def test_gammainc_is_a_distribution_function(nu, x):
     # no clamp: the series stays below 1 - Q(split), 1 - Q rounds to at
     # most 1, and the cut returns 1 exactly.  Between two adjacent floats
     # the rounding may still step back by an ulp or two, as scipy's does.
-    p = gammainc(nu, np.sort(x))
+    p, q = gammainc(nu, np.sort(x))
     assert np.all(p >= 0.0) and np.all(p <= 1.0)
     assert np.all(np.diff(p) >= 0.0)
+    # Q is its complement to 2 ulps of 1, and a survival function
+    assert np.all(np.abs(p + q - 1.0) <= 2 * np.spacing(1.0))
+    assert np.all(q >= 0.0) and np.all(q <= 1.0)
+    assert np.all(np.diff(q) <= 0.0)
 
 
 def test_gammainc_raises_when_its_term_budget_cannot_reach_round_off():
@@ -228,7 +242,7 @@ def test_gammainc_raises_when_its_term_budget_cannot_reach_round_off():
     with pytest.raises(ValueError, match="round-off"):
         gammainc(1e5, np.array([1.0, 1e5]))
     # far below nu the same budget converges, and nothing raises
-    p = gammainc(1e5, np.array([1.0, 9e4]))
+    p = gammainc(1e5, np.array([1.0, 9e4]))[0]
     assert np.all((p >= 0.0) & (p < 1e-100))
 
 
@@ -275,7 +289,7 @@ def test_chi2_sf_matches_scipy_up_to_dof_100():
         for xi in dof * x:
             want = float(sp.chdtrc(dof, xi))
             if want > 1e-300:
-                worst = max(worst, abs(chi2_sf(dof, xi) - want) / want)
+                worst = max(worst, abs(_chi2_sf(dof, xi) - want) / want)
     assert worst <= 1e-13
 
 
@@ -286,7 +300,7 @@ def test_chi2_sf_matches_a_40_digit_sum_up_to_dof_1000():
         for xi in dof * x:
             want = _chi2_sf_decimal(dof, xi)
             if want > 1e-300:
-                worst = max(worst, abs(chi2_sf(dof, xi) - want) / want)
+                worst = max(worst, abs(_chi2_sf(dof, xi) - want) / want)
     assert worst <= 1e-13
 
 
