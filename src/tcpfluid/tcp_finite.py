@@ -15,12 +15,14 @@ geometry through c = beta^(m+1):
 
 `solve_finite_distribution(params, variant)` returns the law as a
 `FiniteBufferSolution`.  Its density phi is the infinite-buffer mixture
-with one coefficient row per level, so it supplies only its rows and level
-edges: `tcp_infinite._VariantLaw` evaluates it as it evaluates the
-infinite-buffer law, and builds its variant, plain law phi/(1-A) +
-fast-recovery plateau + the atom at beta·B_eff that buffer losses leave
-(`point_mass`), over their total mass.  It has `pdf(w)`, `ccdf(w)`,
-`mean()` and `support_cutoff()` (= B_eff); no finite-buffer wan law exists.
+with one coefficient row per level, so when it is built it sets only its
+rows, level edges, mass 1-A and buffer atom, once:
+`tcp_infinite._VariantLaw` evaluates it as it evaluates the infinite-buffer
+law, and its frfr variant is the plain law phi/(1-A) plus one sum,
+`_extra`, of the fast-recovery plateau and the atom at beta·B_eff that
+buffer losses leave (`point_mass`), over their total mass.  It has
+`pdf(w)`, `ccdf(w)`, `mean()` and `support_cutoff()` (= B_eff); no
+finite-buffer wan law exists.
 
 Every exponential is arranged to have a nonpositive argument, so the
 evaluation never overflows regardless of x.
@@ -57,10 +59,13 @@ class FiniteBufferParams:
     window_headroom: float = 2.5354
 
     def __post_init__(self) -> None:
-        if self.buffer_size <= 0:
+        # NaN fails both bounds; an infinite buffer stands for no buffer
+        if not self.buffer_size > 0:
             raise ValueError(f"buffer_size must be positive, got {self.buffer_size}")
-        if self.window_headroom < 0:
-            raise ValueError("window_headroom must be nonnegative")
+        if not 0 <= self.window_headroom < math.inf:
+            raise ValueError(
+                f"window_headroom must be nonnegative and finite, got {self.window_headroom}"
+            )
 
     @property
     def effective_limit(self) -> float:
@@ -154,6 +159,14 @@ class FiniteBufferSolution(_VariantLaw):
     h_rows: tuple[np.ndarray, ...]
     variant: str = "plain"
 
+    def __post_init__(self) -> None:
+        tcp, B = self.params.tcp, self.effective_limit
+        # the last row holds down to w = 0, and every buffer loss halves from B_eff
+        self._set_mixture(
+            tcp, self.one_minus_A, self.h_rows, np.append(self.level_edges()[:-1], 0.0),
+            (tcp.beta * B, self.A * B ** tcp.m),
+        )
+
     @property
     def N_levels(self) -> int:
         """Index of the last row, the one that holds down to w = 0."""
@@ -179,34 +192,6 @@ class FiniteBufferSolution(_VariantLaw):
     def support_cutoff(self) -> float:
         """B_eff: the window never exceeds it."""
         return self.effective_limit
-
-    @property
-    def _tcp(self) -> TcpParams:
-        return self.params.tcp
-
-    @property
-    def _mass(self) -> float:
-        return self.one_minus_A
-
-    @property
-    def _rows(self) -> tuple[np.ndarray, ...]:
-        return self.h_rows
-
-    @property
-    def _edges(self) -> np.ndarray:
-        # the last row holds down to w = 0
-        return np.append(self.level_edges()[:-1], 0.0)
-
-    @property
-    def _buffer(self) -> tuple[float, float]:
-        """(beta·B_eff, A·B_eff^m): every buffer loss halves from B_eff."""
-        B = self.effective_limit
-        return self._tcp.beta * B, self.A * B ** self._tcp.m
-
-    @property
-    def point_mass(self) -> tuple[float, float] | None:
-        """(beta·B_eff, weight) of the frfr atom; None for plain."""
-        return self._total[1]
 
 
 def solve_finite_distribution(

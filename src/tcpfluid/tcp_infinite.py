@@ -9,11 +9,12 @@ expansion (Dumas, Guillemin & Robert, Adv. Appl. Probab. 34 (2002) 85).
 The finite-buffer law of `tcp_finite` is the same mixture with one
 coefficient row per halving level, and `_VariantLaw` evaluates both from
 their rows: every density, tail and mean is a row-wise sum of exponentials
-or incomplete Gamma functions, so nothing here integrates numerically.  It
-also builds every variant in one place: plain law + fast-recovery plateau +
-buffer atom (none here) + idle time below the bandwidth-delay product, over
-their total mass.  All laws depend on lambda and alpha only through the
-loss ratio p = lambda/alpha.
+or incomplete Gamma functions, so nothing here integrates numerically.
+Every variant is the plain law plus one sum, `_VariantLaw._extra`:
+fast-recovery plateau + buffer atom (none here) + idle time below the
+bandwidth-delay product; the normalizer, the CCDF and the mean each add
+its integral to the plain law's.  All laws depend on lambda and alpha only
+through the loss ratio p = lambda/alpha.
 """
 
 from __future__ import annotations
@@ -58,20 +59,21 @@ class TcpParams:
     link_delay: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if self.loss_rate < 0:
-            raise ValueError(f"loss_rate must be nonnegative, got {self.loss_rate}")
-        if self.m < 0:
-            raise ValueError(f"m must be nonnegative, got {self.m}")
+        # written so that NaN fails every bound
+        if not 0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
+        if not 0 <= self.loss_rate < math.inf:
+            raise ValueError(f"loss_rate must be nonnegative and finite, got {self.loss_rate}")
+        if not 0 <= self.m < math.inf:
+            raise ValueError(f"m must be nonnegative and finite, got {self.m}")
         if not 0 < self.beta < 1:
             raise ValueError(f"beta must lie in (0,1), got {self.beta}")
-        if self.link_delay < 0:
-            raise ValueError(f"link_delay must be nonnegative, got {self.link_delay}")
-        if self.link_capacity is not None and self.link_capacity <= 0:
-            raise ValueError("link_capacity must be positive when given")
-        if self.packet_size is not None and self.packet_size <= 0:
-            raise ValueError("packet_size must be positive when given")
+        if not 0 <= self.link_delay < math.inf:
+            raise ValueError(f"link_delay must be nonnegative and finite, got {self.link_delay}")
+        if self.link_capacity is not None and not 0 < self.link_capacity < math.inf:
+            raise ValueError("link_capacity must be positive and finite when given")
+        if self.packet_size is not None and not 0 < self.packet_size < math.inf:
+            raise ValueError("packet_size must be positive and finite when given")
         if self.link_capacity is not None and self.packet_size is not None:
             derived = self.link_capacity / self.packet_size
             if not math.isclose(derived, self.alpha, rel_tol=1e-9):
@@ -184,10 +186,10 @@ def compute_residues(c: float, K: int | None = None) -> ResidueTable:
 
 
 def _points(w) -> np.ndarray:
-    """w as a 1-d float array, checked to be >= 0."""
+    """w as a 1-d float array, checked to be >= 0 and not NaN."""
     w_arr = np.atleast_1d(np.asarray(w, dtype=float))
-    if np.any(w_arr < 0):
-        raise ValueError("window laws are evaluated at w >= 0")
+    if not np.all(w_arr >= 0):
+        raise ValueError("window laws are evaluated at w >= 0, not at NaN or w < 0")
     return w_arr
 
 
@@ -195,47 +197,75 @@ class _VariantLaw:
     """pdf, ccdf and mean of every variant of one plain stationary law.
 
     The plain density f is the mixture p·w^m·sum_k h_{n,k}·e^(-a_k·w^(m+1))
-    on row n's window interval, up to the mass `_mass`.  A law supplies
-    `_tcp`, `_mass`, `_rows`, the coefficient arrays h_n, `_edges`, the
-    descending row edges (row n holds (edges[n+1], edges[n]], the last
-    edge is 0), and `_buffer`, (beta·B_eff, A·B_eff^m) or None when no
-    buffer bounds the window.  A variant is the plain law f, plus the
-    fast-recovery plateau p·beta^-(m+1)·w^m·f(w/beta), plus the atom
-    p·A·B_eff^m at beta·B_eff that buffer losses leave, plus, for wan, the
-    idle time ((T-w)/w)·f(w) below T = bdp, over their total mass.
+    on row n's window interval, up to the mass `_mass`.  Each law sets its
+    mixture once, at construction, through `_set_mixture`: `_tcp`, `_mass`,
+    `_rows`, the coefficient arrays h_n, `_edges`, the descending row edges
+    (row n holds (edges[n+1], edges[n]], the last edge is 0), `_buffer`,
+    (beta·B_eff, A·B_eff^m) or None when no buffer bounds the window, and
+    `_rates`, the a_k = p·c^-k/(m+1) whose first len(h_n) entries serve
+    row n.  A variant is f plus all that `_extra` integrates: the
+    fast-recovery plateau p·beta^-(m+1)·w^m·f(w/beta), the atom p·A·B_eff^m
+    at beta·B_eff that buffer losses leave, and, for wan, the idle time
+    ((T-w)/w)·f(w) below T = bdp; all over their total mass.
     """
 
     _clamp = False
 
-    @property
-    def _idle_limit(self) -> float:
-        """T below which the window idles; 0 unless the variant is wan."""
-        return self._tcp.bdp if self.variant == "wan" else 0.0
+    def _set_mixture(self, tcp: TcpParams, mass: float, rows, edges, buffer=None) -> None:
+        """Fix the plain mixture, its rates and the idle limit T (0 unless wan)."""
+        k = np.arange(max(len(h) for h in rows))
+        fixed = {
+            "_tcp": tcp, "_mass": mass, "_rows": rows, "_edges": edges, "_buffer": buffer,
+            "_rates": tcp.p * tcp.c ** -k / (tcp.m + 1),
+            "_idle_limit": tcp.bdp if self.variant == "wan" else 0.0,
+        }
+        for name, value in fixed.items():
+            object.__setattr__(self, name, value)
 
     @cached_property
-    def _total(self) -> tuple[float, tuple[float, float] | None]:
-        """(total mass, FR/FR atom as (location, weight) or None), once per law."""
+    def _total(self) -> float:
+        """Total mass of the variant, once per law."""
+        return self._mass + self._extra(0.0)
+
+    @property
+    def point_mass(self) -> tuple[float, float] | None:
+        """(beta·B_eff, weight) of the atom buffer losses leave; None without one."""
+        if self.variant == "plain" or self._buffer is None:
+            return None
+        at, loss = self._buffer
+        return at, self._tcp.p * loss / self._total
+
+    def _extra(self, s: float, lo=0.0):
+        """∫ w^s over w > lo of all the variant adds to the plain law.
+
+        That is the plateau p·beta^s·∫ v^(s+m)·f(v) over v > lo/beta, plus
+        the atom p·A·B_eff^m·(beta·B_eff)^s where beta·B_eff > lo, plus the
+        idle time T·∫ w^(s-1)·f(w) - ∫ w^s·f(w) over (lo, T], where an
+        empty overlap adds exactly 0; 0.0 for the plain variant.
+        """
         if self.variant == "plain":
-            return self._mass, None
-        tcp, T, buffer = self._tcp, self._idle_limit, self._buffer
-        loss = 0.0 if buffer is None else buffer[1]
-        total = self._mass + tcp.p * (self._integral(tcp.m) + loss)
+            return 0.0
+        tcp, T = self._tcp, self._idle_limit
+        p, beta = tcp.p, tcp.beta
+        out = p * beta ** s * self._integral(s + tcp.m, lo / beta)
+        if self._buffer is not None:
+            at, loss = self._buffer
+            out = out + p * loss * at ** s * (lo < at)
         if T > 0:
-            total += T * self._integral(-1.0, 0.0, T) - self._integral(0.0, 0.0, T)
-        return total, None if buffer is None else (buffer[0], tcp.p * loss / total)
+            out = out + (T * self._integral(s - 1.0, lo, T) - self._integral(s, lo, T))
+        return out
 
     def _density(self, w: np.ndarray) -> np.ndarray:
         """Plain density f(w) up to `_mass`; zero outside the rows."""
         tcp, edges = self._tcp, self._edges
-        p, m, c = tcp.p, tcp.m, tcp.c
-        volume = w ** (m + 1)
+        volume = w ** (tcp.m + 1)
         out = np.zeros_like(w)
         for h, top, bottom in zip(self._rows, edges, edges[1:]):
             inside = (w > bottom) & (w <= top)
             if inside.any():
-                rates = p * c ** -np.arange(len(h)) / (m + 1)
+                rates = self._rates[: len(h)]
                 out[inside] = h @ np.exp(-np.multiply.outer(rates, volume[inside]))
-        return p * w ** m * out
+        return tcp.p * w ** tcp.m * out
 
     def _integral(self, s: float, lo=0.0, hi: float = math.inf):
         """∫ w^s·f(w) dw over (lo, hi], one value per entry of lo.
@@ -261,10 +291,10 @@ class _VariantLaw:
             a = np.minimum(np.maximum(lo, bottom), b)
             if (a >= b).all():
                 continue
-            k = np.arange(len(h))
             # one rate per term, along the first axis of every bound
-            rates = (p * c ** -k / (m + 1)).reshape(k.shape + (1,) * lo.ndim)
-            rows.append((h * c ** (k * nu), rates * b ** (m + 1), rates * a ** (m + 1), a >= b))
+            rates = self._rates[: len(h)].reshape((-1,) + (1,) * lo.ndim)
+            weights = h * c ** (np.arange(len(h)) * nu)
+            rows.append((weights, rates * b ** (m + 1), rates * a ** (m + 1), a >= b))
         total = np.zeros(lo.shape)
         if s == 0:
             for weights, x_b, x_a, empty in rows:
@@ -299,46 +329,22 @@ class _VariantLaw:
         if T > 0:
             below = (w_arr < T) & (w_arr > 0)
             out[below] += (T - w_arr[below]) / w_arr[below] * base[below]
-        out = out / self._total[0]
+        out = out / self._total
         if self._clamp:
             out = np.maximum(out, 0.0)
         return out if np.ndim(w) else float(out[0])
 
     def ccdf(self, w):
-        """P(W > w) in closed form, the atom included.
-
-        The plateau above w holds p·∫ v^m·f(v) over v > w/beta; the idle
-        time above w < T holds ∫ (T-v)/v·f(v) over (w, T].
-        """
+        """P(W > w) in closed form, the atom included."""
         w_arr = _points(w)
-        tcp, T = self._tcp, self._idle_limit
-        total, atom = self._total
-        out = self._integral(0.0, w_arr)
-        if self.variant != "plain":
-            out = out + tcp.p * self._integral(tcp.m, w_arr / tcp.beta)
-        if T > 0:
-            below = w_arr < T
-            lo = w_arr[below]
-            idle = T * self._integral(-1.0, lo, T)
-            out[below] += idle - (self._integral(0.0, lo) - self._integral(0.0, T))
-        out = out / total
-        if atom is not None:
-            out += np.where(w_arr < atom[0], atom[1], 0.0)
+        out = (self._integral(0.0, w_arr) + self._extra(0.0, w_arr)) / self._total
         if self._clamp:
             out = np.clip(out, 0.0, 1.0)
         return out if np.ndim(w) else float(out[0])
 
     def mean(self) -> float:
         """E[W], the atom included."""
-        tcp, T = self._tcp, self._idle_limit
-        total, atom = self._total
-        out = self._integral(1.0)
-        if self.variant != "plain":
-            out += tcp.p * tcp.beta * self._integral(tcp.m + 1.0)
-        if T > 0:
-            out += T * self._integral(0.0, 0.0, T) - self._integral(1.0, 0.0, T)
-        out /= total
-        return out if atom is None else out + atom[0] * atom[1]
+        return (self._integral(1.0) + self._extra(1.0)) / self._total
 
 
 @dataclass(frozen=True)
@@ -354,11 +360,6 @@ class AnalyticWindowDistribution(_VariantLaw):
     params: TcpParams
     residues: ResidueTable
     variant: str = "plain"
-    # no buffer, so no variant has an atom (not dataclass fields)
-    point_mass = _buffer = None
-    _mass = 1.0
-    # one row of residues on (0, inf)
-    _edges = (math.inf, 0.0)
     # the mixture cancels to all orders as w -> 0, so rounding can leave
     # its pdf just below 0 and its CCDF just above 1
     _clamp = True
@@ -372,18 +373,12 @@ class AnalyticWindowDistribution(_VariantLaw):
             raise ValueError("residue table c does not match params")
         if self.variant == "wan" and self.params.m == 0:
             raise ValueError("wan variant needs m > 0 (inverse moment diverges)")
+        # one row of residues on (0, inf) and no buffer, so no variant has an atom
+        self._set_mixture(self.params, 1.0, (np.asarray(self.residues.h),), (math.inf, 0.0))
 
     @classmethod
     def build(cls, params: TcpParams, variant: str = "plain") -> "AnalyticWindowDistribution":
         return cls(params, compute_residues(params.c), variant)
-
-    @property
-    def _tcp(self) -> TcpParams:
-        return self.params
-
-    @property
-    def _rows(self) -> tuple[np.ndarray]:
-        return (np.asarray(self.residues.h),)
 
     def _integral(self, s: float, lo=0.0, hi: float = math.inf):
         # the whole mean at m = 0 on a complete table is the product closed

@@ -610,6 +610,25 @@ def test_bad_value_exits_2_naming_its_flag_before_the_outdir(tmp_path, capsys, a
     assert not out.exists()
 
 
+# each once passed the parameter checks (NaN fails every comparison):
+# tcp-dist wrote NaN tables and a summary with bare NaN or Infinity tokens,
+# which is no JSON, and exited 0; validate ran the whole job and exited 3;
+# a NaN m or buffer failed only deep in the solve, under another name
+@pytest.mark.parametrize("argv, named", [
+    (["tcp-dist", "--p", "nan"], "loss_rate"),
+    (["tcp-dist", "--p", "inf"], "loss_rate"),
+    (["tcp-dist", "--p", "1e-2", "--variant", "wan", "--bdp", "nan"], "link_delay"),
+    (["tcp-dist", "--p", "1e-2", "--m", "nan"], "m must"),
+    (["tcp-dist", "--p", "1e-2", "--buffer", "nan"], "buffer_size"),
+    (["validate", "--p", "nan", "--events", "1000"], "loss_rate"),
+])
+def test_non_finite_value_exits_2_before_the_outdir(tmp_path, capsys, argv, named):
+    out = tmp_path / "out"
+    assert main(argv + ["--outdir", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
 # seeds of a 500-node run whose mean and median orderings disagree, and one
 # where both hold
 @pytest.mark.parametrize(

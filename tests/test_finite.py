@@ -301,6 +301,16 @@ def test_validation_errors():
             buffer_loss_ratio_A(x, 0.25)
 
 
+# each once passed the checks (NaN fails every comparison); an infinite
+# buffer stays allowed, below
+@pytest.mark.parametrize("kw", [{"buffer_size": math.nan}, {"window_headroom": math.nan},
+                                {"window_headroom": math.inf}])
+def test_params_reject_nan_sizes_and_infinite_headroom(kw):
+    tcp = TcpParams(alpha=1.0, loss_rate=1e-3)
+    with pytest.raises(ValueError, match=next(iter(kw))):
+        FiniteBufferParams(**{"tcp": tcp, "buffer_size": 40.0, **kw})
+
+
 def test_infinite_buffer_params_allowed():
     # an infinite buffer is the natural way to express the unconstrained case
     fb = _fb(1e-3, math.inf)

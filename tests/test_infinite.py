@@ -299,6 +299,16 @@ def test_params_validation():
         AnalyticWindowDistribution.build(TcpParams(alpha=1.0, loss_rate=0.0), "plain")
 
 
+# each once passed its check (NaN fails every comparison), so a NaN p or
+# bdp wrote NaN tables, and a NaN m failed only inside compute_residues
+@pytest.mark.parametrize("name", ["alpha", "loss_rate", "m", "link_delay", "link_capacity",
+                                  "packet_size"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_params_reject_non_finite_values(name, value):
+    with pytest.raises(ValueError, match=name):
+        TcpParams(**{"alpha": 1.0, "loss_rate": 1e-3, name: value})
+
+
 def test_residue_runtime_budget():
     import time
 
@@ -330,12 +340,16 @@ def test_normalizer_is_integrated_once_per_law(monkeypatch):
         assert calls == [], law.variant
 
 
+def _every_law(p: float):
+    """Every variant of the infinite law at p and of the B = 40 finite law."""
+    finite = FiniteBufferParams(_p(p), buffer_size=40.0)
+    return [*_variants(p), *(solve_finite_distribution(finite, v) for v in ("plain", "frfr"))]
+
+
 def test_pdf_at_infinity_is_zero_for_every_law():
-    finite = FiniteBufferParams(_p(1e-2), buffer_size=40.0)
-    laws = [*_variants(1e-2), *(solve_finite_distribution(finite, v) for v in ("plain", "frfr"))]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for law in laws:
+        for law in _every_law(1e-2):
             assert law.pdf(math.inf) == 0.0, law.variant
             both = law.pdf(np.array([10.0, math.inf]))
             # the row sums' order depends on the array's shape, so the
@@ -343,6 +357,49 @@ def test_pdf_at_infinity_is_zero_for_every_law():
             assert both[1] == 0.0, law.variant
             assert both[0] == pytest.approx(law.pdf(10.0), rel=1e-14, abs=0.0), law.variant
             assert law.ccdf(math.inf) == 0.0, law.variant
+
+
+def test_nan_points_are_rejected_by_every_law():
+    # pdf(nan) once read 0.0 and ccdf(nan) nan
+    for law in _every_law(1e-2):
+        for evaluate in (law.pdf, law.ccdf):
+            for w in (math.nan, np.array([1.0, math.nan])):
+                with pytest.raises(ValueError, match="NaN"):
+                    evaluate(w)
+
+
+def _ccdf_mean_laws():
+    """Every variant of both laws at the points where the CCDF meets the mean."""
+    for m, beta, p in ((1.0, 0.5, 1e-2), (0.5, 0.7, 1e-3), (2.0, 0.3, 5e-2), (0.0, 0.5, 1e-2)):
+        params = _p(p, m=m, beta=beta)
+        for variant in ("plain", "frfr"):
+            law = AnalyticWindowDistribution.build(params, variant)
+            yield pytest.param(law, id=f"{m}-{beta}-{p}-{variant}")
+            for B in (5.0, 40.0):
+                fb = FiniteBufferParams(params, buffer_size=B)
+                law = solve_finite_distribution(fb, variant)
+                yield pytest.param(law, id=f"{m}-{beta}-{p}-{variant}-B{B:g}")
+        for bdp in (5.0, 170.67) if m > 0 else ():
+            wan = AnalyticWindowDistribution.build(_p(p, m=m, beta=beta, link_delay=bdp / 2), "wan")
+            yield pytest.param(wan, id=f"{m}-{beta}-{p}-wan{bdp:g}")
+
+
+@pytest.mark.parametrize("law", list(_ccdf_mean_laws()))
+def test_mean_is_the_integral_of_the_ccdf(law):
+    # E[W] = ∫ P(W > w) dw over [0, support_cutoff()]; the CCDF drops by
+    # the atom's weight at its location, so the grid splits there and
+    # takes the left limit
+    cutoff, atom = law.support_cutoff(), law.point_mass
+    cuts = [0.0, cutoff] if atom is None else [0.0, atom[0], cutoff]
+    points = 4097 if atom is None else 2049
+    area = 0.0
+    for a, b in zip(cuts, cuts[1:]):
+        w = np.linspace(a, b, points)
+        ccdf = law.ccdf(w)
+        if atom is not None and b == atom[0]:
+            ccdf[-1] = law.ccdf(np.nextafter(b, 0.0))
+        area += np.trapezoid(ccdf, w)
+    assert area == pytest.approx(law.mean(), rel=1e-6, abs=0.0)
 
 
 def _integral_mp(params: TcpParams, s, lo, hi=mpmath.inf):
@@ -390,24 +447,31 @@ def test_upper_tail_integrals_keep_their_relative_digits(c):
 
 
 def test_wan_ccdf_keeps_its_tail():
-    # criterion 7's wan law: every tail term keeps its relative digits, so
-    # the CCDF on the CLI's grid stays positive and falls at every point
-    params = _p(1e-2, link_delay=85.335)
-    law = AnalyticWindowDistribution.build(params, "wan")
-    w = np.linspace(0.0, law.support_cutoff(), 512)
-    ccdf = law.ccdf(w)[w < law.support_cutoff()]
-    assert np.all(ccdf > 0.0)
-    assert np.all(np.diff(ccdf) < 0.0)
-    p, beta, T = params.p, params.beta, params.bdp
-    with mpmath.workdps(40):
-        total = (
-            1 + p * _integral_mp(params, params.m, 0)
-            + T * _integral_mp(params, -1.0, 0, T) - _integral_mp(params, 0.0, 0, T)
-        )
-        for wi in (70.0, 80.0, 90.0, 100.0, 120.0, 150.0, 170.0):
-            plateau = p * _integral_mp(params, params.m, mpmath.mpf(wi) / beta)
-            tail = _integral_mp(params, 0.0, wi) + plateau
-            if wi < T:
-                tail += T * _integral_mp(params, -1.0, wi, T) - _integral_mp(params, 0.0, wi, T)
-            want = float(tail / total)
-            assert abs(law.ccdf(wi) - want) <= 1e-8 * want, (wi, law.ccdf(wi), want)
+    # criterion 7's wan law and one whose idle time ends below the mean:
+    # every tail term keeps its relative digits, so the CCDF on the CLI's
+    # grid stays positive and falls at every point past the first
+    # `clipped` ones (the clip at 1), and below T = bdp the idle term
+    # keeps the CCDF within 1e-13 of the reference
+    for bdp, clipped in ((170.67, 0), (20.0, 1)):
+        params = _p(1e-2, link_delay=bdp / 2.0)
+        law = AnalyticWindowDistribution.build(params, "wan")
+        w = np.linspace(0.0, law.support_cutoff(), 512)
+        ccdf = law.ccdf(w)[w < law.support_cutoff()]
+        assert np.all(ccdf > 0.0)
+        assert np.all(ccdf[: clipped + 1] == 1.0)
+        assert np.all(np.diff(ccdf[clipped:]) < 0.0)
+        p, beta, T = params.p, params.beta, params.bdp
+        with mpmath.workdps(40):
+            total = (
+                1 + p * _integral_mp(params, params.m, 0)
+                + T * _integral_mp(params, -1.0, 0, T) - _integral_mp(params, 0.0, 0, T)
+            )
+            for wi in (0.5, 2.0, 10.0, 30.0, 70.0, 80.0, 90.0, 100.0, 120.0, 150.0, 170.0):
+                plateau = p * _integral_mp(params, params.m, mpmath.mpf(wi) / beta)
+                tail = _integral_mp(params, 0.0, wi) + plateau
+                if wi < T:
+                    tail += (T * _integral_mp(params, -1.0, wi, T)
+                             - _integral_mp(params, 0.0, wi, T))
+                want = float(tail / total)
+                err = abs(law.ccdf(wi) - want)
+                assert err <= 1e-13 and err <= 1e-8 * want, (bdp, wi, law.ccdf(wi), want)
