@@ -97,9 +97,12 @@ def euler_product_L(c: float) -> float:
 
 # the longest series or continued fraction gammainc evaluates
 _MAX_TERMS = 2048
-# below this nu the series prefactor x^nu e^-x / Γ(nu+1) is formed from
-# power and exp, each within an ulp; from it on, where x^nu may overflow,
-# from Stirling's series and the deviance (`_log_poisson`)
+# below _POWER_NU the series prefactor x^nu e^-x / Γ(nu+1) is formed from
+# power and exp, each within an ulp: below the split x^nu stays under
+# 112^100 and Γ(nu+1) under Γ(101), so neither overflows.  From it on, and
+# for the fraction's prefactor from _STIRLING_NU on, where x^nu may
+# overflow, it comes from Stirling's series and the deviance (`_log_poisson`)
+_POWER_NU = 100.0
 _STIRLING_NU = 20.0
 
 
@@ -138,7 +141,7 @@ class _GammaincPlan(NamedTuple):
     fraction_b: np.ndarray  # b_(k-1) - x = 2k - 1 - nu
     far_depth: int  # the depth that converges at `cut`
     lgamma_nu: float
-    gamma_nu1: float | None  # Γ(nu+1) below _STIRLING_NU
+    gamma_nu1: float | None  # Γ(nu+1) below _POWER_NU
 
 
 @lru_cache(maxsize=32)
@@ -209,7 +212,7 @@ def _gammainc_plan(nu: float) -> _GammaincPlan:
         split, cut, crossing(-1075.0, cut), capped,
         nu + np.arange(1.0, n + 1.0), -k * (k - nu), 2.0 * k - 1.0 - nu,
         min(depth_at(cut), depth), lgamma_nu,
-        math.gamma(nu + 1.0) if nu < _STIRLING_NU else None,
+        math.gamma(nu + 1.0) if nu < _POWER_NU else None,
     )
 
 
@@ -227,7 +230,9 @@ def gammainc(nu: float, x) -> tuple[np.ndarray, np.ndarray]:
     (1, 0), and every value comes from its own x alone.  For nu from 0.23
     to 10 and x from 1e-12 to 100, P was measured within 7.6e-16 relative
     of 30-digit values; scipy.special.gammainc, whose series prefactor is
-    the exponent of a logarithm, was off by up to 1.7e-14 at nu <= 3.
+    the exponent of a logarithm, was off by up to 1.7e-14 at nu <= 3.  For
+    nu from 20 to 99 and x in nu·[0.32, 2.5], P was within 7.6e-16 of
+    40-digit values; a call whose every x is 0 or inf returns at once.
 
     Raises:
         ValueError: if nu <= 0, or if the series budget cannot bring the
@@ -237,6 +242,10 @@ def gammainc(nu: float, x) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"gammainc requires nu > 0, got {nu}")
     plan = _gammainc_plan(float(nu))
     x = np.asarray(x, dtype=float)
+    if np.all((x == 0.0) | (x == math.inf)) and not np.signbit(x).any():
+        # only the ends of the range, as the laws' whole-range integrals ask
+        zero = x == 0.0
+        return np.where(zero, 0.0, 1.0), np.where(zero, 1.0, 0.0)
     p = np.where(x >= plan.cut, 1.0, np.nan)
     q = np.where(x >= plan.zero, 0.0, np.nan)
     series = x < plan.split
@@ -273,7 +282,7 @@ def gammainc(nu: float, x) -> tuple[np.ndarray, np.ndarray]:
         g = 1.0 + (2.0 * depth + 1.0 - nu) * inv
         for a_k, b_k in zip(rows_a, rows_b):
             g = b_k + a_k / g
-        if plan.gamma_nu1 is None:
+        if nu >= _STIRLING_NU:
             # x^(nu-1) e^-x / Γ(nu) = nu/x · x^nu e^-x / Γ(nu+1)
             front = nu * np.exp(_log_poisson(nu, xf))
         else:

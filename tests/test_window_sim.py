@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tcpfluid.tcp_finite import (
     FiniteBufferParams,
@@ -19,6 +21,7 @@ from tcpfluid.tcp_infinite import AnalyticWindowDistribution, TcpParams, window_
 from tcpfluid.window_sim import (
     _CHUNK,
     SimConfig,
+    _window_path,
     compare_histogram,
     merge_results,
     simulate,
@@ -82,6 +85,30 @@ def test_zero_loss_infinite_buffer_rejected():
     fb = FiniteBufferParams(TcpParams(alpha=1.0, loss_rate=0.0), buffer_size=math.inf)
     with pytest.raises(ValueError):
         simulate(SimConfig(params=fb, horizon=100, seed=0))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("w_max", -1.0),
+        ("w_max", 0.0),
+        ("w_max", math.nan),
+        ("w_max", math.inf),
+        ("horizon", 1000.5),
+        ("n_bins", 10.5),
+    ],
+)
+def test_config_rejects_what_it_cannot_simulate(field, value):
+    # a non-positive top edge made an all-zero histogram, a non-finite one
+    # failed inside bincount, and fractional counts failed inside numpy
+    fields = {"horizon": 100, "n_bins": 10, "w_max": 30.0, field: value}
+    with pytest.raises(ValueError, match=field):
+        SimConfig(params=_cfg(1e-2).params, **fields)
+
+
+def test_config_takes_numpy_integers():
+    cfg = _cfg(1e-2, horizon=np.int64(1000), n_bins=np.int32(10), w_max=np.float64(30.0))
+    assert simulate(cfg).n_events == 1000
 
 
 def test_loss_split_matches_A():
@@ -263,6 +290,34 @@ def test_simulate_matches_frozen_reference_byte_for_byte(name, horizon, grid):
     )
 
 
+# past the first 65536-draw block; p = 0, where every event hits the
+# buffer; and the longest repair seen on the (m, beta, p, B) timing grid
+@example(m=1.0, beta=0.5, p=1e-2, buffer=math.inf, seed=7, horizon=70_000)
+@example(m=1.0, beta=0.5, p=0.0, buffer=40.0, seed=0, horizon=3000)
+@example(m=0.5, beta=0.9, p=0.05, buffer=40.0, seed=0, horizon=20_200)
+@given(
+    m=st.floats(0.0, 2.0),
+    beta=st.floats(0.3, 0.9),
+    p=st.floats(1e-4, 5e-2),
+    buffer=st.one_of(st.just(math.inf), st.floats(3.0, 1000.0)),
+    seed=st.integers(0, 2**32 - 1),
+    horizon=st.integers(1, 3000),
+)
+@settings(max_examples=100, deadline=None)
+def test_path_repairs_to_the_loops_exact_bytes(m, beta, p, buffer, seed, horizon):
+    # the vectorized guess and its repair reach the per-event loop's fixed
+    # point, so every V_start, V_end and buffer hit is the loop's own
+    tcp = TcpParams(alpha=1.0, loss_rate=p, m=m, beta=beta)
+    cfg = SimConfig(params=FiniteBufferParams(tcp, buffer_size=buffer), horizon=horizon)
+    v_start, v_end, hits = _window_path(cfg, horizon, np.random.Generator(np.random.PCG64(seed)))
+    want_start, want_end, at_buffer = window_reference._window_path(
+        cfg, horizon, np.random.Generator(np.random.PCG64(seed))
+    )
+    assert v_start.tobytes() == want_start.tobytes()
+    assert v_end.tobytes() == want_end.tobytes()
+    assert np.array_equal(hits, np.flatnonzero(at_buffer))
+
+
 def _peak_bytes(cfg: SimConfig) -> int:
     tracemalloc.start()
     try:
@@ -299,3 +354,18 @@ def test_window_benchmark_checks_and_golden_digests_hold(scale):
     ).stdout
     last = json.loads(out.strip().splitlines()[-1])
     assert last["correct"] is True, out
+
+
+def test_traced_window_benchmark_reports_every_layer_metric():
+    # --trace 1 reports the per-layer metrics BENCHMARK.json lists, among
+    # them each module's import time under `import tcpfluid.cli`
+    root = Path(__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "run.py"), "--workload", "window",
+         "--scale", "tiny", "--seconds", "0", "--trace", "1"],
+        capture_output=True, text=True, check=True, timeout=600,
+    ).stdout
+    last = json.loads(out.strip().splitlines()[-1])
+    assert last["correct"] is True, out
+    listed = [m["name"] for m in json.loads((root / "BENCHMARK.json").read_text())["per_layer"]]
+    assert [name for name in listed if name not in last["metrics"]] == []
