@@ -22,6 +22,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -38,14 +39,11 @@ from .tcp_finite import FiniteBufferParams, effective_loss, solve_finite_distrib
 from .tcp_infinite import AnalyticWindowDistribution, TcpParams, window_moment
 from .tree_analytic import DistTable, ccdf_n, ccdf_q, marginal_n, marginal_q
 from .tree_gen import TreeParams, enumerate_exact, grow, measure
-from .window_sim import SimConfig, compare_histogram, merge_results, simulate
+from .window_sim import child_seed, validate
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_CHECK = 3
-
-# `validate` simulates its events in chunks of at most this many, one seed each
-_VALIDATE_CHUNK_EVENTS = 5000
 
 # parsed attributes no header echoes: they name the command or say where and
 # how its results are written, not what they are
@@ -130,11 +128,6 @@ def _emit_table(cfg: RunConfig, name: str, columns: dict[str, list]) -> str:
     return path
 
 
-def _child_seed(seed: int, index: int) -> int:
-    """Derived stream for realization `index`; stable across job counts."""
-    return int(np.random.SeedSequence((seed, index)).generate_state(1)[0])
-
-
 def _run_parallel(worker, payloads, jobs: int) -> list:
     if jobs <= 1 or len(payloads) <= 1:
         return [worker(p) for p in payloads]
@@ -215,18 +208,6 @@ def cmd_tcp_dist(args) -> int:
 # ---------------------------------------------------------------- validate
 
 
-def _validate_chunk(payload) -> "object":
-    cfg_args, chunk_events, chunk_seed = payload
-    sim_cfg = SimConfig.for_variant(
-        cfg_args["fb"],
-        cfg_args["variant"],
-        horizon=chunk_events,
-        seed=chunk_seed,
-        n_bins=cfg_args["bins"],
-    )
-    return simulate(sim_cfg)
-
-
 def cmd_validate(args) -> int:
     if args.events < 1000:
         raise ValueError("--events must be at least 1000")
@@ -249,17 +230,17 @@ def cmd_validate(args) -> int:
     law = _window_law(args, _tcp_params(args, beta=analytic_beta))
     _prepare_outdir(args.outdir)
 
-    sim_params = _tcp_params(args)
-    buffer_size = math.inf if args.buffer is None else args.buffer
-    fb_sim = FiniteBufferParams(sim_params, buffer_size=buffer_size)
-    chunk = {"fb": fb_sim, "variant": args.variant, "bins": args.bins}
-    # the chunking depends on --events only, so any --jobs merges the same runs
-    n_chunks = -(-args.events // _VALIDATE_CHUNK_EVENTS)
-    sizes = [(args.events + i) // n_chunks for i in range(n_chunks)]
-    payloads = [(chunk, size, _child_seed(args.seed, i)) for i, size in enumerate(sizes)]
-    result = merge_results(*_run_parallel(_validate_chunk, payloads, args.jobs))
-
-    fit = compare_histogram(result, law.pdf, point_mass=law.point_mass)
+    sim_params = FiniteBufferParams(
+        _tcp_params(args), buffer_size=math.inf if args.buffer is None else args.buffer
+    )
+    result, fit = validate(
+        sim_params,
+        law,
+        args.events,
+        n_bins=args.bins,
+        seed=args.seed,
+        map=partial(_run_parallel, jobs=args.jobs),
+    )
     checks: dict[str, bool] = {}
     report: dict = {}
     if args.buffer is not None:
@@ -353,7 +334,7 @@ def cmd_tree(args) -> int:
 
     if realizations > 0:
         payloads = [
-            (tau, alpha, _child_seed(args.seed, i)) for i in range(realizations)
+            (tau, alpha, child_seed(args.seed, i)) for i in range(realizations)
         ]
         parts = _run_parallel(_tree_counts, payloads, args.jobs)
         counts_n = sum(p[0] for p in parts)
@@ -490,13 +471,13 @@ def cmd_netsim(args) -> int:
         TreeParams(
             alpha_t=conf["alpha"],
             tau=conf["nodes"] - 1,
-            seed=_child_seed(conf["seed"], 0),
+            seed=child_seed(conf["seed"], 0),
         )
     )
     stats = measure(tree)
     base = FluidNetwork.from_tree(tree, np.full(tree.tau, conf["mean_capacity"]))
     flows = uniform_tree_flows(
-        tree, conf["flows"], beta=conf["beta"], seed=_child_seed(conf["seed"], 1)
+        tree, conf["flows"], beta=conf["beta"], seed=child_seed(conf["seed"], 1)
     )
     sync = SyncModel(pi=conf["pi"])
     payloads = [
@@ -505,7 +486,7 @@ def cmd_netsim(args) -> int:
             flows,
             sync,
             conf["epochs"],
-            _child_seed(conf["seed"], 2),
+            child_seed(conf["seed"], 2),
         )
         for s in strategies
     ]
@@ -645,6 +626,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # every subcommand takes --jobs; checked before any of them makes its outdir
+        if args.jobs < 1:
+            raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,7 +6,9 @@
 - `euler_product_L`: the Euler-type product L(c) = prod_{l>=1} (1 - c^l),
   which normalizes the window laws' mixture coefficients;
 - `gammainc`: the regularized incomplete Gammas P(nu, x) and Q(nu, x), for
-  the window laws' CCDFs and moments and the histogram p-values.
+  the window laws' CCDFs and moments and the histogram p-values;
+- `float_pow`: a power of a nonnegative float that gives inf where it
+  overflows, for the volumes B_eff^(m+1) of large buffers and delays.
 
 All evaluate in 64-bit floats.  The package needs no scipy at run time.
 """
@@ -71,6 +73,20 @@ def harmonic_sums(s, n: int) -> np.ndarray:
         out += b2k / math.factorial(2 * k) * rising * (a ** (1 - s - 2 * k) - b ** (1 - s - 2 * k))
         rising *= (s + 2 * k - 1) * (s + 2 * k)
     return out
+
+
+def float_pow(base: float, exponent: float) -> float:
+    """base ** exponent for base >= 0, inf where the result overflows.
+
+    A Python float `**` raises OverflowError where IEEE arithmetic (and a
+    numpy scalar) gives inf; every other result is the `**` result, bit
+    for bit.  np.power is no substitute: it rounds differently from `**`
+    on some scalars.
+    """
+    try:
+        return base ** exponent
+    except OverflowError:
+        return math.inf
 
 
 # euler_product_L drops the factors 1 - c^l once c^l falls below this

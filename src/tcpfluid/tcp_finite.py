@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import euler_product_L
+from .specfun import euler_product_L, float_pow
 from .tcp_infinite import _WEIGHT_FLOOR, TcpParams, _guard_cancellation, _VariantLaw
 
 # the loss-split sum stops once c^k·x is small and a term falls below
@@ -74,9 +74,9 @@ class FiniteBufferParams:
 
     @property
     def x(self) -> float:
-        """Control parameter p·B_eff^(m+1)/(m+1)."""
+        """Control parameter p·B_eff^(m+1)/(m+1); inf where B_eff^(m+1) overflows."""
         m = self.tcp.m
-        return self.tcp.p * self.effective_limit ** (m + 1) / (m + 1)
+        return self.tcp.p * float_pow(self.effective_limit, m + 1) / (m + 1)
 
 
 def _loss_split(x: float, c: float) -> tuple[float, float, float]:
@@ -134,7 +134,7 @@ def effective_loss(params: FiniteBufferParams) -> float:
     c = tcp.c
     if tcp.loss_rate == 0:
         m = tcp.m
-        return (m + 1) * tcp.alpha / ((1.0 - c) * params.effective_limit ** (m + 1))
+        return (m + 1) * tcp.alpha / ((1.0 - c) * float_pow(params.effective_limit, m + 1))
     return tcp.loss_rate / _loss_split(params.x, c)[1]
 
 
@@ -211,8 +211,8 @@ def solve_finite_distribution(
     Raises:
         ValueError: a variant other than plain or frfr (no finite-buffer
             wan law exists), loss_rate = 0 (pure sawtooth; use the
-            simulator), c too close to 1 (`_guard_cancellation`), or a
-            recursion that overflows.
+            simulator), a buffer whose x overflows, c too close to 1
+            (`_guard_cancellation`), or a recursion that overflows.
     """
     if variant not in ("plain", "frfr"):
         raise ValueError(
@@ -222,6 +222,11 @@ def solve_finite_distribution(
     if tcp.loss_rate <= 0:
         raise ValueError("solve_finite_distribution requires loss_rate > 0")
     x, c = params.x, tcp.c
+    if x == math.inf:
+        raise ValueError(
+            f"buffer_size {params.buffer_size} is too large: "
+            f"x = p·B_eff^(m+1)/(m+1) overflows at m = {tcp.m}"
+        )
     _guard_cancellation(c)
     A, one_minus_A, h00 = _loss_split(x, c)
     rows = [np.array([h00])]

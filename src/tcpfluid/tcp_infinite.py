@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .specfun import euler_product_L, gammainc
+from .specfun import euler_product_L, float_pow, gammainc
 
 VARIANTS = ("plain", "frfr", "wan")
 
@@ -294,7 +294,7 @@ class _VariantLaw:
             # one rate per term, along the first axis of every bound
             rates = self._rates[: len(h)].reshape((-1,) + (1,) * lo.ndim)
             weights = h * c ** (np.arange(len(h)) * nu)
-            rows.append((weights, rates * b ** (m + 1), rates * a ** (m + 1), a >= b))
+            rows.append((weights, rates * float_pow(b, m + 1), rates * a ** (m + 1), a >= b))
         total = np.zeros(lo.shape)
         if s == 0:
             for weights, x_b, x_a, empty in rows:

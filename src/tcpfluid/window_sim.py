@@ -19,6 +19,12 @@ m + 3; (m + 1) + j rounds differently for some m < 1/2 and moves bits.
 Fast-recovery plateaus enter as atoms (duration R(W_before) at the
 post-halving value) and add value^j times their duration to the same sums.
 
+`validate` is the one path that checks a law against the simulator, for
+`tcpfluid validate`, acceptance criterion 7 and the demo alike: it runs
+the law's variant in chunks of at most 5000 events, each seeded
+`child_seed(seed, i)`, merges them in order (`merge_results`) and fits
+the law, its atom included (`compare_histogram`).
+
 The output is fixed to the bit (tests/window_reference.py holds the
 oracle), and the code is arranged for speed within that:
 
@@ -56,9 +62,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .specfun import gammainc
+from .specfun import float_pow, gammainc
 from .tcp_finite import FiniteBufferParams
-from .tcp_infinite import VARIANTS
+from .tcp_infinite import VARIANTS, _VariantLaw
 
 _CHUNK = 8192
 
@@ -185,7 +191,7 @@ def _window_path(cfg: SimConfig, total: int, rng: np.random.Generator):
     """Drive the volume recursion; returns (V_start, V_end, buffer-hit indices)."""
     tcp = cfg.params.tcp
     g = (tcp.m + 1) * tcp.alpha
-    cap = cfg.params.effective_limit ** (tcp.m + 1)
+    cap = float_pow(cfg.params.effective_limit, tcp.m + 1)
     c = tcp.c
 
     # a fresh exponential clock per cycle; a buffer loss discards the rest.
@@ -286,6 +292,8 @@ def simulate(cfg: SimConfig) -> SimResult:
             # below T the clock runs T/w slower; split the segment at T
             below = np.minimum(hi, T) ** (m + j) - np.minimum(lo, T) ** (m + j)
             above = np.maximum(hi, T) ** (m + (1 + j)) - np.maximum(lo, T) ** (m + (1 + j))
+            # +0.0 below T, as T^e - T^e is, also where T^e overflows to inf
+            above = np.where(hi > T, above, 0.0)
             return T * below / ((m + j) * alpha) + above / ((m + (1 + j)) * alpha)
     else:
         grid, x0, x1 = edges ** (m + 1), v_start, v_end
@@ -340,7 +348,6 @@ class HistogramFit(NamedTuple):
     ks_distance: float
     chi2_pvalue: float
     dof: int
-    n_merged_bins: int
     n_events: int
 
 
@@ -417,4 +424,45 @@ def compare_histogram(
     dof = max(len(obs) - 1, 1)
     # P(chi^2_dof > chi2) = Q(dof/2, chi2/2)
     pvalue = float(gammainc(dof / 2, chi2 / 2)[1])
-    return HistogramFit(chi2, ks, pvalue, dof, len(obs), events)
+    return HistogramFit(chi2, ks, pvalue, dof, events)
+
+
+# `validate` simulates its events in chunks of at most this many, one seed each
+_VALIDATE_CHUNK_EVENTS = 5000
+
+
+def child_seed(seed: int, index: int) -> int:
+    """Derived stream for realization `index`; stable across job counts."""
+    return int(np.random.SeedSequence((seed, index)).generate_state(1)[0])
+
+
+def validate(
+    params: FiniteBufferParams,
+    law: _VariantLaw,
+    events: int,
+    *,
+    n_bins: int,
+    seed: int,
+    map=map,
+) -> tuple[SimResult, HistogramFit]:
+    """Simulate `law`'s variant at `params` for `events` loss events and fit `law`.
+
+    The run is split into ceil(events/5000) chunks, chunk i of
+    (events + i) // n_chunks events seeded `child_seed(seed, i)`; `map`
+    runs `simulate` over their configs (a process pool's map may stand in
+    for the builtin), the chunks merge in order, and `law`'s atom enters
+    the fit.  The chunks depend on `events` alone, so any `map` that keeps
+    their order gives the same bytes.  params may differ from the law's (a
+    mismatch probe).
+
+    Raises:
+        ValueError: fewer than 1000 events (`compare_histogram`).
+    """
+    n_chunks = -(-events // _VALIDATE_CHUNK_EVENTS)
+    configs = [
+        SimConfig.for_variant(params, law.variant, horizon=(events + i) // n_chunks,
+                              seed=child_seed(seed, i), n_bins=n_bins)
+        for i in range(n_chunks)
+    ]
+    result = merge_results(*map(simulate, configs))
+    return result, compare_histogram(result, law.pdf, point_mass=law.point_mass)

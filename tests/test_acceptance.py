@@ -44,7 +44,7 @@ from tcpfluid.tree_analytic import (
     cond_mean_q_given_n,
 )
 from tcpfluid.tree_gen import TreeParams, enumerate_exact, grow, measure
-from tcpfluid.window_sim import SimConfig, compare_histogram, simulate
+from tcpfluid.window_sim import SimConfig, simulate, validate
 
 from finite_reference import A_series
 from tree_reference import finite_size_correction_check
@@ -180,12 +180,12 @@ def test_c06_effective_loss_limit():
 def _fit(variant: str, p: float, buffer=math.inf, bdp=0.0, seed=0):
     tcp = TcpParams(alpha=1.0, loss_rate=p, link_delay=bdp / 2.0)
     fb = FiniteBufferParams(tcp, buffer_size=buffer)
-    res = simulate(SimConfig.for_variant(fb, variant, horizon=20000, seed=seed))
     if math.isinf(buffer):
         law = AnalyticWindowDistribution.build(tcp, variant)
     else:
         law = solve_finite_distribution(fb, variant)
-    return compare_histogram(res, law.pdf, point_mass=law.point_mass)
+    # the CLI's path: 20000 events in four chunks, 100 bins as SimConfig's default
+    return validate(fb, law, 20000, n_bins=100, seed=seed)[1]
 
 
 def test_c07_distribution_validation():

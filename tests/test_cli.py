@@ -273,6 +273,38 @@ def test_validate_jobs_do_not_change_results(tmp_path):
     assert reports[0] == reports[1] == reports[2]
 
 
+# SHA-256 of the validate_report.json of three small runs (default seed and
+# bins), recorded before `window_sim.validate` took over the chunking
+VALIDATE_SMALL_DIGESTS = {
+    ("--p", "1e-2", "--events", "4000"):
+        "3205769746443f84d7c45543f8ea5e94dc29e4102dc7fdf70c72514c03d220c0",
+    ("--p", "1e-2", "--m", "0.5", "--buffer", "30", "--variant", "frfr", "--events", "4000"):
+        "dd854fb9713790f27f4f90a9c2a2c93cca1c5c5921aefca9f9170c93198dcf44",
+    ("--p", "1e-2", "--variant", "wan", "--bdp", "20", "--events", "4000"):
+        "5b9d5250fcd953bd7abed2edd2356fa662fe98136399602e12c9508c756e2a0d",
+}
+
+
+@pytest.mark.parametrize("flags", list(VALIDATE_SMALL_DIGESTS))
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_validate_report_matches_its_recorded_digest(tmp_path, flags, jobs):
+    assert main(["validate", *flags, "--jobs", jobs, "--outdir", str(tmp_path)]) == 0
+    report = (tmp_path / "validate_report.json").read_bytes()
+    assert hashlib.sha256(report).hexdigest() == VALIDATE_SMALL_DIGESTS[flags]
+
+
+def test_wan_with_a_bdp_whose_volume_overflows_runs(tmp_path):
+    # T^(m+1) = (1e70)^5 overflows; both commands once exited 1 with an
+    # OverflowError traceback
+    flags = ["--p", "1e-2", "--m", "4", "--bdp", "1e70", "--variant", "wan"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["tcp-dist", *flags, "--outdir", str(tmp_path)]) == 0
+        assert main(["validate", *flags, "--events", "4000", "--outdir", str(tmp_path)]) == 0
+    summary = _read_json(tmp_path / "tcp_dist_summary.json")
+    report = _read_json(tmp_path / "validate_report.json")
+    assert summary["moments"]["mean"] == pytest.approx(report["mean_window"], rel=0.05)
+
+
 @pytest.mark.parametrize("command", ["tcp-dist", "validate"])
 def test_finite_buffer_rejects_wan_variant(tmp_path, capsys, command):
     # no finite-buffer wan law exists; tcp-dist once wrote the plain table
@@ -598,6 +630,10 @@ _NETSIM = ["netsim", "--nodes", "10", "--flows", "3", "--strategy", "uniform"]
     (["validate", "--p", "1e-2", "--ks-threshold", "inf"], None, "--ks-threshold"),
     (["validate", "--p", "1e-2", "--buffer", "30", "--loss-ratio-tolerance", "-0.1"], None,
      "--loss-ratio-tolerance"),
+    (["tcp-dist", "--p", "1e-2", "--jobs", "0"], None, "--jobs"),
+    (["validate", "--p", "1e-2", "--jobs", "-3"], None, "--jobs"),
+    (["tree", "--tau", "50", "--jobs", "0"], None, "--jobs"),
+    (_NETSIM + ["--jobs", "-3"], None, "--jobs"),
 ])
 def test_bad_value_exits_2_naming_its_flag_before_the_outdir(tmp_path, capsys, argv, conf, flag):
     out = tmp_path / "out"
@@ -621,6 +657,11 @@ def test_bad_value_exits_2_naming_its_flag_before_the_outdir(tmp_path, capsys, a
     (["tcp-dist", "--p", "1e-2", "--m", "nan"], "m must"),
     (["tcp-dist", "--p", "1e-2", "--buffer", "nan"], "buffer_size"),
     (["validate", "--p", "nan", "--events", "1000"], "loss_rate"),
+    # B_eff^(m+1) overflows, so x does; both once exited 1 with an OverflowError
+    (["tcp-dist", "--p", "1e-2", "--buffer", "1e200"], "buffer_size"),
+    (["tcp-dist", "--p", "1e-2", "--m", "30", "--buffer", "1e11"], "buffer_size"),
+    (["validate", "--p", "1e-2", "--buffer", "1e200"], "buffer_size"),
+    (["validate", "--p", "1e-2", "--m", "30", "--buffer", "1e11"], "buffer_size"),
 ])
 def test_non_finite_value_exits_2_before_the_outdir(tmp_path, capsys, argv, named):
     out = tmp_path / "out"

@@ -287,6 +287,18 @@ def test_x_control_parameter():
     assert fb.x == pytest.approx(2e-3 * fb.effective_limit**2 / 2.0, rel=1e-12)
 
 
+def test_x_beyond_the_float_range_is_inf_and_refused_by_the_law():
+    # B_eff^(m+1) overflows: x is inf, as IEEE arithmetic gives, and the law
+    # names the buffer instead of raising OverflowError
+    for m, B in ((1.0, 1e200), (30.0, 1e11)):
+        fb = _fb(1e-2, B, m=m)
+        assert fb.x == math.inf
+        with pytest.raises(ValueError, match="buffer_size"):
+            solve_finite_distribution(fb)
+    # and the sawtooth's loss rate at lambda = 0 falls to 0
+    assert effective_loss(_fb(0.0, 1e200)) == 0.0
+
+
 def test_validation_errors():
     with pytest.raises(ValueError):
         _fb(1e-3, 0.0)

@@ -255,6 +255,22 @@ def test_wan_distribution_normalizes():
     assert np.trapezoid(dist.pdf(w), w) == pytest.approx(1.0, abs=1e-4)
 
 
+@pytest.mark.parametrize("m", [0.5, 1.0, 4.0])
+def test_wan_law_holds_where_the_idle_limit_volume_overflows(m):
+    # T^(m+1) overflows at bdp 1e300 (and at 1e100 for m = 4); the idle
+    # integrals up to T then run to an infinite bound, which past the whole
+    # mass is what a finite one does
+    near, far = (
+        AnalyticWindowDistribution.build(_p(1e-2, m=m, link_delay=bdp / 2.0), "wan")
+        for bdp in (1e100, 1e300)
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for value in (lambda law: law.mean(), lambda law: law.ccdf(10.0),
+                      lambda law: law.pdf(10.0)):
+            assert value(far) == pytest.approx(value(near), rel=1e-13, abs=0.0), m
+
+
 def test_wan_needs_positive_m():
     with pytest.raises(ValueError):
         AnalyticWindowDistribution.build(

@@ -19,6 +19,7 @@ from scipy import special as sp
 import tcpfluid
 from tcpfluid.specfun import (
     euler_product_L,
+    float_pow,
     gammainc,
     harmonic_sums,
     pochhammer_log,
@@ -332,6 +333,17 @@ def test_chi2_sf_matches_a_40_digit_sum_up_to_dof_1000():
             if want > 1e-300:
                 worst = max(worst, abs(_chi2_sf(dof, xi) - want) / want)
     assert worst <= 1e-13
+
+
+def test_float_pow_is_pow_that_overflows_to_inf():
+    rng = np.random.default_rng(0)
+    bases, exponents = rng.uniform(0.0, 1e3, 200).tolist(), rng.uniform(0.0, 40.0, 200).tolist()
+    for base, exponent in zip(bases, exponents):
+        assert float_pow(base, exponent) == base ** exponent
+    assert float_pow(1e200, 2.0) == math.inf
+    assert float_pow(1e11, 31.0) == math.inf
+    assert float_pow(math.inf, 2.0) == math.inf
+    assert float_pow(0.0, 2.0) == 0.0
 
 
 def test_no_module_of_the_package_imports_scipy():

@@ -22,9 +22,11 @@ from tcpfluid.window_sim import (
     _CHUNK,
     SimConfig,
     _window_path,
+    child_seed,
     compare_histogram,
     merge_results,
     simulate,
+    validate,
 )
 
 import window_reference
@@ -211,6 +213,64 @@ def test_finite_plain_fit():
     res = simulate(SimConfig(params=fb, horizon=20000, seed=7))
     fit = compare_histogram(res, sol.pdf)
     assert fit.chi2_pvalue > 0.01
+
+
+@pytest.mark.parametrize("variant, m, buffer, bdp", [
+    ("frfr", 0.5, 30.0, 0.0),  # a finite law with its atom at beta·B_eff
+    ("wan", 1.0, math.inf, 20.0),
+])
+def test_validate_is_chunked_simulate_then_merge_then_fit(variant, m, buffer, bdp):
+    # 12001 events make three chunks of (12001 + i) // 3 events
+    fb = FiniteBufferParams(
+        TcpParams(alpha=1.0, loss_rate=1e-2, m=m, link_delay=bdp / 2.0), buffer_size=buffer
+    )
+    if math.isinf(buffer):
+        law = AnalyticWindowDistribution.build(fb.tcp, variant)
+    else:
+        law = solve_finite_distribution(fb, variant)
+        assert law.point_mass is not None
+    configs = [
+        SimConfig.for_variant(fb, variant, horizon=size, seed=child_seed(5, i), n_bins=40)
+        for i, size in enumerate((4000, 4000, 4001))
+    ]
+    want = merge_results(*(simulate(cfg) for cfg in configs))
+    mapped = []
+
+    def recording_map(fn, items):
+        mapped.extend(items)
+        return [fn(item) for item in items]
+
+    got, fit = validate(fb, law, 12001, n_bins=40, seed=5, map=recording_map)
+    assert mapped == configs
+    for field in ("occupancy", "bin_edges"):
+        assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+    for field in ("n_buffer_losses", "n_link_losses", "mean_window", "window_variance",
+                  "total_time"):
+        assert getattr(got, field) == getattr(want, field), field
+    assert fit == compare_histogram(want, law.pdf, point_mass=law.point_mass)
+    # the builtin map, the default, runs the same chunks
+    assert validate(fb, law, 12001, n_bins=40, seed=5)[1] == fit
+
+
+def test_volumes_beyond_the_float_range_run_as_inf():
+    # a buffer whose B_eff^(m+1) overflows caps nothing: the path is the
+    # infinite buffer's, bit for bit
+    paths = [
+        _window_path(_cfg(1e-2, B=B), 3030, np.random.Generator(np.random.PCG64(1)))
+        for B in (math.inf, 1e200)
+    ]
+    for a, b in zip(*paths):
+        assert a.tobytes() == b.tobytes()
+    # below a bdp whose T^(m+1) overflows, no segment has time above T
+    tcp = TcpParams(alpha=1.0, loss_rate=1e-2, m=4.0, link_delay=0.5e70)
+    fb = FiniteBufferParams(tcp, buffer_size=math.inf)
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = simulate(SimConfig.for_variant(fb, "wan", horizon=2000, seed=1, n_bins=30))
+    assert np.all(np.isfinite(res.occupancy))
+    assert abs(res.mass_above_wmax) < 1e-12
+    assert res.mean_window == pytest.approx(
+        AnalyticWindowDistribution.build(tcp, "wan").mean(), rel=0.05
+    )
 
 
 def test_windows_never_exceed_buffer_limit():
