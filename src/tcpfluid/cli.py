@@ -177,15 +177,13 @@ def cmd_tcp_dist(args) -> int:
     cfg = RunConfig("tcp-dist", _echoed_flags(args), args.outdir, args.seed, args.format)
     params = _tcp_params(args)
     law = _window_law(args, params)
-    _prepare_outdir(args.outdir)
-
-    w = np.linspace(0.0, law.support_cutoff(), args.grid_points)
-    pdf = law.pdf(w)
-    ccdf = law.ccdf(w)
     moments = {"mean": law.mean()}
     if args.buffer is None:
-        mean_plain = window_moment(params, 1.0 / (params.m + 1.0))
-        second_plain = window_moment(params, 2.0 / (params.m + 1.0))
+        try:
+            mean_plain = window_moment(params, 1.0 / (params.m + 1.0))
+            second_plain = window_moment(params, 2.0 / (params.m + 1.0))
+        except ValueError as exc:
+            raise ValueError(f"--p {args.p!r} is too small: {exc}") from exc
         moments["mean_plain"] = mean_plain
         moments["second_moment_plain"] = second_plain
         moments["stdev_plain"] = math.sqrt(second_plain - mean_plain**2)
@@ -196,7 +194,11 @@ def cmd_tcp_dist(args) -> int:
     if law.point_mass is not None:
         at, weight = law.point_mass
         summary["point_mass"] = {"at": at, "weight": weight}
+    _prepare_outdir(args.outdir)
 
+    w = np.linspace(0.0, law.support_cutoff(), args.grid_points)
+    pdf = law.pdf(w)
+    ccdf = law.ccdf(w)
     _emit_table(cfg, "tcp_dist_pdf", {"w": list(w), "pdf": list(pdf), "ccdf": list(ccdf)})
     _write_json(
         os.path.join(args.outdir, "tcp_dist_summary.json"),

@@ -405,21 +405,30 @@ def window_moment(params: TcpParams, r: float) -> float:
     non-integer r the incomplete-Gamma sum of the plain law's `_integral`.
 
     Raises:
-        ValueError: loss_rate = 0, or r <= -1/(m+1) (the moment diverges).
+        ValueError: loss_rate = 0, r <= -1/(m+1) (the moment diverges), or
+            the moment lies beyond the float range (p too small).
     """
     if params.loss_rate <= 0:
         raise ValueError("window_moment requires loss_rate > 0")
     m = params.m
     if r <= -1.0 / (m + 1):
         raise ValueError(f"moment of order r={r} diverges (need r > {-1/(m+1)})")
-    if abs(r - round(r)) < 1e-12 and round(r) >= 1:
-        n = int(round(r))
-        c = params.c
-        value = math.factorial(n) * ((m + 1) / params.p) ** n
-        for k in range(1, n + 1):
-            value /= 1.0 - c ** k
-        return value
-    return AnalyticWindowDistribution.build(params)._integral(r * (m + 1))
+    try:
+        if abs(r - round(r)) < 1e-12 and round(r) >= 1:
+            n = int(round(r))
+            c = params.c
+            value = math.factorial(n) * ((m + 1) / params.p) ** n
+            for k in range(1, n + 1):
+                value /= 1.0 - c ** k
+        else:
+            value = AnalyticWindowDistribution.build(params)._integral(r * (m + 1))
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(
+            f"E[W^{r * (m + 1):g}] at loss_rate={params.loss_rate!r} lies beyond the float range"
+        )
+    return value
 
 
 def frfr_mean_correction(params: TcpParams) -> float:

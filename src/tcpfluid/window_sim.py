@@ -50,6 +50,15 @@ oracle), and the code is arranged for speed within that:
   `bincount` over the cells in segment order adds each bin's column as
   the dense sum over rows did; the cells it skips are ±0.0, which change
   no sum.  Cost and memory follow the bins touched, not n_bins.
+- The end bins come from the bins' uniform spacing in the window, not
+  from a binary search (`_searchsorted`): floor(w·n_bins/top) + 1 or
+  ceil(w·n_bins/top) is checked against its two edges, padded with ±inf.
+  A miss (a key within rounding of an edge) steps once and is checked
+  again; only NaN or inf reaches np.searchsorted, so every bin is its
+  own.  w is the window itself under wan and V^(1/(m+1)) on the volume
+  clock, taken per chunk, and the fast-recovery atoms reuse the roots of
+  the segment ends.  A cell's bin is its segment's first bin plus its
+  place in the segment: a `repeat` of first - start, plus an `arange`.
 - _CHUNK stays 8192: the chunk boundaries decide where the partial sums
   of the histogram and the moments round, so another size moves bits.
 """
@@ -244,26 +253,81 @@ def _window_path(cfg: SimConfig, total: int, rng: np.random.Generator):
     return v_start, v_end, np.flatnonzero(budgets[:total] >= cap - v_start)
 
 
-def _chunk_histogram(grid, cell, whole, x0, x1) -> np.ndarray:
-    """Per-bin sum of the cells of segments (x0, x1] over the bins of grid.
+def _padded(grid: np.ndarray) -> np.ndarray:
+    """grid between -inf and +inf, the edges `_searchsorted` checks against."""
+    return np.concatenate(([-math.inf], grid, [math.inf]))
+
+
+def _searchsorted(pad, x, w, scale: float, side: str) -> np.ndarray:
+    """np.searchsorted(pad[1:-1], x, side), found from the bins' uniform spacing.
+
+    pad is a grid of n_bins + 1 edges between -inf and +inf (`_padded`)
+    whose bins are uniform in w, the window of key x, and t = w·scale, with
+    scale = n_bins/top, places x among them.  The guess floor(t) + 1 for
+    side="right", ceil(t) for "left", clipped to [0, n_bins + 1], stands
+    where its edges bracket x: pad[i] <= x < pad[i + 1] for "right",
+    pad[i] < x <= pad[i + 1] for "left".  An entry that fails steps once
+    toward x and is checked again, and only what still fails (NaN, inf)
+    goes to np.searchsorted, so every count is np.searchsorted's own.
+    """
+    n_bins = len(pad) - 3
+    right = side == "right"
+    under, over = (np.less_equal, np.less) if right else (np.less, np.less_equal)
+    upper = pad[1:]
+
+    def bracket(i, x):
+        return under(pad[i], x), over(x, upper[i])
+
+    # a guess that overflows to inf clips to n_bins + 1, and fmax and fmin
+    # send a NaN guess to 0, where its check fails
+    with np.errstate(over="ignore"):
+        guess = np.multiply(w, scale)
+    if right:
+        np.floor(guess, out=guess)
+        guess += 1.0
+    else:
+        np.ceil(guess, out=guess)
+    np.fmin(np.fmax(guess, 0.0, out=guess), n_bins + 1.0, out=guess)
+    i = guess.astype(np.intp)
+    lo_ok, hi_ok = bracket(i, x)
+    miss = np.flatnonzero(~(lo_ok & hi_ok))
+    if miss.size:
+        j, xm = i[miss], x[miss]
+        # up one where x lies past the upper edge, down one where below the lower
+        j += lo_ok[miss]
+        j -= hi_ok[miss]
+        np.clip(j, 0, n_bins + 1, out=j)
+        lo_ok, hi_ok = bracket(j, xm)
+        still = np.flatnonzero(~(lo_ok & hi_ok))
+        j[still] = np.searchsorted(pad[1:-1], xm[still], side=side)
+        i[miss] = j
+    return i
+
+
+def _chunk_histogram(pad, cell, whole, x0, x1, w0, w1, scale) -> np.ndarray:
+    """Per-bin sum of the cells of segments (x0, x1] over the bins of grid pad[1:-1].
 
     A segment's cells run from the bin holding x0 to the bin whose upper
     edge first reaches x1, capped at the top bin; those strictly between
-    are whole and take their value from `whole`.
+    are whole and take their value from `whole`.  Both end bins come from
+    `_searchsorted`, guessed from the ends' windows w0, w1.  Segments
+    wholly above the top edge touch no bin.
     """
+    grid = pad[1:-1]
     n_bins = len(grid) - 1
-    first = np.searchsorted(grid, x0, side="right") - 1
-    last = np.minimum(np.searchsorted(grid, x1, side="left") - 1, n_bins - 1)
+    first = _searchsorted(pad, x0, w0, scale, "right") - 1
+    last = np.minimum(_searchsorted(pad, x1, w1, scale, "left") - 1, n_bins - 1)
     touched = last >= first
-    first, last, x0, x1 = first[touched], last[touched], x0[touched], x1[touched]
+    if not touched.all():
+        first, last, x0, x1 = first[touched], last[touched], x0[touched], x1[touched]
+        if not first.size:
+            return np.zeros(n_bins)
     counts = last - first + 1
     ends = np.cumsum(counts)
     starts = ends - counts
-    # bin of each cell: a run first..last per segment, as one cumsum of steps
-    col = np.ones(counts.sum(), dtype=np.intp)
-    col[starts] = first
-    col[starts[1:]] -= last[:-1]
-    np.cumsum(col, out=col)
+    # bin of each cell: a run first..last per segment
+    col = np.repeat(first - starts, counts)
+    col += np.arange(ends[-1])
     vals = whole[col]
     vals[starts] = cell(np.maximum(grid[first], x0), np.minimum(grid[first + 1], x1))
     vals[ends - 1] = cell(np.maximum(grid[last], x0), np.minimum(grid[last + 1], x1))
@@ -280,6 +344,8 @@ def simulate(cfg: SimConfig) -> SimResult:
     v_start, v_end, hits = _window_path(cfg, total, rng)
     v_start, v_end = v_start[warmup:], v_end[warmup:]
     edges = cfg.bin_edges()
+    # a key's place in bins is its window times this; see _searchsorted
+    scale = cfg.n_bins / edges[-1]
 
     # integral(lo, hi, j) is the time integral of W^j over a clock segment
     # (lo, hi], divided afterwards by rate and then by exps[j]
@@ -288,16 +354,26 @@ def simulate(cfg: SimConfig) -> SimResult:
         grid, x0, x1 = edges, v_start ** (1.0 / (m + 1)), v_end ** (1.0 / (m + 1))
         rate, exps = 1.0, (1.0, 1.0, 1.0)
 
+        def window(w):
+            return w
+
         def integral(lo, hi, j):
             # below T the clock runs T/w slower; split the segment at T
             below = np.minimum(hi, T) ** (m + j) - np.minimum(lo, T) ** (m + j)
-            above = np.maximum(hi, T) ** (m + (1 + j)) - np.maximum(lo, T) ** (m + (1 + j))
-            # +0.0 below T, as T^e - T^e is, also where T^e overflows to inf
-            above = np.where(hi > T, above, 0.0)
+            # +0.0 below T, as T^e - T^e is; where no segment reaches past T
+            # its powers, which may overflow, are not taken
+            above = 0.0
+            past = hi > T
+            if past.any():
+                above = np.maximum(hi, T) ** (m + (1 + j)) - np.maximum(lo, T) ** (m + (1 + j))
+                above = np.where(past, above, 0.0)
             return T * below / ((m + j) * alpha) + above / ((m + (1 + j)) * alpha)
     else:
         grid, x0, x1 = edges ** (m + 1), v_start, v_end
         rate, exps = (m + 1) * alpha, tuple((m + (1 + j)) / (m + 1) for j in range(3))
+
+        def window(v):
+            return v ** (1.0 / (m + 1))
 
         def integral(lo, hi, j):
             return hi ** exps[j] - lo ** exps[j]
@@ -307,23 +383,29 @@ def simulate(cfg: SimConfig) -> SimResult:
         # overlaps collapse to hi
         return integral(np.minimum(lo, hi), hi, 0)
 
+    pad = _padded(grid)
     whole = cell(grid[:-1], grid[1:])
     hist = np.zeros(cfg.n_bins)
     acc = [0.0, 0.0, 0.0]  # time, and the time integrals of W and W^2
+    if cfg.enable_frfr:
+        w_before = np.empty(len(x1))  # the window at each loss, for the atoms
     for lo_idx in range(0, len(x0), _CHUNK):
-        c0, c1 = x0[lo_idx : lo_idx + _CHUNK], x1[lo_idx : lo_idx + _CHUNK]
-        hist += _chunk_histogram(grid, cell, whole, c0, c1) / rate
+        span = slice(lo_idx, lo_idx + _CHUNK)
+        c0, c1 = x0[span], x1[span]
+        w1 = window(c1)
+        if cfg.enable_frfr:
+            w_before[span] = w1
+        hist += _chunk_histogram(pad, cell, whole, c0, c1, window(c0), w1, scale) / rate
         for j in range(3):
             acc[j] += float(np.sum(integral(c0, c1, j))) / rate / exps[j]
 
     if cfg.enable_frfr:
-        w_before = v_end ** (1.0 / (m + 1))
         # a buffer hit ends at B_eff itself, which the root above can miss
         # by an ulp and so shift the atom into the bin below the law's
         w_before[hits[hits >= warmup] - warmup] = cfg.params.effective_limit
         dur = w_before ** m / alpha
         value = beta * w_before
-        idx = np.searchsorted(edges, value, side="right") - 1
+        idx = _searchsorted(_padded(edges), value, value, scale, "right") - 1
         kept = idx < cfg.n_bins  # atoms at or above the top edge count in mass_above_wmax
         np.add.at(hist, idx[kept], dur[kept])
         for j in range(3):

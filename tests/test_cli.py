@@ -634,6 +634,11 @@ _NETSIM = ["netsim", "--nodes", "10", "--flows", "3", "--strategy", "uniform"]
     (["validate", "--p", "1e-2", "--jobs", "-3"], None, "--jobs"),
     (["tree", "--tau", "50", "--jobs", "0"], None, "--jobs"),
     (_NETSIM + ["--jobs", "-3"], None, "--jobs"),
+    # the plain second moment overflows, in the closed form at m = 0 and in
+    # the Gamma sum at m = 0.5; both once exited 1 with an OverflowError
+    # traceback and left an empty output directory
+    (["tcp-dist", "--p", "1e-200", "--m", "0"], None, "--p"),
+    (["tcp-dist", "--p", "1e-300", "--m", "0.5"], None, "--p"),
 ])
 def test_bad_value_exits_2_naming_its_flag_before_the_outdir(tmp_path, capsys, argv, conf, flag):
     out = tmp_path / "out"

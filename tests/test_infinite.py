@@ -123,6 +123,13 @@ def test_mean_and_stdev_sqrt_laws():
     assert stdev * math.sqrt(p) == pytest.approx(0.5790, abs=5e-4)
 
 
+@pytest.mark.parametrize("p, m, r", [(1e-200, 0.0, 2.0), (1e-300, 0.5, 2.0 / 1.5)])
+def test_moment_beyond_the_float_range_raises(p, m, r):
+    # neither an OverflowError nor inf, which a JSON summary cannot hold
+    with pytest.raises(ValueError, match="float range"):
+        window_moment(_p(p, m=m), r)
+
+
 def test_moment_scale_invariance_in_p():
     # W scales as p^(-1/2) for m=1, so E[W^(2r)] * p^r is p-free
     r = 0.7

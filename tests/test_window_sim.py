@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,8 @@ from tcpfluid.tcp_infinite import AnalyticWindowDistribution, TcpParams, window_
 from tcpfluid.window_sim import (
     _CHUNK,
     SimConfig,
+    _padded,
+    _searchsorted,
     _window_path,
     child_seed,
     compare_histogram,
@@ -261,10 +264,13 @@ def test_volumes_beyond_the_float_range_run_as_inf():
     ]
     for a, b in zip(*paths):
         assert a.tobytes() == b.tobytes()
-    # below a bdp whose T^(m+1) overflows, no segment has time above T
+    # below a bdp whose T^(m+1) overflows, no segment has time above T,
+    # and the powers above T, which overflow, are not taken: they once
+    # warned "overflow in power" and "invalid value in subtract"
     tcp = TcpParams(alpha=1.0, loss_rate=1e-2, m=4.0, link_delay=0.5e70)
     fb = FiniteBufferParams(tcp, buffer_size=math.inf)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         res = simulate(SimConfig.for_variant(fb, "wan", horizon=2000, seed=1, n_bins=30))
     assert np.all(np.isfinite(res.occupancy))
     assert abs(res.mass_above_wmax) < 1e-12
@@ -300,6 +306,10 @@ _ORACLE_RUNS = {
     "finite_B60": (1e-2, 1.0, 0.0, 60.0, False, False),
     "finite_B3": (1e-2, 1.0, 0.0, 3.0, True, False),
     "finite_p0": (0.0, 1.0, 0.0, 10.0, False, False),
+    # beta·B_eff = 3.7677 is edge 30 of the 60 default bins, so c·cap is
+    # exactly grid[30]: every segment after a buffer hit starts on an edge,
+    # and so does every atom of a hit
+    "finite_B5_frfr": (1e-2, 1.0, 0.0, 5.0, True, False),
 }
 
 
@@ -348,6 +358,81 @@ def test_simulate_matches_frozen_reference_byte_for_byte(name, horizon, grid):
     assert (got.n_buffer_losses, got.n_link_losses) == (
         want.n_buffer_losses, want.n_link_losses
     )
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_RUNS))
+def test_bin_lookup_never_searches_a_finite_key(name, monkeypatch):
+    # every guessed bin of these runs holds up against its edges, at most
+    # one step off, so no finite key reaches the binary search
+    search, finite = np.searchsorted, []
+
+    def counting(a, v, side="left", sorter=None):
+        v = np.asarray(v)
+        finite.extend(v[np.isfinite(v)])
+        return search(a, v, side=side, sorter=sorter)
+
+    monkeypatch.setattr(np, "searchsorted", counting)
+    for grid in [{}, *_ORACLE_GRIDS.values()]:
+        simulate(_oracle_cfg(name, 2 * _CHUNK, **grid))
+    assert finite == []
+
+
+def _lookup_grid(m: float, n_bins: int, top: float) -> np.ndarray:
+    return np.linspace(0.0, top, n_bins + 1) ** (m + 1)
+
+
+def _check_lookup(m: float, n_bins: int, top: float, x: np.ndarray) -> None:
+    grid = _lookup_grid(m, n_bins, top)
+    with np.errstate(invalid="ignore"):
+        w = x ** (1.0 / (m + 1))
+    for side in ("left", "right"):
+        got = _searchsorted(_padded(grid), x, w, n_bins / top, side)
+        assert np.array_equal(got, np.searchsorted(grid, x, side=side)), side
+
+
+@pytest.mark.parametrize("m", [0.0, 0.5, 1.0, 3.0])
+@pytest.mark.parametrize("n_bins", [2, 60, 1000])
+@pytest.mark.parametrize("top", [1e-3, 1.0, 170.67, 1e6])
+def test_bin_lookup_is_searchsorted_on_edges_and_beside_them(m, n_bins, top):
+    grid = _lookup_grid(m, n_bins, top)
+    x = np.concatenate([
+        grid,  # on every edge
+        np.nextafter(grid, -np.inf),  # one ulp either side
+        np.nextafter(grid, np.inf),
+        *(c * grid for c in (0.25, 0.5, 1.0 - 1e-12, 1.0 + 1e-12, 2.0)),
+        [0.0, 1.5 * grid[-1], 1e300, np.inf, np.nan],
+    ])
+    _check_lookup(m, n_bins, top, x)
+
+
+@given(
+    m=st.sampled_from([0.0, 0.5, 1.0, 3.0]),
+    n_bins=st.sampled_from([2, 60, 1000]),
+    top=st.floats(1e-3, 1e6),
+    keys=st.lists(
+        st.one_of(
+            # an edge times c, moved by a few ulps
+            st.tuples(st.integers(0, 1000), st.floats(0.0, 2.0), st.integers(-2, 2)),
+            st.floats(min_value=0.0),
+            st.just(math.nan),
+        ),
+        min_size=1,
+        max_size=64,
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_bin_lookup_is_searchsorted(m, n_bins, top, keys):
+    grid = _lookup_grid(m, n_bins, top)
+    x = []
+    for key in keys:
+        if isinstance(key, tuple):
+            k, c, ulps = key
+            value = c * grid[k % (n_bins + 1)]
+            for _ in range(abs(ulps)):
+                value = np.nextafter(value, math.copysign(math.inf, ulps))
+            key = value
+        x.append(key)
+    _check_lookup(m, n_bins, top, np.array(x, dtype=float))
 
 
 # past the first 65536-draw block; p = 0, where every event hits the
