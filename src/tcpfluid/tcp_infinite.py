@@ -32,6 +32,7 @@ VARIANTS = ("plain", "frfr", "wan")
 # residue tables stop at the first weight |c^k·h_k| <= _WEIGHT_FLOOR, and no
 # alternating sum may carry a weight above _MAX_WEIGHT (10 digits survive)
 _WEIGHT_FLOOR = 2.0 ** -53
+_NORMAL_MIN = 2.0 ** -1022  # the smallest normal float
 _MAX_WEIGHT = 1e6
 
 
@@ -256,7 +257,8 @@ class _VariantLaw:
         return out
 
     def _density(self, w: np.ndarray) -> np.ndarray:
-        """Plain density f(w) up to `_mass`; zero outside the rows."""
+        """Plain density f(w) up to `_mass`; zero outside the rows (and at
+        a volume w^(m+1) past the float range, under `pdf`'s errstate)."""
         tcp, edges = self._tcp, self._edges
         volume = w ** (tcp.m + 1)
         out = np.zeros_like(w)
@@ -285,19 +287,22 @@ class _VariantLaw:
             raise ValueError(f"integral diverges at the origin for s={s}")
         lo = np.asarray(lo, dtype=float)
         rows = []
-        for h, top, bottom in zip(self._rows, edges, edges[1:]):
-            b = min(hi, top)
-            # entries with a >= b integrate over nothing
-            a = np.minimum(np.maximum(lo, bottom), b)
-            if (a >= b).all():
-                continue
-            # one rate per term, along the first axis of every bound
-            rates = self._rates[: len(h)].reshape((-1,) + (1,) * lo.ndim)
-            weights = h * c ** (np.arange(len(h)) * nu)
-            rows.append((weights, rates * float_pow(b, m + 1), rates * a ** (m + 1), a >= b))
+        # a volume beyond the float range reads inf, as `float_pow`'s does
+        with np.errstate(over="ignore"):
+            for h, top, bottom in zip(self._rows, edges, edges[1:]):
+                b = min(hi, top)
+                # entries with a >= b integrate over nothing
+                a = np.minimum(np.maximum(lo, bottom), b)
+                if (a >= b).all():
+                    continue
+                # one rate per term, along the first axis of every bound
+                rates = self._rates[: len(h)].reshape((-1,) + (1,) * lo.ndim)
+                weights = h * c ** (np.arange(len(h)) * nu)
+                x_b, x_a = rates * float_pow(b, m + 1), rates * a ** (m + 1)
+                rows.append((weights, x_b, x_a, a >= b, h, a, b))
         total = np.zeros(lo.shape)
         if s == 0:
-            for weights, x_b, x_a, empty in rows:
+            for weights, x_b, x_a, empty, *_ in rows:
                 tail = np.exp(-x_a)
                 if x_b.flat[0] < math.inf:
                     tail *= -np.expm1(x_a - x_b)
@@ -305,22 +310,37 @@ class _VariantLaw:
         elif rows:
             x = np.concatenate([bound.ravel() for row in rows for bound in row[1:3]])
             P, Q = gammainc(nu, x)
-            end = 0
-            for weights, x_b, x_a, empty in rows:
+            end, poly = 0, None
+            for weights, x_b, x_a, empty, h, a, b in rows:
                 start, mid, end = end, end + x_b.size, end + x_b.size + x_a.size
                 p_b, q_b = P[start:mid].reshape(x_b.shape), Q[start:mid].reshape(x_b.shape)
                 p_a, q_a = P[mid:end].reshape(x_a.shape), Q[mid:end].reshape(x_a.shape)
                 bracket = np.where(p_a > 0.5, q_a - q_b, p_b - p_a)
+                # where P(nu, x_b) falls below the normal range, e^(-x) is 1
+                # to the last bit on the whole overlap, and the term is
+                # p·h_k·∫ w^(s+m) dw, added after the scale factor that
+                # would multiply its underflow back; the row's first term
+                # has its smallest x_b, so its P says whether any does
+                if p_b.flat[0] < _NORMAL_MIN:
+                    tiny = p_b < _NORMAL_MIN
+                    bracket = np.where(tiny, 0.0, bracket)
+                    e = s + m + 1
+                    term = p * (h * tiny.T).sum(axis=-1) * (float_pow(b, e) - a ** e) / e
+                    term = np.where(empty, 0.0, term)
+                    poly = term if poly is None else poly + term
                 # numpy's pairwise sum, not @: it keeps window_moment bit for bit
                 total += np.where(empty, 0.0, (weights * bracket.T).sum(axis=-1))
             total *= ((m + 1) / p) ** (s / (m + 1)) * math.gamma(nu)
+            if poly is not None:
+                total += poly
         return total if lo.ndim else float(total)
 
     def pdf(self, w):
         """Density of the continuous part at w (scalar or array)."""
         w_arr = _points(w)
         tcp, T = self._tcp, self._idle_limit
-        with np.errstate(invalid="ignore"):  # w^m·f(w) reads inf·0 at w = inf
+        # a volume beyond the float range reads inf, and w^m·f(w) inf·0 at w = inf
+        with np.errstate(over="ignore", invalid="ignore"):
             base = out = self._density(w_arr)
             if self.variant != "plain":
                 p, m, beta = tcp.p, tcp.m, tcp.beta
@@ -389,9 +409,11 @@ class AnalyticWindowDistribution(_VariantLaw):
         return super()._integral(s, lo, hi)
 
     def support_cutoff(self) -> float:
-        """w beyond which the plain-law CCDF is below 1e-13."""
+        """w beyond which the plain-law CCDF, h_0·e^(-p·w^(m+1)/(m+1)) far
+        out, is below 1e-13: the exponent is max(32, ln(1e13·h_0))."""
         p, m = self.params.p, self.params.m
-        w_tail = ((m + 1) / p * 32.0) ** (1.0 / (m + 1))
+        exponent = max(32.0, math.log(1e13 * self.residues.h[0]))
+        w_tail = ((m + 1) / p * exponent) ** (1.0 / (m + 1))
         if self.variant == "wan":
             return max(w_tail, 1.01 * self.params.bdp)
         return w_tail

@@ -166,17 +166,48 @@ def grow(params: TreeParams) -> GrowingTree:
 def subtree_sizes(tree: GrowingTree) -> np.ndarray:
     """Vertex count of the subtree rooted at each vertex (including itself).
 
-    Depths come from pointer doubling, O(V log D) for depth D; sizes are
-    then added into parents one level at a time, deepest first, so the
-    whole pass is O(V log D) array work plus one numpy call per level.
+    Depths are taken over the arrival-order blocks [lo, 2 lo), lo = 1, 2,
+    4, ...: every earlier vertex already has its depth when a block
+    starts.  A vertex whose parent arrived before its block takes the
+    parent's depth plus one at once.  The rest form chains inside the
+    block, and pointer jumping with summed steps runs only over the open
+    ones, those whose hop is not yet resolved, as `grow` resolves its
+    copy chains.  A block of b vertices costs O(b) when few chains stay
+    inside it and O(b log b) at worst (a path), so depths cost O(V log V)
+    at worst.  Blocks write into the depth array and one half-length hop
+    buffer, so no step allocates a full-length array.  Sizes are then
+    added into parents one level at a time, deepest first: one narrow-key
+    sort and one numpy call per level.
     """
     parent = tree.parent
-    up = parent.copy()
-    up[0] = 0
-    depth = (np.arange(tree.tau + 1) > 0).astype(np.int64)
-    while np.any(up):
-        depth += depth[up]
-        up = up[up]
+    depth = np.zeros(tree.tau + 1, dtype=np.int64)
+    hops = np.empty((tree.tau + 1) // 2, dtype=np.int64)
+    lo = 1
+    while lo <= tree.tau:
+        hi = min(2 * lo, tree.tau + 1)
+        up = parent[lo:hi]
+        blk = depth[lo:hi]
+        # the earlier blocks' depths, gathered into the block's own slots;
+        # a parent inside the block reads a clipped stand-in, reset below
+        np.take(depth[:lo], up, out=blk, mode="clip")
+        blk += 1
+        # hop[i]: the block vertex, as an offset from lo, that vertex lo+i
+        # is blk[i] steps below; a negative hop is a vertex of an earlier
+        # block, and blk already holds the depth it gives
+        hop = np.subtract(up, lo, out=hops[: hi - lo])
+        inside = np.flatnonzero(hop >= 0)
+        blk[inside] = 1
+        # the open vertices hop to a vertex whose own hop is inside the block
+        open_ = inside[hop[hop[inside]] >= 0]
+        while open_.size:
+            nxt = hop[open_]
+            blk[open_] += blk[nxt]
+            nxt = hop[nxt]
+            hop[open_] = nxt
+            open_ = open_[hop[nxt] >= 0]
+        # every inside vertex now hops to one whose depth blk holds
+        blk[inside] += blk[hop[inside]]
+        lo = hi
     # the narrowest key that holds every depth: numpy radix-sorts keys of
     # 16 bits or fewer, and a stable sort gives the same order at any width
     order = np.argsort(depth.astype(np.min_scalar_type(depth.max())), kind="stable")

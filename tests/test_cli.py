@@ -305,6 +305,28 @@ def test_wan_with_a_bdp_whose_volume_overflows_runs(tmp_path):
     assert summary["moments"]["mean"] == pytest.approx(report["mean_window"], rel=0.05)
 
 
+def test_wan_with_a_bdp_whose_volume_overflows_raises_no_runtime_warning(tmp_path):
+    # the density's and the integral's w^(m+1) once warned "overflow in
+    # power", and died of it under -W error
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tcpfluid.__file__)))
+    argv = [sys.executable, "-W", "error::RuntimeWarning", "-m", "tcpfluid.cli", "tcp-dist",
+            "--p", "0.01", "--m", "4", "--variant", "wan", "--bdp", "1e70",
+            "--outdir", str(tmp_path)]
+    run = subprocess.run(argv, capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    assert "Warning" not in run.stderr
+
+
+def test_tcp_dist_finite_mean_at_tiny_p_is_the_sawtooth_limit(tmp_path):
+    # the row integrals once underflowed: "mean": 0.0 and exit 0
+    argv = ["tcp-dist", "--p", "1e-300", "--m", "0", "--buffer", "10", "--format", "json"]
+    assert main(argv + ["--outdir", str(tmp_path)]) == 0
+    B, c = 12.5354, 0.5
+    sawtooth = 0.5 * B * (1 - c**2) / (1 - c)
+    mean = _read_json(tmp_path / "tcp_dist_summary.json")["moments"]["mean"]
+    assert mean == pytest.approx(sawtooth, rel=1e-12)
+
+
 @pytest.mark.parametrize("command", ["tcp-dist", "validate"])
 def test_finite_buffer_rejects_wan_variant(tmp_path, capsys, command):
     # no finite-buffer wan law exists; tcp-dist once wrote the plain table

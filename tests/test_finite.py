@@ -336,3 +336,21 @@ def test_an_empty_row_overlap_adds_exactly_zero(variant):
     sol = solve_finite_distribution(_fb(0.05, 5.0, m=0.5, beta=0.8), variant)
     w = np.linspace(0.0, sol.support_cutoff(), 512)
     assert sol.ccdf(w)[-1] == 0.0 == sol.ccdf(w[-1])
+
+
+# P(nu, x) ~ x^nu/Gamma(nu + 1) underflows at these p before ((m+1)/p)^(s/(m+1))
+# scales it back: the mean once read 0.0 from p = 1e-200 at m = 0 and from
+# p = 1e-250 at m = 1, and `tcp-dist --p 1e-300 --m 0 --buffer 10` wrote it
+@pytest.mark.parametrize("m", [0.0, 0.5, 1.0, 2.0])
+@pytest.mark.parametrize("p", [1e-200, 1e-250, 1e-300])
+def test_mean_at_tiny_p_is_the_sawtooth_limit(m, p):
+    # as p -> 0 the law is the deterministic sawtooth: the volume is uniform
+    # on (c·B_eff^(m+1), B_eff^(m+1)]
+    params = _fb(p, 10.0, m=m)
+    B, c = params.effective_limit, params.tcp.c
+    sawtooth = (m + 1) / (m + 2) * B * (1 - c ** ((m + 2) / (m + 1))) / (1 - c)
+    assert solve_finite_distribution(params).mean() == pytest.approx(sawtooth, rel=1e-12)
+    # the fast-recovery plateau's integrals underflowed alike
+    frfr = solve_finite_distribution(params, "frfr")
+    assert frfr.mean() == pytest.approx(solve_finite_distribution(_fb(1e-100, 10.0, m=m), "frfr")
+                                        .mean(), rel=1e-12)

@@ -498,3 +498,16 @@ def test_wan_ccdf_keeps_its_tail():
                 want = float(tail / total)
                 err = abs(law.ccdf(wi) - want)
                 assert err <= 1e-13 and err <= 1e-8 * want, (bdp, wi, law.ccdf(wi), want)
+
+
+# far out the plain CCDF is h_0·e^(-p·w^(m+1)/(m+1)); a fixed exponent of
+# 32 once left it at h_0·e^(-32), up to 3.8e-12 at m = 0, beta = 0.8
+# (h_0 = 297), wherever h_0 > 7.9
+@pytest.mark.parametrize("variant", ["plain", "frfr"])
+def test_support_cutoff_keeps_its_promise(variant):
+    for m, beta, p in itertools.product((0.0, 0.5, 1.0, 2.0), (0.3, 0.5, 0.7, 0.8),
+                                        (1e-4, 1e-3, 1e-2, 5e-2)):
+        law = AnalyticWindowDistribution.build(_p(p, m=m, beta=beta), variant)
+        cutoff = law.support_cutoff()
+        assert law.ccdf(cutoff) <= 1e-13, (m, beta, p)
+        assert law.ccdf(cutoff / 2) > 1e-13, (m, beta, p)

@@ -25,14 +25,31 @@ import aimd_reference
 import tree_reference
 
 
-def _path_tree(tau: int, alpha_t: float = 0.5) -> GrowingTree:
-    parent = np.concatenate([[-1], np.arange(tau)]).astype(np.int64)
+def _tree_of(parent, alpha_t: float = 0.5) -> GrowingTree:
+    parent = np.asarray(parent, dtype=np.int64)
+    tau = len(parent) - 1
     return GrowingTree(
         alpha_t=alpha_t,
         tau=tau,
         parent=parent,
         in_degree=np.bincount(parent[1:], minlength=tau + 1),
     )
+
+
+def _path_tree(tau: int, alpha_t: float = 0.5) -> GrowingTree:
+    return _tree_of(np.concatenate([[-1], np.arange(tau)]), alpha_t)
+
+
+def _random_parents(n_vertices: int, shape: str, seed: int) -> np.ndarray:
+    """parent[v] < v for v >= 1: uniform over the earlier vertices, a few
+    steps back (chains that stay inside a depth block), or either at random."""
+    rng = np.random.default_rng(seed)
+    v = np.arange(1, n_vertices)
+    uniform = (rng.random(v.size) * v).astype(np.int64)
+    near = np.maximum(v - rng.geometric(0.5, v.size), 0)
+    pick = {"uniform": np.ones(v.size, bool), "near": np.zeros(v.size, bool),
+            "mixed": rng.random(v.size) < 0.5}[shape]
+    return np.concatenate([[-1], np.where(pick, uniform, near)])
 
 
 def test_grow_structure_is_valid():
@@ -224,6 +241,44 @@ def test_subtree_sizes_match_frozen_loop():
         want = tree_reference.subtree_sizes(path)
         assert np.array_equal(subtree_sizes(path), want), tau
         assert np.array_equal(want, np.arange(tau + 1, 0, -1)), tau
+
+
+@given(
+    n_vertices=st.integers(1, 3000),
+    shape=st.sampled_from(["uniform", "near", "mixed"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+@example(n_vertices=1, shape="uniform", seed=0)
+@example(n_vertices=2048, shape="near", seed=1)
+def test_subtree_sizes_match_frozen_loop_on_random_parents(n_vertices, shape, seed):
+    tree = _tree_of(_random_parents(n_vertices, shape, seed))
+    assert np.array_equal(subtree_sizes(tree), tree_reference.subtree_sizes(tree))
+
+
+# depths are taken over the arrival-order blocks [lo, 2 lo): every vertex
+# count at a block edge, 2^k - 1, 2^k and 2^k + 1
+@pytest.mark.parametrize("shape", ["uniform", "near", "mixed"])
+def test_subtree_sizes_at_every_block_edge(shape):
+    for k in range(1, 13):
+        for n_vertices in (2**k - 1, 2**k, 2**k + 1):
+            tree = _tree_of(_random_parents(n_vertices, shape, seed=k))
+            want = tree_reference.subtree_sizes(tree)
+            assert np.array_equal(subtree_sizes(tree), want), (shape, n_vertices)
+
+
+def test_subtree_sizes_of_a_star_a_caterpillar_and_a_long_path():
+    n = 100_000
+    star = _tree_of(np.concatenate([[-1], np.zeros(n - 1)]))
+    assert np.array_equal(subtree_sizes(star), np.concatenate([[n], np.ones(n - 1)]))
+    # the spine is the even vertices, each odd vertex a leaf on the spine
+    v = np.arange(1, n)
+    caterpillar = _tree_of(np.concatenate([[-1], np.where(v % 2, v - 1, v - 2)]))
+    want = tree_reference.subtree_sizes(caterpillar)
+    assert np.array_equal(subtree_sizes(caterpillar), want)
+    # a path keeps every chain inside its block: the depth pass's worst case
+    path = _path_tree(n - 1)
+    assert np.array_equal(subtree_sizes(path), np.arange(n, 0, -1))
 
 
 # a = p/r = 876543/123457 at alpha 0.123457: past tau = 3 the history
