@@ -99,8 +99,8 @@ class FluidNetwork:
         cap = np.asarray(self.capacities, dtype=float)
         if cap.shape != (ep.shape[0],):
             raise ValueError("one capacity per edge required")
-        if not np.all(cap > 0.0):
-            raise ValueError("capacities must be positive")
+        if not np.all((cap > 0.0) & (cap < np.inf)):
+            raise ValueError("capacities must be finite and positive")
         if ep.size and (ep.min() < 0 or ep.max() >= self.n_vertices):
             raise ValueError("edge endpoints out of range")
         if not _connected(self.n_vertices, ep):
@@ -326,7 +326,7 @@ def run_simulation(
     does, so the stream is unchanged; only a draw that lets some member
     escape takes the masked update.
     """
-    if epochs < 1:
+    if not epochs >= 1:
         raise ValueError("epochs must be positive")
     rng = np.random.default_rng(seed)
     n_flows = flows.n_flows
@@ -526,8 +526,8 @@ def assign_capacities(
     """
     if strategy not in CAPACITY_STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; pick from {CAPACITY_STRATEGIES}")
-    if mean_capacity <= 0.0:
-        raise ValueError("mean_capacity must be positive")
+    if not 0.0 < mean_capacity < math.inf:
+        raise ValueError("mean_capacity must be finite and positive")
     if strategy == "uniform":
         raw = np.ones(network.n_edges)
     else:

@@ -447,7 +447,7 @@ def cmd_netsim(args) -> int:
         ("nodes", conf["nodes"] >= 3, "at least 3"),
         ("flows", conf["flows"] >= 1, "at least 1"),
         ("epochs", conf["epochs"] >= 1, "at least 1"),
-        ("mean_capacity", conf["mean_capacity"] > 0, "positive"),
+        ("mean_capacity", 0 < conf["mean_capacity"] < math.inf, "finite and positive"),
         ("pi", 0 < conf["pi"] <= 1, "in (0, 1]"),
         ("beta", 0 < conf["beta"] < 1, "in (0, 1)"),
         ("alpha", 0 <= conf["alpha"] <= 1, "in [0, 1]"),

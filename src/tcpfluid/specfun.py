@@ -1,7 +1,5 @@
 """Shared special functions, from numpy and the standard library alone.
 
-- `pochhammer_log`: the log Pochhammer symbol ln[(x)_n], for the
-  infinite-tree laws;
 - `harmonic_sums`: sum_{j=2..n} j^-s, the polygamma differences of E[q | n];
 - `euler_product_L`: the Euler-type product L(c) = prod_{l>=1} (1 - c^l),
   which normalizes the window laws' mixture coefficients;
@@ -22,23 +20,6 @@ from typing import NamedTuple
 import numpy as np
 
 _EPS = 2.0**-53
-
-
-def pochhammer_log(x: float, n: float) -> float:
-    """Return ln[(x)_n] = ln Γ(x+n) - ln Γ(x) for positive-argument ratios.
-
-    Args:
-        x: positive real.
-        n: nonnegative real shift (need not be an integer).
-
-    Raises:
-        ValueError: if either Gamma argument is nonpositive.
-    """
-    if x <= 0 or x + n <= 0:
-        raise ValueError(
-            f"pochhammer_log requires positive Gamma arguments, got x={x}, n={n}"
-        )
-    return math.lgamma(x + n) - math.lgamma(x)
 
 
 # harmonic_sums adds the terms j < _DIRECT_TERMS one by one and the rest

@@ -26,10 +26,10 @@ L = (n+1)(tau-n), so its laws are reparametrizations of the cluster law.
 The rescaled variable Lambda = L/(tau+1) has a proper infinite-tree
 limit.
 
-The infinite-tree laws are closed forms, except the betweenness CCDF
-given q, which sums the chain's rows against P_inf(n) = (1-a)/((n+1-a)
-(n+2-a)) = (1-a)(u_n - u_{n+1}), u_n = 1/(n+1-a).  Summed by parts with
-one chain step, S_N(q) = sum_{n >= N} P_inf(n) K_n(q) obeys
+The infinite-tree laws are closed forms or products of q ratios, except
+the betweenness CCDF given q, which sums the chain's rows against P_inf(n)
+= (1-a)/((n+1-a)(n+2-a)) = (1-a)(u_n - u_{n+1}), u_n = 1/(n+1-a).  Summed
+by parts with one chain step, S_N(q) = sum_{n >= N} P_inf(n) K_n(q) obeys
 
     S_N(j) (2-a+aj) = (1-a) K_N(j)/(N+1-a) + (1-a+a(j-1)) S_N(j-1),
     S_N(-1) = 0,
@@ -50,7 +50,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .specfun import harmonic_sums, pochhammer_log
+from .specfun import harmonic_sums
 
 __all__ = [
     "DistTable",
@@ -264,6 +264,15 @@ class DistTable:
         return cls(tau=tau, alpha_t=alpha, grid=grid)
 
 
+def _infinite_tail_q(alpha: float, q: int) -> float:
+    """P_inf(in-degree >= q) = prod_{j<q} (1-a+aj)/(2-a+aj), in O(q) work.
+
+    Each factor is formed as (1+x)/(2+x), x = a(j-1): 1-a+aj repeats the
+    rounding of 1-a in every factor, up to 7.4e-14 off at a = 1e-9, q <= 3000.
+    """
+    return math.prod((1.0 + alpha * (j - 1)) / (2.0 + alpha * (j - 1)) for j in range(q))
+
+
 def marginal_n(tau, alpha_t: float, n: int) -> float:
     """Cluster-size marginal; tau=None or inf selects the infinite-tree law."""
     tau, alpha, n = _scalar_args(tau, alpha_t, "n", n)
@@ -285,12 +294,7 @@ def marginal_q(tau, alpha_t: float, q: int) -> float:
         return 1.0 if q == 0 else 0.0
     if tau is not None:
         return _finite_q_laws(tau, alpha, q)[0]
-    if alpha == 0.0:
-        return 2.0 ** -(q + 1)
-    inv = 1.0 / alpha
-    return inv * math.exp(
-        pochhammer_log(inv - 1.0, inv) - pochhammer_log(q + inv - 1.0, inv + 1.0)
-    )
+    return _infinite_tail_q(alpha, q) / (2.0 - alpha + alpha * q)
 
 
 def ccdf_n(tau, alpha_t: float, n: int) -> float:
@@ -317,10 +321,7 @@ def ccdf_q(tau, alpha_t: float, q: int) -> float:
         return 0.0
     if tau is not None:
         return _finite_q_laws(tau, alpha, q)[1]
-    if alpha == 0.0:
-        return 2.0**-q
-    inv = 1.0 / alpha
-    return math.exp(pochhammer_log(inv - 1.0, inv) - pochhammer_log(q + inv - 1.0, inv))
+    return _infinite_tail_q(alpha, q)
 
 
 def cond_mean_n_given_q(tau, alpha_t: float, q: int) -> float:
@@ -328,13 +329,11 @@ def cond_mean_n_given_q(tau, alpha_t: float, q: int) -> float:
 
     Raises ValueError at finite tau where P(q) underflows to zero.
     """
-    alpha = _check_alpha(alpha_t, allow_er=True)
-    tau = _check_tau(tau, allow_infinite=True)
-    if tau is not None and q >= tau:
-        raise ValueError(f"q must satisfy q < tau, got q={q}, tau={tau}")
-    q = _check_index("q", q)
+    tau, alpha, q = _scalar_args(tau, alpha_t, "q", q)
     if q < 0:
         raise ValueError(f"q must be nonnegative, got {q}")
+    if tau is not None and q >= tau:
+        raise ValueError(f"q must satisfy q < tau, got q={q}, tau={tau}")
     if alpha == 1.0:
         if q != 0:
             raise ValueError("alpha_t=1 concentrates on q=0")
@@ -346,13 +345,11 @@ def cond_mean_n_given_q(tau, alpha_t: float, q: int) -> float:
                 f"P(q={q}) underflows to 0 at tau={tau}, alpha_t={alpha}"
             )
         return moment / mass
-    if alpha == 0.0:
-        # uniform-attachment limit, E[n+2 | q] = 2^{q+1}
-        return 2.0 ** (q + 1) - 2.0
-    inv = 1.0 / alpha
-    return (1.0 - alpha) * math.exp(
-        pochhammer_log(q + inv, inv) - pochhammer_log(inv - 1.0, inv)
-    ) - 2.0 + alpha
+    # E[n | q] = (1-a) / P_inf(in-degree >= q+1) - 2 + a, from the inverted
+    # factors so that nothing divides by an underflowed tail; the product is
+    # 1 at q = 0 and at least 2 after, so growth - 1 cancels no digits
+    growth = math.prod((2.0 + alpha * j) / (1.0 + alpha * j) for j in range(q))
+    return (2.0 - alpha) * (growth - 1.0)
 
 
 # derivative orders m of the series for E[q | n]: its terms fall like
@@ -437,24 +434,8 @@ def betweenness_ccdf_given_q(Lambda: int, q: int, alpha_t: float) -> float:
 
 
 def betweenness_mean_given_q(q: int, alpha_t: float) -> float:
-    """Infinite-tree mean of rescaled betweenness, E[Lambda | q]."""
-    alpha = _check_alpha(alpha_t, allow_er=True)
-    q = _check_index("q", q)
-    if q < 0:
-        raise ValueError(f"q must be nonnegative, got {q}")
-    if alpha == 0.0:
-        return 2.0 ** (q + 1) - 1.0
-    if alpha == 1.0:
-        if q != 0:
-            raise ValueError("alpha_t=1 concentrates on q=0")
-        return 1.0
-    inv = 1.0 / alpha
-    return (
-        (1.0 - alpha)
-        * math.exp(pochhammer_log(q + inv, inv) - pochhammer_log(inv - 1.0, inv))
-        - 1.0
-        + alpha
-    )
+    """Infinite-tree mean of rescaled betweenness, E[Lambda | q] = E[n | q] + 1."""
+    return cond_mean_n_given_q(None, alpha_t, q) + 1.0
 
 
 def unconditional_betweenness_ccdf(tau: int, alpha_t: float, L: float) -> float:

@@ -16,6 +16,7 @@ from tcpfluid.aimd_net import (
     CAPACITY_STRATEGIES,
     FlowSet,
     FluidNetwork,
+    StagnationError,
     SyncModel,
     _SCALAR_MAX_MEMBERS,
     _connected,
@@ -489,6 +490,63 @@ def test_flowset_rejects_malformed_routes(route_ptr, route_links, match):
     with pytest.raises(ValueError, match=match):
         FlowSet(route_ptr=route_ptr, route_links=route_links, alphas=1.0, betas=0.5,
                 rtts=1.0, packet_sizes=1.0, X=0.0)
+
+
+def _network(endpoints, capacities, n_vertices):
+    return FluidNetwork(np.array(endpoints, np.int64), np.array(capacities, float), n_vertices)
+
+
+def _path_capacities(strategy, mean_capacity=1.0, stats_tau=None):
+    network = FluidNetwork.from_tree(_path_tree(3))
+    stats = None
+    if stats_tau is not None:
+        stats = measure(grow(TreeParams(alpha_t=0.5, tau=stats_tau, seed=0)))
+    return assign_capacities(network, strategy, mean_capacity, tree_stats=stats)
+
+
+def _simulate(epochs=10, **flow_fields):
+    flows = _flows_on_link(2, **flow_fields)
+    return run_simulation(_single_link(10.0), flows, SyncModel(), epochs)
+
+
+_NAN, _INF = math.nan, math.inf
+
+
+# NaN fails every comparison, so each check is written to fail on it too
+@pytest.mark.parametrize("build, error, match", [
+    (lambda: _network([[0, 1]], [1.0, 2.0], 2), ValueError, "one capacity per edge"),
+    *[(lambda c=c: _network([[0, 1]], [c], 2), ValueError,
+       "capacities must be finite and positive") for c in (0.0, -1.0, _NAN, _INF)],
+    (lambda: _network([[0, 2]], [1.0], 2), ValueError, "endpoints out of range"),
+    (lambda: _network([[-1, 0]], [1.0], 2), ValueError, "endpoints out of range"),
+    (lambda: _network([[0, 1]], [1.0], 3), ValueError, "must be connected"),
+    *[(lambda v=v: _flows_on_link(1, alphas=v), ValueError, "alphas must be positive")
+      for v in (0.0, _NAN)],
+    *[(lambda v=v: _flows_on_link(1, betas=v), ValueError, r"betas must lie in \(0, 1\)")
+      for v in (0.0, 1.0, _NAN)],
+    *[(lambda v=v: _flows_on_link(1, rtts=v), ValueError, "rtts must be positive")
+      for v in (0.0, _NAN)],
+    *[(lambda v=v: _flows_on_link(1, packet_sizes=v), ValueError,
+       "packet sizes must be positive") for v in (0.0, _NAN)],
+    *[(lambda v=v: _flows_on_link(1, X=v), ValueError, "throughputs must be nonnegative")
+      for v in (-1.0, _NAN)],
+    *[(lambda v=v: SyncModel(pi=v).propensities(3), ValueError, r"pi must lie in \(0, 1\]")
+      for v in (0.0, 1.5, _NAN)],
+    *[(lambda v=v: _simulate(epochs=v), ValueError, "epochs must be positive")
+      for v in (0, _NAN)],
+    (lambda: _simulate(X=6.0), ValueError, "initial throughputs already exceed"),
+    # infinite rtts: no flow grows, so no link ever congests
+    (lambda: _simulate(rtts=_INF), StagnationError, "no link accumulates load"),
+    (lambda: _path_capacities("fastest"), ValueError, "unknown strategy 'fastest'"),
+    *[(lambda v=v: _path_capacities("uniform", v), ValueError,
+       "mean_capacity must be finite and positive") for v in (0.0, -1.0, _NAN, _INF)],
+    (lambda: _path_capacities("maximum"), ValueError, "strategy 'maximum' needs tree_stats"),
+    (lambda: _path_capacities("mean_field", stats_tau=5), ValueError,
+     "tree_stats edge count does not match"),
+])
+def test_aimd_inputs_raise_their_documented_errors(build, error, match):
+    with pytest.raises(error, match=match):
+        build()
 
 
 def test_flowset_routes_are_views_of_the_flat_links():

@@ -12,6 +12,7 @@ import pytest
 from scipy import integrate
 
 import tcpfluid
+from tcpfluid import cli
 from tcpfluid.cli import _tcp_params, _window_law, build_parser, main
 from tcpfluid.tcp_finite import (
     FiniteBufferParams,
@@ -475,6 +476,34 @@ def test_tree_ccdf_check_against_simulation(tmp_path):
     assert (tmp_path / "tree_marginal_q.csv").exists()
 
 
+def test_tree_ccdf_check_defaults_to_20_realizations(tmp_path, monkeypatch):
+    seeds, tree_counts = [], cli._tree_counts
+
+    def counted(payload):
+        seeds.append(payload[2])
+        return tree_counts(payload)
+
+    monkeypatch.setattr(cli, "_tree_counts", counted)
+    rc = main(["tree", "--tau", "200", "--check", "ccdf", "--check-tolerance", "1",
+               "--outdir", str(tmp_path)])
+    assert rc == 0
+    assert len(set(seeds)) == 20
+    for name in ("tree_marginal_n.csv", "tree_marginal_q.csv"):
+        with open(tmp_path / name) as fh:
+            assert "# realizations=20\n" in fh.readlines(), name
+    assert _read_json(tmp_path / "tree_summary.json")["meta"]["realizations"] == 20
+
+
+def test_outdir_that_is_a_file_exits_2_without_a_traceback(tmp_path, capsys):
+    path = tmp_path / "taken"
+    path.write_text("")
+    assert main(["tree", "--tau", "6", "--outdir", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "output directory not writable" in err
+    assert "Traceback" not in err
+    assert path.read_text() == ""
+
+
 def test_tree_jobs_do_not_change_data_rows(tmp_path):
     base = ["tree", "--tau", "300", "--realizations", "6", "--seed", "9"]
     a, b = tmp_path / "j1", tmp_path / "j2"
@@ -661,6 +690,10 @@ _NETSIM = ["netsim", "--nodes", "10", "--flows", "3", "--strategy", "uniform"]
     # traceback and left an empty output directory
     (["tcp-dist", "--p", "1e-200", "--m", "0"], None, "--p"),
     (["tcp-dist", "--p", "1e-300", "--m", "0.5"], None, "--p"),
+    # an infinite mean capacity exited 0 with Infinity and NaN tokens in
+    # netsim_summary.json, which is no JSON; a config's 1e400 is inf too
+    (_NETSIM + ["--mean-capacity", "inf"], None, "--mean-capacity"),
+    (_NETSIM, {"mean_capacity": 1e400}, "--mean-capacity"),
 ])
 def test_bad_value_exits_2_naming_its_flag_before_the_outdir(tmp_path, capsys, argv, conf, flag):
     out = tmp_path / "out"

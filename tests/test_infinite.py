@@ -332,6 +332,35 @@ def test_params_reject_non_finite_values(name, value):
         TcpParams(**{"alpha": 1.0, "loss_rate": 1e-3, name: value})
 
 
+# each raise an input can reach; the fixed-point iteration failing to
+# converge is left untested, as no input found makes it fail
+@pytest.mark.parametrize("build, match", [
+    *[(lambda c=c: compute_residues(c), "requires 0 < c < 1") for c in (0.0, 1.0, math.nan)],
+    (lambda: compute_residues(0.25, K=-1), "K must be nonnegative"),
+    # nu = 1 + s/(m+1) = 0 at m = 1
+    (lambda: AnalyticWindowDistribution.build(_p(1e-2))._integral(-2.0),
+     "integral diverges at the origin"),
+    (lambda: AnalyticWindowDistribution.build(_p(1e-2), "bursty"), "variant must be one of"),
+    (lambda: AnalyticWindowDistribution(_p(1e-2), compute_residues(0.5)),
+     "residue table c does not match"),
+    (lambda: window_moment(_p(0.0), 1.0), "window_moment requires loss_rate > 0"),
+    (lambda: window_moment(_p(1e-2), -0.5), r"moment of order r=-0.5 diverges"),
+    (lambda: frfr_mean_correction(_p(0.0)), "frfr_mean_correction requires loss_rate > 0"),
+    (lambda: mean_field_fixed_point(_p(1e-2), 0), "N must be >= 1"),
+    (lambda: mean_field_fixed_point(_p(0.0), 2), "requires loss_rate > 0"),
+    (lambda: mean_field_fixed_point(_p(1e-2, m=0.0), 2), "requires m > 0"),
+    *[(lambda p=p: sqrt_law_throughput(_p(1e-2, packet_size=1.0, link_delay=1.0), p),
+       r"loss probability must lie in \(0,1\)") for p in (0.0, 1.0, math.nan)],
+    (lambda: sqrt_law_throughput(_p(1e-2, link_delay=1.0), 1e-2), "needs packet_size"),
+    (lambda: sqrt_law_throughput(_p(1e-2, packet_size=1.0), 1e-2), "needs link_delay > 0"),
+    (lambda: solve_finite_distribution(FiniteBufferParams(_p(0.0), buffer_size=10.0)),
+     "solve_finite_distribution requires loss_rate > 0"),
+])
+def test_window_law_inputs_raise_their_documented_errors(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
 def test_residue_runtime_budget():
     import time
 

@@ -1,8 +1,11 @@
 """Joint (n, q) law of growing trees and the induced betweenness laws."""
 
 import math
+import sys
+import warnings
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -389,9 +392,56 @@ def test_mean_in_degree_equals_one_minus_root_share():
     assert got == pytest.approx(want, abs=4e-3)
 
 
+_GRID_ALPHAS = (0.0, 1e-300, 1e-12, 1e-9, 1e-6, 1e-3, 0.01, 0.1, 1 / 3, 0.5, 2 / 3, 0.9, 0.99)
+_GRID_QS = (*range(64), 100, 300, 1000, 3000)
+
+
 def test_er_betweenness_mean_doubles_plus_one():
+    # uniform attachment: every in-degree law is a power of two, exactly,
+    # and inf once that power passes the float range
     for q in range(8):
         assert betweenness_mean_given_q(q, 0.0) == float(2 ** (q + 1) - 1)
+    for q in _GRID_QS:
+        assert ccdf_q(None, 0.0, q) == 2.0**-q, q
+        assert marginal_q(None, 0.0, q) == 2.0 ** -(q + 1), q
+        big = q + 1 >= sys.float_info.max_exp
+        want = math.inf if big else 2.0 ** (q + 1)
+        assert cond_mean_n_given_q(None, 0.0, q) == want - 2.0, q
+        assert betweenness_mean_given_q(q, 0.0) == want - 1.0, q
+
+
+def test_infinite_tree_in_degree_laws_match_a_60_digit_product():
+    # P_inf(in-degree >= q) = prod_{j<q} (1-a+aj)/(2-a+aj), P(q) = that over
+    # 2-a+aq, E[n | q] = (1-a)/P_inf(in-degree >= q+1) - 2 + a and
+    # E[Lambda | q] = E[n | q] + 1, in 60 digits at the float alpha.  Values
+    # past the float range read inf; none raises or warns
+    tiny = sys.float_info.min
+    with mpmath.workdps(60), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for alpha in _GRID_ALPHAS:
+            a = mpmath.mpf(alpha)
+            tail = [mpmath.mpf(1)]
+            for j in range(max(_GRID_QS) + 1):
+                tail.append(tail[-1] * (1 - a + a * j) / (2 - a + a * j))
+            for q in _GRID_QS:
+                mean_n = (1 - a) / tail[q + 1] - 2 + a
+                cases = (
+                    (ccdf_q(None, alpha, q), tail[q]),
+                    (marginal_q(None, alpha, q), tail[q] / (2 - a + a * q)),
+                    (cond_mean_n_given_q(None, alpha, q), mean_n),
+                    (betweenness_mean_given_q(q, alpha), mean_n + 1),
+                    (ccdf_n(None, alpha, q), (1 - a) / (q + 1 - a) if q else 1),
+                )
+                for i, (got, want) in enumerate(cases):
+                    where = (i, alpha, q, got)
+                    if want > sys.float_info.max:
+                        assert got == math.inf, where
+                    elif i == 2 and q == 0:
+                        assert abs(got) <= 4e-16, where
+                    else:
+                        err = abs(got - want) / max(abs(want), tiny)
+                        assert err <= 1e-13, where
+                assert cases[3][0] == cases[2][0] + 1.0, (alpha, q)
 
 
 def test_finite_betweenness_mean_approaches_infinite():

@@ -111,6 +111,26 @@ def test_config_rejects_what_it_cannot_simulate(field, value):
         SimConfig(params=_cfg(1e-2).params, **fields)
 
 
+def _sim_params(m: float = 1.0) -> FiniteBufferParams:
+    return FiniteBufferParams(TcpParams(alpha=1.0, loss_rate=1e-2, m=m), buffer_size=math.inf)
+
+
+def _runs_with_bins(*bins):
+    return [simulate(SimConfig(params=_sim_params(), horizon=100, n_bins=n)) for n in bins]
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: SimConfig(params=_sim_params(), horizon=0), "horizon must be at least 1"),
+    (lambda: SimConfig(params=_sim_params(), n_bins=1), "at least 2 histogram bins"),
+    (lambda: SimConfig.for_variant(_sim_params(m=0.0), "wan"), "wan idle stretching needs m > 0"),
+    (lambda: merge_results(), "nothing to merge"),
+    (lambda: merge_results(*_runs_with_bins(10, 20)), "different bins"),
+])
+def test_simulator_inputs_raise_their_documented_errors(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
 def test_config_takes_numpy_integers():
     cfg = _cfg(1e-2, horizon=np.int64(1000), n_bins=np.int32(10), w_max=np.float64(30.0))
     assert simulate(cfg).n_events == 1000

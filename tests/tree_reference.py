@@ -24,6 +24,10 @@ criterion 10 imports the last one.
 before its blocks were cut to the triangle q <= n: every block carries
 all top + 1 bins.  The narrow chain must reproduce it bit for bit.
 
+`pochhammer_log`, ln Γ(x+n) - ln Γ(x), is the kernel the closed forms
+here call.  The library's infinite-tree in-degree laws used it before
+they became products of ratios; it is frozen here with the same body.
+
 `grow`, `subtree_sizes` and `enumerate_exact` are the per-vertex loops of
 `tree_gen` as they stood before its array rewrite, frozen: the library
 must reproduce their parents, sizes and exact `Fraction` dicts exactly.
@@ -38,7 +42,6 @@ from fractions import Fraction
 import numpy as np
 from scipy.special import digamma, gammaln, gammasgn
 
-from tcpfluid.specfun import pochhammer_log
 from tcpfluid.tree_analytic import (
     _check_alpha,
     _check_index,
@@ -51,6 +54,24 @@ from tcpfluid.tree_analytic import (
 from tcpfluid.tree_gen import _BLOCK, GrowingTree, TreeParams
 
 EULER_GAMMA = 0.5772156649015328606
+
+
+def pochhammer_log(x: float, n: float) -> float:
+    """Return ln[(x)_n] = ln Γ(x+n) - ln Γ(x) for positive-argument ratios.
+
+    Args:
+        x: positive real.
+        n: nonnegative real shift (need not be an integer).
+
+    Raises:
+        ValueError: if either Gamma argument is nonpositive.
+    """
+    if x <= 0 or x + n <= 0:
+        raise ValueError(
+            f"pochhammer_log requires positive Gamma arguments, got x={x}, n={n}"
+        )
+    return math.lgamma(x + n) - math.lgamma(x)
+
 
 # an alternating sum smaller than this times its largest term has lost
 # more than three digits; log-space terms carry ~1e-13 relative error
