@@ -1,6 +1,5 @@
 """Shared special functions, from numpy and the standard library alone.
 
-- `harmonic_sums`: sum_{j=2..n} j^-s, the polygamma differences of E[q | n];
 - `euler_product_L`: the Euler-type product L(c) = prod_{l>=1} (1 - c^l),
   which normalizes the window laws' mixture coefficients;
 - `gammainc`: the regularized incomplete Gammas P(nu, x) and Q(nu, x), for
@@ -20,40 +19,6 @@ from typing import NamedTuple
 import numpy as np
 
 _EPS = 2.0**-53
-
-
-# harmonic_sums adds the terms j < _DIRECT_TERMS one by one and the rest
-# through Euler-Maclaurin with B_2..B_8, whose remainder is below 1e-17 of
-# the sum at every s >= 1
-_DIRECT_TERMS = 64
-_BERNOULLI_2K = (1 / 6, -1 / 30, 1 / 42, -1 / 30)
-
-
-def harmonic_sums(s, n: int) -> np.ndarray:
-    """Return sum_{j=2..n} j^-s for each exponent s >= 1 of an array; 0 if n < 2.
-
-    At integers these are the polygamma differences (Abramowitz & Stegun
-    6.4.6): psi^(m)(n+1) - psi^(m)(2) = (-1)^m m! · sum_{j=2..n} j^-(m+1).
-    Every term is positive, so no digits cancel.
-    """
-    s = np.asarray(s, dtype=float)
-    j = np.arange(2.0, min(n, _DIRECT_TERMS - 1) + 1)
-    out = np.sum(j ** -s[..., None], axis=-1)
-    if n < _DIRECT_TERMS:
-        return out
-    # sum_{j=a..b} j^-s = ∫_a^b + (a^-s + b^-s)/2
-    #     + sum_k B_2k/(2k)! · (s)_(2k-1) · (a^(1-s-2k) - b^(1-s-2k))
-    a, b = float(_DIRECT_TERMS), float(n)
-    out += np.divide(
-        a ** (1.0 - s) - b ** (1.0 - s), s - 1.0,
-        out=np.full(s.shape, math.log(b / a)), where=s != 1.0,
-    )
-    out += 0.5 * (a**-s + b**-s)
-    rising = s.copy()
-    for k, b2k in enumerate(_BERNOULLI_2K, 1):
-        out += b2k / math.factorial(2 * k) * rising * (a ** (1 - s - 2 * k) - b ** (1 - s - 2 * k))
-        rising *= (s + 2 * k - 1) * (s + 2 * k)
-    return out
 
 
 def float_pow(base: float, exponent: float) -> float:

@@ -275,9 +275,9 @@ class _VariantLaw:
         Row n adds, over its overlap (a, b] with (lo, hi] and with
         nu = 1 + s/(m+1) and x = a_k·w^(m+1),
             ((m+1)/p)^(s/(m+1))·Γ(nu)·sum_k h_{n,k}·c^(k·nu)·[P(nu, x_b) - P(nu, x_a)];
-        every bound of every row goes to one `gammainc` call, and the bracket
-        is Q(nu, x_a) - Q(nu, x_b) wherever P(nu, x_a) > 1/2, so upper tails
-        keep their relative digits.  At s = 0 it is e^(-x_a)·(-expm1(x_a - x_b)),
+        every bound of a nonempty overlap goes to one `gammainc` call, and the
+        bracket is Q(nu, x_a) - Q(nu, x_b) wherever P(nu, x_a) > 1/2, so upper
+        tails keep their relative digits.  At s = 0 it is e^(-x_a)·(-expm1(x_a - x_b)),
         exact in the tail.  An entry whose overlap is empty adds exactly 0.
         """
         tcp, edges = self._tcp, self._edges
@@ -308,8 +308,15 @@ class _VariantLaw:
                     tail *= -np.expm1(x_a - x_b)
                 total += np.where(empty, 0.0, weights @ tail)
         elif rows:
-            x = np.concatenate([bound.ravel() for row in rows for bound in row[1:3]])
-            P, Q = gammainc(nu, x)
+            # an entry whose overlap is empty stands in x_a = 0, where (P, Q)
+            # is (0, 1) without a call, and the mask drops it
+            x = np.concatenate([
+                bound.ravel() for _, x_b, x_a, empty, *_ in rows
+                for bound in (x_b, np.where(empty, 0.0, x_a))
+            ])
+            P, Q = np.zeros(x.shape), np.ones(x.shape)
+            sent = x > 0.0
+            P[sent], Q[sent] = gammainc(nu, x[sent])
             end, poly = 0, None
             for weights, x_b, x_a, empty, h, a, b in rows:
                 start, mid, end = end, end + x_b.size, end + x_b.size + x_a.size
@@ -427,12 +434,14 @@ def window_moment(params: TcpParams, r: float) -> float:
     non-integer r the incomplete-Gamma sum of the plain law's `_integral`.
 
     Raises:
-        ValueError: loss_rate = 0, r <= -1/(m+1) (the moment diverges), or
-            the moment lies beyond the float range (p too small).
+        ValueError: loss_rate = 0, r not finite, r <= -1/(m+1) (the moment
+            diverges), or the moment lies beyond the float range (p too small).
     """
     if params.loss_rate <= 0:
         raise ValueError("window_moment requires loss_rate > 0")
     m = params.m
+    if not math.isfinite(r):
+        raise ValueError(f"moment order r must be finite, got {r}")
     if r <= -1.0 / (m + 1):
         raise ValueError(f"moment of order r={r} diverges (need r > {-1/(m+1)})")
     try:
@@ -481,8 +490,8 @@ def mean_field_fixed_point(params: TcpParams, N: int) -> float:
     Raises:
         RuntimeError: no convergence within _MAX_ITER iterations.
     """
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
+    if not (math.isfinite(N) and N >= 1):
+        raise ValueError(f"N must be >= 1 and finite, got {N}")
     if params.loss_rate <= 0:
         raise ValueError("mean_field_fixed_point requires loss_rate > 0")
     if params.m <= 0:

@@ -50,8 +50,6 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .specfun import harmonic_sums
-
 __all__ = [
     "DistTable",
     "marginal_n",
@@ -352,22 +350,19 @@ def cond_mean_n_given_q(tau, alpha_t: float, q: int) -> float:
     return (2.0 - alpha) * (growth - 1.0)
 
 
-# derivative orders m of the series for E[q | n]: its terms fall like
-# (a/2)^m / m, so 56 of them reach 1e-17 relative at a = 1
-_SERIES_ORDERS = np.arange(56)
-
-
 def cond_mean_q_given_n(alpha_t: float, n: int) -> float:
     """E[q | n]: expected in-degree at known cluster size; tau-independent.
 
-    E[q | n] = 1 + (X - 1)/a with X = Gamma(2-a) Gamma(n+1) / Gamma(n+1-a).
-    log X / a is the Taylor series in a of the two log-Gamma differences,
+    E[q | n] = 1 + (X - 1)/a with X = prod_{j=2..n} j/(j - a), the law of
+    growth by redirection (Krapivsky & Redner, PRE 63, 066123, 2001).
+    log X / a is the sum
 
-        sum_m (-a)^m / (m+1)! * (psi^(m)(n+1) - psi^(m)(2))
-            = sum_m a^m / (m+1) * sum_{j=2..n} j^-(m+1),
+        sum_{j=2..n} phi(a/j)/j,   phi(x) = -log1p(-x)/x,  phi(0) = 1,
 
-    whose terms are all positive, and X - 1 comes from expm1, so no
-    digits cancel as a -> 0.  At a = 0 it is H_n, uniform attachment.
+    whose terms are all positive and tend to 1/j as a -> 0, and X - 1
+    comes from expm1, so no digits cancel.  At a = 0 it is H_n, uniform
+    attachment, and at n = 1 the sum is empty and E[q | n] exactly 1.
+    The cost is O(n): about 22 us at n = 300 and 6 ms at n = 10^5.
     """
     alpha = _check_alpha(alpha_t, allow_er=True)
     n = _check_index("n", n)
@@ -375,12 +370,13 @@ def cond_mean_q_given_n(alpha_t: float, n: int) -> float:
         raise ValueError(f"n must be nonnegative, got {n}")
     if n == 0:
         return 0.0
-    m = _SERIES_ORDERS
-    terms = alpha**m / (m + 1.0) * harmonic_sums(m + 1.0, n)
-    # at n = 1 every term is zero and E[q | n=1] = 1 exactly
-    slope = math.fsum(terms.tolist())
-    x = alpha * slope
-    return 1.0 + slope * (math.expm1(x) / x if x else 1.0)
+    j = np.arange(2.0, n + 1.0)
+    # phi(0) = 1 where a/j is 0: at a = 0, and at a subnormal a
+    x = alpha / j
+    phi = np.divide(-np.log1p(-x), x, out=np.ones_like(x), where=x > 0)
+    slope = math.fsum((phi / j).tolist())
+    log_x = alpha * slope
+    return 1.0 + slope * (math.expm1(log_x) / log_x if log_x else 1.0)
 
 
 @lru_cache(maxsize=8)

@@ -83,8 +83,7 @@ class SimConfig:
     """Simulation run description.
 
     horizon counts recorded loss events; a further 1% warm-up is run and
-    discarded first.  w_max defaults to the buffer limit, or to the point
-    where the infinite-buffer tail is below 1e-16.
+    discarded first.
     """
 
     params: FiniteBufferParams
@@ -93,7 +92,6 @@ class SimConfig:
     enable_frfr: bool = False
     enable_wan_idle: bool = False
     n_bins: int = 100
-    w_max: float | None = None
 
     def __post_init__(self) -> None:
         tcp = self.params.tcp
@@ -101,8 +99,6 @@ class SimConfig:
             value = getattr(self, name)
             if not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.w_max is not None and not (math.isfinite(self.w_max) and self.w_max > 0):
-            raise ValueError(f"w_max must be finite and positive, got {self.w_max}")
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1 loss event")
         if self.n_bins < 2:
@@ -129,14 +125,12 @@ class SimConfig:
         )
 
     def bin_edges(self) -> np.ndarray:
-        top = self.w_max
-        if top is None:
-            limit = self.params.effective_limit
-            if math.isfinite(limit):
-                top = limit
-            else:
-                tcp = self.params.tcp
-                top = ((tcp.m + 1) / tcp.p * 37.0) ** (1.0 / (tcp.m + 1))
+        """n_bins equal bins from 0 to the buffer limit, or to the point
+        where the infinite-buffer tail is below 1e-16."""
+        top = self.params.effective_limit
+        if not math.isfinite(top):
+            tcp = self.params.tcp
+            top = ((tcp.m + 1) / tcp.p * 37.0) ** (1.0 / (tcp.m + 1))
         return np.linspace(0.0, top, self.n_bins + 1)
 
 

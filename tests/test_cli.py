@@ -4,6 +4,8 @@ import csv
 import hashlib
 import json
 import os
+import pathlib
+import shlex
 import subprocess
 import sys
 
@@ -79,6 +81,18 @@ def test_commands_without_special_functions_never_load_scipy(tmp_path, argv):
     )
     out = _fresh_python(code)
     assert out.split()[-2:] == ["0", "False"]
+
+
+def test_readme_command_lines_parse():
+    # a renamed or removed flag fails here instead of leaving README wrong;
+    # nothing is run
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text().split("## Command line", 1)[1].split("```")[1]
+    commands = [line for line in block.splitlines() if line.startswith("tcpfluid ")]
+    assert commands
+    for line in commands:
+        argv = shlex.split(line, comments=True)
+        build_parser().parse_args(argv[1:])
 
 
 _SMALL = ["--grid-points", "64"]

@@ -345,8 +345,12 @@ def test_params_reject_non_finite_values(name, value):
      "residue table c does not match"),
     (lambda: window_moment(_p(0.0), 1.0), "window_moment requires loss_rate > 0"),
     (lambda: window_moment(_p(1e-2), -0.5), r"moment of order r=-0.5 diverges"),
+    *[(lambda r=r: window_moment(_p(1e-2), r), f"moment order r must be finite, got {r}")
+      for r in (math.nan, math.inf)],
     (lambda: frfr_mean_correction(_p(0.0)), "frfr_mean_correction requires loss_rate > 0"),
     (lambda: mean_field_fixed_point(_p(1e-2), 0), "N must be >= 1"),
+    *[(lambda N=N: mean_field_fixed_point(_p(1e-2), N), f"N must be >= 1 and finite, got {N}")
+      for N in (math.nan, math.inf)],
     (lambda: mean_field_fixed_point(_p(0.0), 2), "requires loss_rate > 0"),
     (lambda: mean_field_fixed_point(_p(1e-2, m=0.0), 2), "requires m > 0"),
     *[(lambda p=p: sqrt_law_throughput(_p(1e-2, packet_size=1.0, link_delay=1.0), p),

@@ -21,7 +21,6 @@ from tcpfluid.specfun import (
     euler_product_L,
     float_pow,
     gammainc,
-    harmonic_sums,
 )
 
 from tree_reference import pochhammer_signed, stirling_first_unsigned
@@ -95,7 +94,7 @@ def test_euler_product_rejects_bad_c():
 
 
 # One identity per kernel the laws call: euler_product_L and gammainc
-# (window laws and histogram p-values), harmonic_sums (E[q | n]).
+# (window laws and histogram p-values).
 
 
 def test_euler_product_at_a_quarter_and_four_fifths():
@@ -113,23 +112,6 @@ def test_gammainc_recurrence():
         lhs = float(gammainc(z + 1.0, x)[0])
         rhs = float(gammainc(z, x)[0]) - x**z * math.exp(-x) / math.gamma(z + 1.0)
         worst = max(worst, abs(lhs - rhs) / lhs)
-    assert worst <= 1e-12
-
-
-def _psi_difference(m: int, n: int) -> float:
-    # psi^(m)(n+1) - psi^(m)(2) = (-1)^m m! sum_{j=2..n} j^-(m+1)
-    return (-1) ** m * math.factorial(m) * float(harmonic_sums(m + 1.0, n))
-
-
-def test_polygamma_recurrence():
-    worst = 0.0
-    for m in (0, 1, 3):
-        # n = 63 -> 64 crosses from the direct sum to the Euler-Maclaurin tail
-        for n in (2, 9, 63, 64, 200, 100_000):
-            # psi^(m)(n+2) = psi^(m)(n+1) + (-1)^m m! / (n+1)^(m+1)
-            lhs = _psi_difference(m, n + 1)
-            rhs = _psi_difference(m, n) + (-1) ** m * math.factorial(m) / (n + 1) ** (m + 1)
-            worst = max(worst, abs(lhs - rhs) / abs(lhs))
     assert worst <= 1e-12
 
 
@@ -248,17 +230,6 @@ def test_gammainc_raises_when_its_term_budget_cannot_reach_round_off():
     # far below nu the same budget converges, and nothing raises
     p = gammainc(1e5, np.array([1.0, 9e4]))[0]
     assert np.all((p >= 0.0) & (p < 1e-100))
-
-
-def test_polygamma_difference_matches_scipy():
-    worst = 0.0
-    for n in (2, 3, 10, 63, 64, 65, 100, 300, 1000, 100_000, 10_000_000):
-        for m in range(56):
-            want = float(sp.polygamma(m, n + 1.0) - sp.polygamma(m, 2.0))
-            worst = max(worst, abs(_psi_difference(m, n) - want) / abs(want))
-    assert worst <= 1e-13
-    # at n = 1 the sum is empty
-    assert np.all(harmonic_sums(np.arange(1.0, 57.0), 1) == 0.0)
 
 
 def _chi2_sf_decimal(dof: int, x: float) -> float:

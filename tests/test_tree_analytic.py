@@ -225,6 +225,38 @@ def test_cond_mean_q_given_n_keeps_digits_at_every_alpha():
             assert got == pytest.approx(want, rel=1e-14, abs=0.0), (alpha, n)
 
 
+def _mp_cond_mean_q_given_n(alpha: float, n: int) -> mpmath.mpf:
+    """1 + expm1(sum_{j=2..n} -log1p(-a/j))/a to 60 digits; H_n at a = 0.
+
+    Past n = 1000 the sum is taken as lnΓ(n+1) - lnΓ(n+1-a) + lnΓ(2-a),
+    with guard digits for the cancellation, which grows as a shrinks.
+    """
+    if alpha == 0.0:
+        with mpmath.workdps(60):
+            return mpmath.harmonic(n)
+    guard = 20 + max(0, -math.floor(math.log10(alpha)))
+    with mpmath.workdps(60 + guard):
+        a = mpmath.mpf(alpha)
+        if n <= 1000:
+            log_x = mpmath.fsum(-mpmath.log1p(-a / j) for j in range(2, n + 1))
+        else:
+            log_x = mpmath.loggamma(n + 1) - mpmath.loggamma(n + 1 - a) + mpmath.loggamma(2 - a)
+        return 1 + mpmath.expm1(log_x) / a
+
+
+def test_cond_mean_q_given_n_matches_a_60_digit_sum():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for alpha in (0.0, 2.0**-1074, 2.0**-100, 1e-12, 2.0**-20, 1e-3, 2.0**-10,
+                      0.1, 1 / 3, 0.5, 2 / 3, 0.75, 0.9, 0.99, 1.0):
+            assert cond_mean_q_given_n(alpha, 0) == 0.0
+            assert cond_mean_q_given_n(alpha, 1) == 1.0
+            for n in (2, 3, 10, 63, 64, 65, 100, 300, 1000, 10**4, 10**5):
+                want = _mp_cond_mean_q_given_n(alpha, n)
+                err = float(abs(cond_mean_q_given_n(alpha, n) - want) / want)
+                assert err <= 2e-15, (alpha, n, err)
+
+
 def test_cond_mean_n_given_q_matches_table():
     tau = 200
     table = DistTable.from_analytic(tau, 0.5)

@@ -1,5 +1,6 @@
 """Monte Carlo window process against the analytic laws."""
 
+import dataclasses
 import json
 import math
 import subprocess
@@ -35,9 +36,21 @@ from tcpfluid.window_sim import (
 import window_reference
 
 
+@dataclasses.dataclass(frozen=True)
+class _TopEdgeConfig(SimConfig):
+    """A run whose n_bins equal bins end at `top`: below the window's reach,
+    segments lie wholly above the top edge or straddle it."""
+
+    top: float = dataclasses.field(kw_only=True)
+
+    def bin_edges(self) -> np.ndarray:
+        return np.linspace(0.0, self.top, self.n_bins + 1)
+
+
 def _cfg(p: float, B: float = math.inf, horizon: int = 4000, **kw) -> SimConfig:
     fb = FiniteBufferParams(TcpParams(alpha=1.0, loss_rate=p), buffer_size=B)
-    return SimConfig(params=fb, horizon=horizon, seed=kw.pop("seed", 1), **kw)
+    config = _TopEdgeConfig if "top" in kw else SimConfig
+    return config(params=fb, horizon=horizon, seed=kw.pop("seed", 1), **kw)
 
 
 @pytest.mark.parametrize(
@@ -95,18 +108,13 @@ def test_zero_loss_infinite_buffer_rejected():
 @pytest.mark.parametrize(
     "field, value",
     [
-        ("w_max", -1.0),
-        ("w_max", 0.0),
-        ("w_max", math.nan),
-        ("w_max", math.inf),
         ("horizon", 1000.5),
         ("n_bins", 10.5),
     ],
 )
 def test_config_rejects_what_it_cannot_simulate(field, value):
-    # a non-positive top edge made an all-zero histogram, a non-finite one
-    # failed inside bincount, and fractional counts failed inside numpy
-    fields = {"horizon": 100, "n_bins": 10, "w_max": 30.0, field: value}
+    # fractional counts failed inside numpy
+    fields = {"horizon": 100, "n_bins": 10, field: value}
     with pytest.raises(ValueError, match=field):
         SimConfig(params=_cfg(1e-2).params, **fields)
 
@@ -132,7 +140,7 @@ def test_simulator_inputs_raise_their_documented_errors(build, match):
 
 
 def test_config_takes_numpy_integers():
-    cfg = _cfg(1e-2, horizon=np.int64(1000), n_bins=np.int32(10), w_max=np.float64(30.0))
+    cfg = _cfg(1e-2, horizon=np.int64(1000), n_bins=np.int32(10))
     assert simulate(cfg).n_events == 1000
 
 
@@ -173,7 +181,7 @@ def test_merged_mean_is_time_weighted():
 
 def test_mass_above_wmax_reports_the_cut_tail():
     # a top edge at 10 cuts off most of the p = 1e-2 law (mean ~ 15)
-    parts = [simulate(_cfg(1e-2, horizon=2000, seed=s, w_max=10.0)) for s in (1, 2)]
+    parts = [simulate(_cfg(1e-2, horizon=2000, seed=s, top=10.0)) for s in (1, 2)]
     tail = AnalyticWindowDistribution.build(TcpParams(alpha=1.0, loss_rate=1e-2), "plain")
     for part in parts:
         assert part.mass_above_wmax == pytest.approx(float(tail.ccdf(10.0)), abs=0.02)
@@ -183,7 +191,7 @@ def test_mass_above_wmax_reports_the_cut_tail():
     # fast-recovery plateaus above the top edge count there too, not in the top bin
     frfr = AnalyticWindowDistribution.build(TcpParams(alpha=1.0, loss_rate=1e-2), "frfr")
     for s in (1, 2):
-        part = simulate(_cfg(1e-2, horizon=2000, seed=s, w_max=10.0, enable_frfr=True))
+        part = simulate(_cfg(1e-2, horizon=2000, seed=s, top=10.0, enable_frfr=True))
         assert part.mass_above_wmax == pytest.approx(float(frfr.ccdf(10.0)), abs=0.02)
     # the default top edge sits where the tail is below 1e-16
     assert abs(simulate(_cfg(1e-2)).mass_above_wmax) < 1e-12
@@ -223,11 +231,11 @@ def test_finite_law_fit_with_point_mass():
     # so it adds to no expected bin either
     fb = FiniteBufferParams(TcpParams(alpha=1.0, loss_rate=5e-3), buffer_size=40.0)
     sol = solve_finite_distribution(fb, "frfr")
-    for w_max in (15.0, sol.point_mass[0]):
-        cfg = SimConfig.for_variant(fb, "frfr", horizon=5000, seed=3, n_bins=30, w_max=w_max)
+    for top in (15.0, sol.point_mass[0]):
+        cfg = _TopEdgeConfig.for_variant(fb, "frfr", horizon=5000, seed=3, n_bins=30, top=top)
         res = simulate(cfg)
         with_atom = compare_histogram(res, sol.pdf, point_mass=sol.point_mass)
-        assert with_atom == compare_histogram(res, sol.pdf), w_max
+        assert with_atom == compare_histogram(res, sol.pdf), top
 
 
 def test_finite_plain_fit():
@@ -333,17 +341,17 @@ _ORACLE_RUNS = {
 }
 
 
-def _oracle_cfg(name: str, horizon: int, n_bins: int = 60, w_max: float | None = None) -> SimConfig:
+def _oracle_cfg(name: str, horizon: int, n_bins: int = 60, **top) -> SimConfig:
     p, m, bdp, buffer, frfr, wan = _ORACLE_RUNS[name]
     tcp = TcpParams(alpha=1.0, loss_rate=p, m=m, link_delay=bdp / 2.0)
-    return SimConfig(
+    return (_TopEdgeConfig if top else SimConfig)(
         params=FiniteBufferParams(tcp, buffer_size=buffer),
         horizon=horizon,
         seed=5,
         enable_frfr=frfr,
         enable_wan_idle=wan,
         n_bins=n_bins,
-        w_max=w_max,
+        **top,
     )
 
 
@@ -352,8 +360,8 @@ def _oracle_cfg(name: str, horizon: int, n_bins: int = 60, w_max: float | None =
 _ORACLE_GRIDS = {
     "bins2": {"n_bins": 2},
     "bins1000": {"n_bins": 1000},
-    "wmax1": {"w_max": 1.0},
-    "wmax5": {"w_max": 5.0},
+    "wmax1": {"top": 1.0},
+    "wmax5": {"top": 5.0},
 }
 
 
