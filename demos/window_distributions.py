@@ -40,7 +40,7 @@ print(f"  E[W]            = {mean:10.3f}   (E[W] sqrt(p) = {mean*math.sqrt(p):.4
 print(f"  sd[W]           = {stdev:10.3f}   (sd[W] sqrt(p)= {stdev*math.sqrt(p):.4f})")
 print(f"  E[W^2]          = {second:10.1f}   (exactly 8/(3p) = {8/(3*p):.1f})")
 wan_link = TcpParams.from_link(1.2e6, 12000.0, loss_ratio=p, delay=0.05)
-print(f"  sawtooth bound  = {sqrt_law_throughput(wan_link, p):.1f} bits/s")
+print(f"  sawtooth bound  = {sqrt_law_throughput(wan_link):.1f} bits/s")
 
 # ---------------------------------------------------------------------
 # 3. Fast retransmit / fast recovery freezes the window for one RTT per

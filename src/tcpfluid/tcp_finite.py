@@ -173,14 +173,6 @@ class FiniteBufferSolution(_VariantLaw):
         return len(self.h_rows) - 1
 
     @property
-    def x(self) -> float:
-        return self.params.x
-
-    @property
-    def c(self) -> float:
-        return self.params.tcp.c
-
-    @property
     def effective_limit(self) -> float:
         return self.params.effective_limit
 

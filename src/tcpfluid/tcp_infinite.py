@@ -381,11 +381,11 @@ class AnalyticWindowDistribution(_VariantLaw):
     variant "plain" is the bare halving process; "frfr" adds the
     fast-recovery plateau of one RTT spent at the post-halving window;
     "wan" additionally stretches growth below the bandwidth-delay product
-    bdp = 2*alpha*D, where the window is too small to fill the pipe.
+    bdp = 2*alpha*D, where the window is too small to fill the pipe.  The
+    law computes its own complete residue table, `compute_residues(params.c)`.
     """
 
     params: TcpParams
-    residues: ResidueTable
     variant: str = "plain"
     # the mixture cancels to all orders as w -> 0, so rounding can leave
     # its pdf just below 0 and its CCDF just above 1
@@ -396,22 +396,19 @@ class AnalyticWindowDistribution(_VariantLaw):
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.params.loss_rate <= 0:
             raise ValueError("no stationary law exists for loss_rate = 0")
-        if not math.isclose(self.residues.c, self.params.c, rel_tol=1e-12):
-            raise ValueError("residue table c does not match params")
         if self.variant == "wan" and self.params.m == 0:
             raise ValueError("wan variant needs m > 0 (inverse moment diverges)")
         # one row of residues on (0, inf) and no buffer, so no variant has an atom
-        self._set_mixture(self.params, 1.0, (np.asarray(self.residues.h),), (math.inf, 0.0))
+        h = np.asarray(compute_residues(self.params.c).h)
+        self._set_mixture(self.params, 1.0, (h,), (math.inf, 0.0))
 
     @classmethod
     def build(cls, params: TcpParams, variant: str = "plain") -> "AnalyticWindowDistribution":
-        return cls(params, compute_residues(params.c), variant)
+        return cls(params, variant)
 
     def _integral(self, s: float, lo=0.0, hi: float = math.inf):
-        # the whole mean at m = 0 on a complete table is the product closed
-        # form of `window_moment`
-        if (s == 1 and self.params.m == 0 and hi == math.inf and np.ndim(lo) == 0
-                and lo == 0 and abs(self.residues.weights[-1]) <= _WEIGHT_FLOOR):
+        # the whole mean at m = 0 is the product closed form of `window_moment`
+        if s == 1 and self.params.m == 0 and hi == math.inf and np.ndim(lo) == 0 and lo == 0:
             return window_moment(self.params, 1.0)
         return super()._integral(s, lo, hi)
 
@@ -419,7 +416,7 @@ class AnalyticWindowDistribution(_VariantLaw):
         """w beyond which the plain-law CCDF, h_0·e^(-p·w^(m+1)/(m+1)) far
         out, is below 1e-13: the exponent is max(32, ln(1e13·h_0))."""
         p, m = self.params.p, self.params.m
-        exponent = max(32.0, math.log(1e13 * self.residues.h[0]))
+        exponent = max(32.0, math.log(1e13 * self._rows[0][0]))
         w_tail = ((m + 1) / p * exponent) ** (1.0 / (m + 1))
         if self.variant == "wan":
             return max(w_tail, 1.01 * self.params.bdp)
@@ -496,27 +493,27 @@ def mean_field_fixed_point(params: TcpParams, N: int) -> float:
         raise ValueError("mean_field_fixed_point requires loss_rate > 0")
     if params.m <= 0:
         raise ValueError("mean_field_fixed_point requires m > 0")
-    res = compute_residues(params.c)
-    T = N / AnalyticWindowDistribution(params, res)._integral(-1.0)
+    T = N / AnalyticWindowDistribution(params)._integral(-1.0)
     for _ in range(_MAX_ITER):
         idle = replace(params, link_delay=T / (2.0 * params.alpha))  # bdp = T
-        T_new = N * AnalyticWindowDistribution(idle, res, "wan").mean()
+        T_new = N * AnalyticWindowDistribution(idle, "wan").mean()
         if abs(T_new - T) <= 1e-10 * max(1.0, abs(T_new)):
             return T_new
         T = T_new
     raise RuntimeError(f"mean-field iteration did not converge in {_MAX_ITER} steps")
 
 
-def sqrt_law_throughput(params: TcpParams, p: float) -> float:
+def sqrt_law_throughput(params: TcpParams) -> float:
     """Deterministic-sawtooth throughput (P/R)·sqrt(3/2)/sqrt(p), R = 2D.
 
-    The classic inverse square-root law: every 1/p-th packet is lost, the
-    window oscillates between W_max/2 and W_max.  Units follow packet_size
-    (bits/s if P is in bits).
+    The classic inverse square-root law at the loss ratio p = params.p:
+    every 1/p-th packet is lost, the window oscillates between W_max/2 and
+    W_max.  Units follow packet_size (bits/s if P is in bits).
 
     Raises:
         ValueError: p outside (0,1), or packet_size/link_delay unset.
     """
+    p = params.p
     if not 0 < p < 1:
         raise ValueError(f"loss probability must lie in (0,1), got {p}")
     if params.packet_size is None:

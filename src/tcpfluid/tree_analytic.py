@@ -63,26 +63,25 @@ __all__ = [
     "unconditional_betweenness_ccdf",
 ]
 
+# each check compares before it converts, so NaN and ±inf fail by name
 def _check_tau(tau, allow_infinite: bool = False) -> int | None:
-    if tau is None or (isinstance(tau, float) and math.isinf(tau)):
+    if tau is None or tau == math.inf:
         if allow_infinite:
             return None
         raise ValueError("this operation requires a finite tau")
-    if tau < 1 or tau != int(tau):
+    if not 1 <= tau < math.inf or tau != int(tau):
         raise ValueError(f"tau must be a positive integer, got {tau}")
     return int(tau)
 
 
-def _check_alpha(alpha_t: float, allow_er: bool = False) -> float:
-    lo_ok = alpha_t > 0.0 or (allow_er and alpha_t == 0.0)
-    if not (lo_ok and alpha_t <= 1.0):
-        span = "[0, 1]" if allow_er else "(0, 1]"
-        raise ValueError(f"alpha_t must lie in {span}, got {alpha_t}")
+def _check_alpha(alpha_t: float) -> float:
+    if not 0.0 <= alpha_t <= 1.0:
+        raise ValueError(f"alpha_t must lie in [0, 1], got {alpha_t}")
     return float(alpha_t)
 
 
 def _check_index(name: str, value) -> int:
-    if value != int(value):
+    if not -math.inf < value < math.inf or value != int(value):
         raise ValueError(f"{name} must be an integer, got {value}")
     return int(value)
 
@@ -90,7 +89,7 @@ def _check_index(name: str, value) -> int:
 def _scalar_args(tau, alpha_t: float, name: str, value) -> tuple[int | None, float, int]:
     """(tau, alpha, index) of a scalar tree law, each checked once in that
     order; tau is None for the infinite tree (None or inf)."""
-    alpha = _check_alpha(alpha_t, allow_er=True)
+    alpha = _check_alpha(alpha_t)
     return _check_tau(tau, allow_infinite=True), alpha, _check_index(name, value)
 
 
@@ -249,7 +248,7 @@ class DistTable:
         the alternating closed form in the n ~ q corner.
         """
         tau = _check_tau(tau)
-        alpha = _check_alpha(alpha_t, allow_er=True)
+        alpha = _check_alpha(alpha_t)
         grid = np.zeros((tau, tau))
         if alpha == 1.0:
             grid[0, 0] = 1.0
@@ -364,7 +363,7 @@ def cond_mean_q_given_n(alpha_t: float, n: int) -> float:
     attachment, and at n = 1 the sum is empty and E[q | n] exactly 1.
     The cost is O(n): about 22 us at n = 300 and 6 ms at n = 10^5.
     """
-    alpha = _check_alpha(alpha_t, allow_er=True)
+    alpha = _check_alpha(alpha_t)
     n = _check_index("n", n)
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
@@ -413,7 +412,8 @@ def betweenness_ccdf_given_q(Lambda: int, q: int, alpha_t: float) -> float:
 
     F(Lambda | q) = S_{Lambda-1}(q) / (S_{Lambda-1}(q) + H_{Lambda-1}(q)),
     at most 1 because H >= 0.  The rows are a power of two of at least 256
-    above Lambda-1, so the calls for one q share a column.
+    above Lambda-1, so the calls for one q share a column.  alpha_t = 0,
+    uniform attachment, is the same chain and recursion at a = 0.
     """
     alpha = _check_alpha(alpha_t)
     Lambda = _check_index("Lambda", Lambda)
@@ -437,7 +437,7 @@ def betweenness_mean_given_q(q: int, alpha_t: float) -> float:
 def unconditional_betweenness_ccdf(tau: int, alpha_t: float, L: float) -> float:
     """P(betweenness >= L) over all edges, finite tree, closed form."""
     tau = _check_tau(tau)
-    alpha = _check_alpha(alpha_t, allow_er=True)
+    alpha = _check_alpha(alpha_t)
     l_max = (tau + 1.0) ** 2 / 4.0
     if not tau <= L <= l_max:
         raise ValueError(f"L must lie in [{tau}, {l_max}], got {L}")

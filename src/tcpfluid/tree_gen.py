@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .tree_analytic import DistTable
+from .tree_analytic import DistTable, _check_alpha, _check_tau
 
 __all__ = [
     "TreeParams",
@@ -48,10 +48,8 @@ class TreeParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.alpha_t <= 1.0:
-            raise ValueError(f"alpha_t must lie in [0, 1], got {self.alpha_t}")
-        if self.tau < 1 or self.tau != int(self.tau):
-            raise ValueError(f"tau must be a positive integer, got {self.tau}")
+        _check_alpha(self.alpha_t)
+        _check_tau(self.tau)
 
     @property
     def a(self) -> float:
@@ -82,11 +80,10 @@ class GrowingTree:
 
 @dataclass(frozen=True)
 class EdgeMeasurements:
-    """Per-edge records of a grown tree, aligned with edge ids."""
+    """Per-edge records of a grown tree, aligned with edge ids;
+    `GrowingTree.edge_endpoints()` gives each edge's endpoints."""
 
     tau: int
-    child: np.ndarray
-    parent: np.ndarray
     n: np.ndarray
     q_younger: np.ndarray
     q_older: np.ndarray
@@ -246,20 +243,16 @@ def tree_paths(tree: GrowingTree, u, v) -> tuple[np.ndarray, np.ndarray]:
 
 
 def measure(tree: GrowingTree) -> EdgeMeasurements:
-    """Per-edge (n, q_younger, q_older, L) records from a single reverse pass."""
+    """Per-edge records: n from `subtree_sizes`, both in-degrees, L = (n+1)(tau-n)."""
     tau = tree.tau
-    child, older = tree.edge_endpoints()
     # the younger endpoints are vertices 1..tau in order: slices, not gathers
     n = subtree_sizes(tree)[1:] - 1
-    betweenness = (n + 1) * (tau - n)
     return EdgeMeasurements(
         tau=tau,
-        child=child,
-        parent=older,
         n=n,
         q_younger=tree.in_degree[1:].copy(),
-        q_older=tree.in_degree[older],
-        betweenness=betweenness,
+        q_older=tree.in_degree[tree.parent[1:]],
+        betweenness=(n + 1) * (tau - n),
     )
 
 
@@ -273,9 +266,8 @@ def enumerate_exact(params: TreeParams) -> DistTable:
     on the history.  So a history's weight is the integer product of its
     picks' numerators, and each (n, q) key becomes one `Fraction` over
     the common denominator at the end.  All prod_{t=2..tau} t histories
-    are tallied at once as arrays, in the order of a depth-first walk
-    over the picks, and `exact` lists the keys in the order that walk
-    first meets them.  Sums are exact: int64 while total * tau fits, and
+    are tallied at once as arrays, and `exact` lists the keys in
+    ascending order.  Sums are exact: int64 while total * tau fits, and
     Python ints beyond.  Serves as the ground-truth oracle for the
     closed-form joint distribution at small sizes.
 
@@ -325,19 +317,16 @@ def enumerate_exact(params: TreeParams) -> DistTable:
     for v in range(tau, 0, -1):
         sizes_flat[parent[v - 1] * n_hist + hists] += sizes[v]
     keys = (sizes[1:] - 1) * tau + q[1:]
-    # exact sums per key, and each key's first place in the walk's tally
-    # order, history by history and edge by edge within one
+    # exact sums per key; every live history has a positive weight, so
+    # the keys met are those whose sum is not 0
     acc = np.zeros(tau * tau, dtype=weight.dtype)
-    first = np.full(tau * tau, tau * n_hist)
     # one edge's row at a time: numpy 2.4.6's add.at gave wrong sums, and
     # could crash, with values broadcast along the indices' first axis
-    for e, row in enumerate(keys):
+    for row in keys:
         np.add.at(acc, row, weight)
-        np.minimum.at(first, row, hists * tau + e)
-    found = np.flatnonzero(first < tau * n_hist)
     exact = {
         divmod(key, tau): Fraction(int(acc[key]), total * tau)
-        for key in found[np.argsort(first[found])].tolist()
+        for key in np.flatnonzero(acc).tolist()
     }
     grid = np.zeros((tau, tau))
     for (n, k), val in exact.items():

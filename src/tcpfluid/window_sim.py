@@ -125,8 +125,10 @@ class SimConfig:
         )
 
     def bin_edges(self) -> np.ndarray:
-        """n_bins equal bins from 0 to the buffer limit, or to the point
-        where the infinite-buffer tail is below 1e-16."""
+        """n_bins equal bins from 0 to the buffer limit or, with no buffer,
+        to p·w^(m+1)/(m+1) = 37, where the plain CCDF h_0·e^(-37) is
+        1.24e-16 at m = 1, beta = 0.5, p = 1e-2 but 2.53e-14 at m = 0,
+        beta = 0.8; `SimResult.mass_above_wmax` reports the rest."""
         top = self.params.effective_limit
         if not math.isfinite(top):
             tcp = self.params.tcp

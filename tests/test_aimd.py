@@ -445,7 +445,7 @@ def test_assign_capacities_degree_rules_on_path():
     base = FluidNetwork.from_tree(tree, np.full(tau, 1.0))
     c_min = assign_capacities(base, "minimum", 1.0, tree_stats=stats).capacities
     c_max = assign_capacities(base, "maximum", 1.0, tree_stats=stats).capacities
-    tail = int(np.argmax(stats.child == tau))
+    tail = int(np.argmax(tree.edge_endpoints()[0] == tau))
     assert c_min[tail] < c_min[(tail + 1) % tau]
     assert np.allclose(c_max, c_max[0])
 

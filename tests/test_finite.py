@@ -117,7 +117,7 @@ def test_phi_moment_zeroth_equals_one_minus_A():
 def test_one_minus_A_has_no_cancellation_at_small_x():
     # x = 2.8e-5: 1.0 - A keeps only 11 digits, S/(1+S) keeps them all
     sol = solve_finite_distribution(_fb(1e-6, 5.0))
-    assert sol.x < 1e-4
+    assert sol.params.x < 1e-4
     assert sol.one_minus_A == pytest.approx(1.0 - sol.A, rel=1e-10)
     assert abs(phi_moment(sol) / sol.one_minus_A - 1.0) <= 4.5e-16
 
@@ -130,7 +130,7 @@ def _max_weight(c: float) -> float:
 def _assert_law_holds_down_to_zero(sol, points: int = 2049) -> None:
     """Mass, sign and CCDF shape of the finite law on (0, B_eff], with
     tolerances scaled by the largest term the alternating sums carry."""
-    tol = 1e-14 * _max_weight(sol.c)
+    tol = 1e-14 * _max_weight(sol.params.tcp.c)
     assert abs(phi_moment(sol) / sol.one_minus_A - 1.0) <= tol
     w = np.linspace(0.0, sol.effective_limit, points)
     pdf = sol.pdf(w)

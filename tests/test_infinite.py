@@ -211,19 +211,7 @@ def test_mean_matches_grid_for_every_variant():
 
 
 def test_mean_reads_its_own_residue_table():
-    # a truncated table is another law: mean() follows the table pdf() and
-    # ccdf() use, not the default one
-    for m in (1.0, 0.0):
-        params = _p(1e-2, m=m)
-        table = compute_residues(params.c, 2)
-        plain = AnalyticWindowDistribution(params, table)
-        want = AnalyticWindowDistribution(params, table)._integral(1.0)
-        assert plain.mean() == pytest.approx(want, rel=1e-12), m
-        frfr = AnalyticWindowDistribution(params, table, "frfr")
-        w = np.linspace(0.0, frfr.support_cutoff(), 40001)
-        grid_mean = np.trapezoid(w * frfr.pdf(w), w)
-        assert frfr.mean() == pytest.approx(grid_mean, rel=1e-6), m
-    # a complete table at m = 0 keeps the product closed form
+    # the law's own complete table at m = 0 keeps the product closed form
     params = _p(1e-2, m=0.0)
     assert AnalyticWindowDistribution.build(params).mean() == window_moment(params, 1.0)
 
@@ -301,11 +289,10 @@ def test_mean_field_grows_with_population():
 def test_sqrt_law_throughput_closed_form():
     # deterministic sawtooth: (P/R) sqrt(3/(2p)) with R = 2D
     params = TcpParams.from_link(256000.0, 12000.0, loss_ratio=1e-4, delay=0.05)
-    p = 1e-4
-    want = (12000.0 / 0.1) * math.sqrt(1.5 / p)
-    assert sqrt_law_throughput(params, p) == pytest.approx(want, rel=1e-12)
+    want = (12000.0 / 0.1) * math.sqrt(1.5 / 1e-4)
+    assert sqrt_law_throughput(params) == pytest.approx(want, rel=1e-12)
     with pytest.raises(ValueError):
-        sqrt_law_throughput(params, 0.0)
+        sqrt_law_throughput(TcpParams.from_link(256000.0, 12000.0, loss_ratio=0.0, delay=0.05))
 
 
 def test_params_validation():
@@ -341,8 +328,6 @@ def test_params_reject_non_finite_values(name, value):
     (lambda: AnalyticWindowDistribution.build(_p(1e-2))._integral(-2.0),
      "integral diverges at the origin"),
     (lambda: AnalyticWindowDistribution.build(_p(1e-2), "bursty"), "variant must be one of"),
-    (lambda: AnalyticWindowDistribution(_p(1e-2), compute_residues(0.5)),
-     "residue table c does not match"),
     (lambda: window_moment(_p(0.0), 1.0), "window_moment requires loss_rate > 0"),
     (lambda: window_moment(_p(1e-2), -0.5), r"moment of order r=-0.5 diverges"),
     *[(lambda r=r: window_moment(_p(1e-2), r), f"moment order r must be finite, got {r}")
@@ -353,10 +338,10 @@ def test_params_reject_non_finite_values(name, value):
       for N in (math.nan, math.inf)],
     (lambda: mean_field_fixed_point(_p(0.0), 2), "requires loss_rate > 0"),
     (lambda: mean_field_fixed_point(_p(1e-2, m=0.0), 2), "requires m > 0"),
-    *[(lambda p=p: sqrt_law_throughput(_p(1e-2, packet_size=1.0, link_delay=1.0), p),
-       r"loss probability must lie in \(0,1\)") for p in (0.0, 1.0, math.nan)],
-    (lambda: sqrt_law_throughput(_p(1e-2, link_delay=1.0), 1e-2), "needs packet_size"),
-    (lambda: sqrt_law_throughput(_p(1e-2, packet_size=1.0), 1e-2), "needs link_delay > 0"),
+    *[(lambda p=p: sqrt_law_throughput(_p(p, packet_size=1.0, link_delay=1.0)),
+       r"loss probability must lie in \(0,1\)") for p in (0.0, 1.0)],
+    (lambda: sqrt_law_throughput(_p(1e-2, link_delay=1.0)), "needs packet_size"),
+    (lambda: sqrt_law_throughput(_p(1e-2, packet_size=1.0)), "needs link_delay > 0"),
     (lambda: solve_finite_distribution(FiniteBufferParams(_p(0.0), buffer_size=10.0)),
      "solve_finite_distribution requires loss_rate > 0"),
 ])

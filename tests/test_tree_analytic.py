@@ -558,6 +558,30 @@ def test_betweenness_ccdf_matches_exact_alternating_sum():
             assert head == pytest.approx(marginal_q(None, alpha, q), rel=1e-12)
 
 
+def test_uniform_attachment_betweenness_ccdf_matches_stirling_sums():
+    # at a = 0 the root gains a child with probability 1/(n+1) per step, so
+    # K_n(q) = c(n, q)/n! with c the unsigned Stirling numbers of the first
+    # kind, S_0(q) = 2^-(q+1) and, with P_inf(n) = 1/((n+1)(n+2)),
+    #     F(Lambda | q) = 1 - 2^(q+1) sum_{n < Lambda-1} K_n(q)/((n+1)(n+2))
+    qs = (0, 1, 2, 5, 10)
+    stirling = [1] + [0] * max(qs)  # c(n, q) for q <= max(qs), from n = 0
+    factorial = 1
+    head = dict.fromkeys(qs, Fraction(0))
+    for n in range(299):
+        for q in qs:
+            Lambda = n + 1
+            if Lambda >= q + 1:
+                want = float(1 - 2 ** (q + 1) * head[q])
+                got = betweenness_ccdf_given_q(Lambda, q, 0.0)
+                where = (Lambda, q)
+                assert abs(got - want) <= (1e-15 if want == 0 else 1e-13 * want), where
+            head[q] += Fraction(stirling[q], factorial * (n + 1) * (n + 2))
+        stirling = [n * stirling[0]] + [
+            n * stirling[q] + stirling[q - 1] for q in range(1, len(stirling))
+        ]
+        factorial *= n + 1
+
+
 def test_finite_size_deviation_scales_inverse_square():
     dev500 = finite_size_correction_check(500, 0.5, 20, 1)
     dev1000 = finite_size_correction_check(1000, 0.5, 20, 1)
@@ -598,3 +622,27 @@ def test_unconditional_betweenness_ccdf_matches_simulation():
     want = unconditional_betweenness_ccdf(tau, 0.5, L)
     se = math.sqrt(want / (reps * tau)) * 4 + 1e-3
     assert emp == pytest.approx(want, abs=se)
+
+
+# each check compares before it converts: inf raised OverflowError, NaN
+# "cannot convert float NaN to integer", and tau = -inf read as the
+# infinite tree
+@pytest.mark.parametrize("call, match", [
+    (lambda: marginal_q(10, 0.5, math.inf), "q must be an integer, got inf"),
+    (lambda: marginal_q(10, 0.5, math.nan), "q must be an integer, got nan"),
+    (lambda: cond_mean_n_given_q(10, 0.5, -math.inf), "q must be an integer, got -inf"),
+    (lambda: betweenness_ccdf_given_q(math.inf, 2, 0.5), "Lambda must be an integer, got inf"),
+    (lambda: betweenness_ccdf_given_q(math.nan, 2, 0.5), "Lambda must be an integer, got nan"),
+    (lambda: cond_mean_q_given_n(0.5, math.inf), "n must be an integer, got inf"),
+    (lambda: cond_mean_q_given_n(0.5, 2.5), "n must be an integer, got 2.5"),
+    (lambda: ccdf_n(math.nan, 0.5, 3), "tau must be a positive integer, got nan"),
+    (lambda: marginal_n(-math.inf, 0.5, 3), "tau must be a positive integer, got -inf"),
+    (lambda: DistTable.from_analytic(math.nan, 0.5), "tau must be a positive integer, got nan"),
+    (lambda: DistTable.from_analytic(math.inf, 0.5), "requires a finite tau"),
+    (lambda: unconditional_betweenness_ccdf(None, 0.5, 10.0), "requires a finite tau"),
+    (lambda: marginal_n(10, math.nan, 3), r"alpha_t must lie in \[0, 1\], got nan"),
+    (lambda: betweenness_ccdf_given_q(5, 2, -0.1), r"alpha_t must lie in \[0, 1\], got -0.1"),
+])
+def test_tree_law_inputs_raise_value_errors_that_name_them(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

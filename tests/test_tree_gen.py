@@ -109,13 +109,14 @@ def test_measure_on_path():
     tau = 6
     tree = _path_tree(tau)
     mm = measure(tree)
+    child, _ = tree.edge_endpoints()
     assert mm.tau == tau
     # edge (v, v-1): younger endpoint v has tau - v descendants
     assert np.array_equal(np.sort(mm.n), np.arange(tau))
-    for child, n in zip(mm.child, mm.n):
-        assert n == tau - child
+    for v, n in zip(child, mm.n):
+        assert n == tau - v
     # each internal younger endpoint feeds one edge
-    assert np.all(mm.q_younger == np.where(mm.child == tau, 0, 1))
+    assert np.all(mm.q_younger == np.where(child == tau, 0, 1))
     # chain betweenness is (n+1)(tau-n)
     assert np.array_equal(mm.betweenness, (mm.n + 1) * (tau - mm.n))
 
@@ -133,8 +134,9 @@ def test_measure_betweenness_identity_random_tree():
 def test_measure_degree_bookkeeping():
     tree = grow(TreeParams(alpha_t=0.5, tau=400, seed=13))
     mm = measure(tree)
-    assert np.array_equal(mm.q_younger, tree.in_degree[mm.child])
-    assert np.array_equal(mm.q_older, tree.in_degree[mm.parent])
+    child, parent = tree.edge_endpoints()
+    assert np.array_equal(mm.q_younger, tree.in_degree[child])
+    assert np.array_equal(mm.q_older, tree.in_degree[parent])
     assert np.all(mm.q_older >= 1)
 
 
@@ -291,7 +293,6 @@ def test_enumerate_exact_matches_frozen_fraction_walk(alpha):
         got = enumerate_exact(params).exact
         want = tree_reference.enumerate_exact(params)
         assert got == want, tau
-        assert list(got) == list(want), tau
 
 
 def test_validation():
@@ -299,6 +300,22 @@ def test_validation():
         grow(TreeParams(alpha_t=-0.1, tau=5, seed=0))
     with pytest.raises(ValueError):
         grow(TreeParams(alpha_t=0.5, tau=0, seed=0))
+
+
+# the same checks as the tree laws': tau = inf raised OverflowError,
+# None TypeError, and NaN "cannot convert float NaN to integer"
+@pytest.mark.parametrize("alpha_t, tau, match", [
+    (math.nan, 5, r"alpha_t must lie in \[0, 1\], got nan"),
+    (1.5, 5, r"alpha_t must lie in \[0, 1\], got 1.5"),
+    (0.5, math.nan, "tau must be a positive integer, got nan"),
+    (0.5, -math.inf, "tau must be a positive integer, got -inf"),
+    (0.5, 2.5, "tau must be a positive integer, got 2.5"),
+    (0.5, math.inf, "requires a finite tau"),
+    (0.5, None, "requires a finite tau"),
+])
+def test_params_reject_what_names_no_tree(alpha_t, tau, match):
+    with pytest.raises(ValueError, match=match):
+        TreeParams(alpha_t=alpha_t, tau=tau)
 
 
 @pytest.mark.parametrize("scale", ["full", "tiny"])

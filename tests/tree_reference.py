@@ -56,6 +56,14 @@ from tcpfluid.tree_gen import _BLOCK, GrowingTree, TreeParams
 EULER_GAMMA = 0.5772156649015328606
 
 
+def _check_alpha_positive(alpha_t: float) -> float:
+    """alpha_t in (0, 1]: the alternating and log-Gamma forms divide by a."""
+    alpha = _check_alpha(alpha_t)
+    if alpha == 0.0:
+        raise ValueError(f"alpha_t must lie in (0, 1], got {alpha_t}")
+    return alpha
+
+
 def pochhammer_log(x: float, n: float) -> float:
     """Return ln[(x)_n] = ln Γ(x+n) - ln Γ(x) for positive-argument ratios.
 
@@ -378,7 +386,7 @@ def joint_pnq(tau: int, alpha_t: float, n: int, q: int) -> float:
     alpha_t = 1 concentrates all mass on (0, 0).
     """
     tau = _check_tau(tau)
-    alpha = _check_alpha(alpha_t)
+    alpha = _check_alpha_positive(alpha_t)
     n = _check_index("n", n)
     q = _check_index("q", q)
     if q < 0 or q > n or n >= tau:
@@ -513,7 +521,7 @@ def joint_pnq_er(tau: int, n: int, q: int) -> float:
 
 def betweenness_ccdf_asymptotic(Lambda: float, q: int, alpha_t: float) -> float:
     """Leading 1/Lambda^2 tail of the conditional betweenness CCDF."""
-    alpha = _check_alpha(alpha_t)
+    alpha = _check_alpha_positive(alpha_t)
     if alpha == 1.0:
         raise ValueError("the tail form needs alpha_t < 1")
     q = _check_index("q", q)
@@ -540,7 +548,7 @@ def betweenness_mean_given_q_finite(tau: int, alpha_t: float, q: int) -> float:
     analytically (it would otherwise divide by zero).
     """
     tau = _check_tau(tau)
-    alpha = _check_alpha(alpha_t)
+    alpha = _check_alpha_positive(alpha_t)
     q = _check_index("q", q)
     if not 0 <= q < tau:
         raise ValueError(f"need 0 <= q < tau, got q={q}, tau={tau}")
@@ -591,7 +599,7 @@ def finite_size_correction_check(
     tau = _check_tau(tau)
     if tau > 10**4:
         raise ValueError(f"exact-table mode is guarded at tau <= 1e4, got {tau}")
-    _check_alpha(alpha_t)
+    _check_alpha_positive(alpha_t)
     Lambda = _check_index("Lambda", Lambda)
     q = _check_index("q", q)
     f_inf = betweenness_ccdf_given_q(Lambda, q, alpha_t)
