@@ -30,8 +30,7 @@ net1 = FluidNetwork(endpoints=np.array([[0, 1]], dtype=np.int64),
                     capacities=np.array([C]), n_vertices=2)
 # routes in CSR form: flow i crosses route_links[route_ptr[i]:route_ptr[i+1]]
 flows1 = FlowSet(route_ptr=np.arange(N + 1), route_links=np.zeros(N, np.int64),
-                 alphas=1.0, betas=0.5, rtts=1.0, packet_sizes=1.0,
-                 X=np.full(N, 0.5 * C / N))
+                 growth_rates=1.0, betas=0.5, X=np.full(N, 0.5 * C / N))
 rep1 = run_simulation(net1, flows1, SyncModel(pi=1.0), 2000, seed=0)
 print(f"single link, N={N}, pi=1: post-event X = {rep1.mean_post_event_throughput:.1f}"
       f" (exact {0.5*C/N:.1f}), epoch = {rep1.mean_tau:.4f}")

@@ -1,7 +1,8 @@
 """Multi-link AIMD fluid network simulator.
 
-Flows grow their throughput linearly at alpha*P/R along fixed routes
-until some link's aggregate load reaches its capacity.  At that instant
+Flows grow their throughput linearly along fixed routes, each at its own
+rate alpha*P/R (alpha packets of P bits per round-trip time R), until
+some link's aggregate load reaches its capacity.  At that instant
 every flow crossing the congested link draws a loss indicator (at least
 one flow must lose), losers cut their throughput by beta, and growth
 resumes.  Buffers are taken as zero: the congestion event is
@@ -61,6 +62,12 @@ class StagnationError(RuntimeError):
     """No link can ever congest: every aggregate growth rate is zero."""
 
 
+def _check_count(name: str, value) -> None:
+    """Raise unless value is an int or numpy integer, and not a bool."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _connected(n_vertices: int, endpoints: np.ndarray) -> bool:
     """Whether the (E, 2) edge array joins all n_vertices into one component.
 
@@ -95,6 +102,7 @@ class FluidNetwork:
     n_vertices: int
 
     def __post_init__(self):
+        _check_count("n_vertices", self.n_vertices)
         ep = np.asarray(self.endpoints, dtype=np.int64).reshape(-1, 2)
         cap = np.asarray(self.capacities, dtype=float)
         if cap.shape != (ep.shape[0],):
@@ -112,17 +120,10 @@ class FluidNetwork:
     def n_edges(self) -> int:
         return self.endpoints.shape[0]
 
-    def with_capacities(self, capacities) -> "FluidNetwork":
-        return FluidNetwork(self.endpoints, np.asarray(capacities, float),
-                            self.n_vertices)
-
     @classmethod
-    def from_tree(cls, tree: GrowingTree, capacities=None) -> "FluidNetwork":
+    def from_tree(cls, tree: GrowingTree, capacities) -> "FluidNetwork":
         child, parent = tree.edge_endpoints()
-        ep = np.stack([child, parent], axis=1)
-        if capacities is None:
-            capacities = np.ones(tree.tau)
-        return cls(ep, capacities, tree.n_vertices)
+        return cls(np.stack([child, parent], axis=1), capacities, tree.n_vertices)
 
 
 @dataclass(frozen=True)
@@ -131,16 +132,16 @@ class FlowSet:
 
     Routes are CSR: flow i crosses the link ids
     route_links[route_ptr[i]:route_ptr[i+1]], and each route is nonempty
-    and simple.  alpha/beta/rtt/packet_size are per flow, so a
-    heterogeneous population is just different array entries.
+    and simple.  Flow i's throughput X grows at growth_rates[i] =
+    alpha*P/R bits/sec^2 (0: it never grows), and a loss cuts it to
+    betas[i] * X.  Each per-flow field takes a scalar or one entry per
+    flow, so a heterogeneous population is just different entries.
     """
 
     route_ptr: np.ndarray
     route_links: np.ndarray
-    alphas: np.ndarray
+    growth_rates: np.ndarray
     betas: np.ndarray
-    rtts: np.ndarray
-    packet_sizes: np.ndarray
     X: np.ndarray
 
     def __post_init__(self):
@@ -161,17 +162,14 @@ class FlowSet:
         if np.any((ranked[1:] == ranked[:-1]) & (owner[1:] == owner[:-1])):
             raise ValueError("routes must be simple (no repeated link)")
         arrays = {"route_ptr": ptr, "route_links": links}
-        for name in ("alphas", "betas", "rtts", "packet_sizes", "X"):
+        for name in ("growth_rates", "betas", "X"):
             a = np.broadcast_to(np.asarray(getattr(self, name), float), (n,)).copy()
             arrays[name] = a
-        if not np.all(arrays["alphas"] > 0.0):
-            raise ValueError("alphas must be positive")
+        g = arrays["growth_rates"]
+        if not np.all((g >= 0.0) & (g < np.inf)):
+            raise ValueError("growth_rates must be finite and nonnegative")
         if not np.all((arrays["betas"] > 0.0) & (arrays["betas"] < 1.0)):
             raise ValueError("betas must lie in (0, 1)")
-        if not np.all(arrays["rtts"] > 0.0):
-            raise ValueError("rtts must be positive")
-        if not np.all(arrays["packet_sizes"] > 0.0):
-            raise ValueError("packet sizes must be positive")
         if not np.all(arrays["X"] >= 0.0):
             raise ValueError("throughputs must be nonnegative")
         for name, a in arrays.items():
@@ -185,11 +183,6 @@ class FlowSet:
     def routes(self) -> tuple:
         """Per-flow views of route_links, one array of link ids each."""
         return tuple(np.split(self.route_links, self.route_ptr[1:-1]))
-
-    @property
-    def growth_rates(self) -> np.ndarray:
-        """Linear throughput growth alpha*P/R of each flow, bits/sec^2."""
-        return self.alphas * self.packet_sizes / self.rtts
 
 
 def _distinct_pairs(rng: np.random.Generator, n_vertices: int, n_pairs: int) -> np.ndarray:
@@ -217,17 +210,18 @@ def uniform_tree_flows(
 ) -> FlowSet:
     """Flows between uniformly drawn distinct vertex pairs, tree-path routes.
 
-    Every flow has unit alpha, RTT and packet size.  The pairs are those
-    of drawing one pair at a time until n_flows distinct ones came up;
-    `_distinct_pairs` draws them in batches.
+    Every flow has unit growth rate.  The pairs are those of drawing one
+    pair at a time until n_flows distinct ones came up; `_distinct_pairs`
+    draws them in batches.
     """
+    _check_count("n_flows", n_flows)
+    if n_flows < 0:
+        raise ValueError("n_flows must be nonnegative")
     u, v = _distinct_pairs(np.random.default_rng(seed), tree.n_vertices, n_flows).T
     return FlowSet(
         *tree_paths(tree, u, v),
-        alphas=1.0,
+        growth_rates=1.0,
         betas=beta,
-        rtts=1.0,
-        packet_sizes=1.0,
         X=np.zeros(n_flows),
     )
 
@@ -326,7 +320,8 @@ def run_simulation(
     does, so the stream is unchanged; only a draw that lets some member
     escape takes the masked update.
     """
-    if not epochs >= 1:
+    _check_count("epochs", epochs)
+    if epochs < 1:
         raise ValueError("epochs must be positive")
     rng = np.random.default_rng(seed)
     n_flows = flows.n_flows
@@ -350,7 +345,7 @@ def run_simulation(
     if np.any(b > network.capacities):
         raise ValueError("initial throughputs already exceed a link capacity")
     # compact positions in ascending link id, so argmin ties still go to
-    # the lowest link id; links no flow grows on (infinite rtts) drop out
+    # the lowest link id; links no flow grows on drop out
     kept = growth[flat] > 0.0
     live_ids, compact = np.unique(flat[kept], return_inverse=True)
     if live_ids.size == 0:
@@ -551,4 +546,4 @@ def assign_capacities(
         mean_raw = 1.0
     raw = np.where(raw <= 0.0, _FLOOR_FRACTION * mean_raw, raw)
     capacities = raw * (mean_capacity / raw.mean())
-    return network.with_capacities(capacities)
+    return FluidNetwork(network.endpoints, capacities, network.n_vertices)

@@ -36,7 +36,7 @@ from .aimd_net import (
     uniform_tree_flows,
 )
 from .tcp_finite import FiniteBufferParams, effective_loss, solve_finite_distribution
-from .tcp_infinite import AnalyticWindowDistribution, TcpParams, window_moment
+from .tcp_infinite import VARIANTS, AnalyticWindowDistribution, TcpParams, window_moment
 from .tree_analytic import DistTable, ccdf_n, ccdf_q, marginal_n, marginal_q
 from .tree_gen import TreeParams, enumerate_exact, grow, measure
 from .window_sim import child_seed, validate
@@ -568,7 +568,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, default=0.5)
     p.add_argument("--buffer", type=float, default=None, help="buffer size B (finite law)")
     p.add_argument("--bdp", type=float, default=0.0, help="bandwidth-delay product 2*alpha*D")
-    p.add_argument("--variant", choices=("plain", "frfr", "wan"), default="plain")
+    p.add_argument("--variant", choices=VARIANTS, default="plain")
     p.add_argument("--grid-points", type=int, default=512)
     _add_common(p)
     p.set_defaults(func=cmd_tcp_dist)
@@ -585,7 +585,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--buffer", type=float, default=None)
     p.add_argument("--bdp", type=float, default=0.0)
-    p.add_argument("--variant", choices=("plain", "frfr", "wan"), default="plain")
+    p.add_argument("--variant", choices=VARIANTS, default="plain")
     p.add_argument("--events", type=int, default=20000)
     p.add_argument("--bins", type=int, default=60)
     p.add_argument("--chi2-significance", type=float, default=0.01)

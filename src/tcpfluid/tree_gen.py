@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -277,6 +276,9 @@ def enumerate_exact(params: TreeParams) -> DistTable:
     tau = params.tau
     if tau > 8:
         raise ValueError(f"enumerate_exact is limited to tau <= 8, got {tau}")
+    # imported on first use, so importing the package does not load it
+    from fractions import Fraction
+
     alpha = Fraction(params.alpha_t).limit_denominator(10**6)
     if alpha == 0:
         # uniform attachment: every vertex has weight 1 out of t

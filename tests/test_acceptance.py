@@ -308,10 +308,8 @@ def test_c11_homogeneous_closed_forms():
             flows = FlowSet(
                 route_ptr=np.arange(N + 1),
                 route_links=np.zeros(N, np.int64),
-                alphas=1.0,
+                growth_rates=1.0,
                 betas=0.5,
-                rtts=1.0,
-                packet_sizes=1.0,
                 X=np.full(N, want_x),
             )
             rep = run_simulation(net, flows, SyncModel(pi=pi), 30000, seed=100 + N)

@@ -40,7 +40,7 @@ def _single_link(capacity: float = 10.0) -> FluidNetwork:
 
 
 def _flows_on_link(n: int, **kw) -> FlowSet:
-    fields = dict(alphas=1.0, betas=0.5, rtts=1.0, packet_sizes=1.0, X=np.zeros(n))
+    fields = dict(growth_rates=1.0, betas=0.5, X=np.zeros(n))
     fields.update(kw)
     return FlowSet(route_ptr=np.arange(n + 1), route_links=np.zeros(n, np.int64), **fields)
 
@@ -73,8 +73,8 @@ def test_next_congestion_picks_tightest_link():
         n_vertices=3,
     )
     # flow 0 crosses link 0, flow 1 links 0 and 1
-    flows = FlowSet(route_ptr=[0, 1, 3], route_links=[0, 0, 1], alphas=1.0, betas=0.5,
-                    rtts=1.0, packet_sizes=1.0, X=np.array([3.0, 3.0]))
+    flows = FlowSet(route_ptr=[0, 1, 3], route_links=[0, 0, 1], growth_rates=1.0, betas=0.5,
+                    X=np.array([3.0, 3.0]))
     tau, edge = next_congestion(net, flows)
     assert edge == 1
     assert tau == pytest.approx(1.0)
@@ -97,8 +97,8 @@ def test_apply_congestion_only_touches_edge_members():
         capacities=np.array([100.0, 4.0]),
         n_vertices=3,
     )
-    flows = FlowSet(route_ptr=[0, 1, 2], route_links=[0, 1], alphas=1.0, betas=0.5, rtts=1.0,
-                    packet_sizes=1.0, X=np.array([1.0, 1.0]))
+    flows = FlowSet(route_ptr=[0, 1, 2], route_links=[0, 1], growth_rates=1.0, betas=0.5,
+                    X=np.array([1.0, 1.0]))
     tau, edge = next_congestion(net, flows)
     assert edge == 1
     after = apply_congestion(flows, edge, tau, SyncModel(pi=1.0), np.random.default_rng(0))
@@ -196,8 +196,8 @@ def test_congested_edges_name_each_event():
         capacities=np.array([10.0, 3.2]),
         n_vertices=3,
     )
-    flows = FlowSet(route_ptr=[0, 1, 2], route_links=[0, 1], alphas=1.0, betas=0.5, rtts=1.0,
-                    packet_sizes=1.0, X=np.zeros(2))
+    flows = FlowSet(route_ptr=[0, 1, 2], route_links=[0, 1], growth_rates=1.0, betas=0.5,
+                    X=np.zeros(2))
     report = run_simulation(net, flows, SyncModel(pi=1.0), 8, seed=0)
     assert report.congested_edges.dtype == np.int64
     assert report.congested_edges.tolist() == [1, 1, 1, 1, 1, 0, 1, 1]
@@ -205,11 +205,11 @@ def test_congested_edges_name_each_event():
 
 
 def test_kernel_drops_links_no_flow_grows_on():
-    # flow 0 fills link 0 but never grows (infinite rtt), so link 0, which
+    # flow 0 fills link 0 but never grows (growth rate 0), so link 0, which
     # only it crosses, never congests; its cuts still come off link 1's load
     net = FluidNetwork(endpoints=[[0, 1], [1, 2]], capacities=[10.0, 40.0], n_vertices=3)
-    flows = FlowSet(route_ptr=[0, 2, 3], route_links=[0, 1, 1], alphas=1.0, betas=0.5,
-                    rtts=[np.inf, 1.0], packet_sizes=1.0, X=[10.0, 0.0])
+    flows = FlowSet(route_ptr=[0, 2, 3], route_links=[0, 1, 1], growth_rates=[0.0, 1.0],
+                    betas=0.5, X=[10.0, 0.0])
     got = run_simulation(net, flows, SyncModel(pi=1.0), 20, seed=0)
     want = aimd_reference.run_simulation(net, flows, SyncModel(pi=1.0), 20, seed=0)
     assert np.array_equal(got.taus, want.taus)
@@ -257,7 +257,7 @@ def test_kernel_matches_frozen_reference(
     rng = np.random.default_rng(flow_seed)
     flows = replace(
         uniform_tree_flows(tree, n_flows, seed=flow_seed),
-        alphas=rng.uniform(0.5, 2.0, n_flows),
+        growth_rates=rng.uniform(0.5, 2.0, n_flows),
         betas=rng.uniform(0.3, 0.8, n_flows),
     )
     sync = SyncModel(pi=pi)
@@ -488,8 +488,8 @@ def test_uniform_tree_flows_routes_are_tree_paths():
 )
 def test_flowset_rejects_malformed_routes(route_ptr, route_links, match):
     with pytest.raises(ValueError, match=match):
-        FlowSet(route_ptr=route_ptr, route_links=route_links, alphas=1.0, betas=0.5,
-                rtts=1.0, packet_sizes=1.0, X=0.0)
+        FlowSet(route_ptr=route_ptr, route_links=route_links, growth_rates=1.0, betas=0.5,
+                X=0.0)
 
 
 def _network(endpoints, capacities, n_vertices):
@@ -497,7 +497,7 @@ def _network(endpoints, capacities, n_vertices):
 
 
 def _path_capacities(strategy, mean_capacity=1.0, stats_tau=None):
-    network = FluidNetwork.from_tree(_path_tree(3))
+    network = FluidNetwork.from_tree(_path_tree(3), np.ones(3))
     stats = None
     if stats_tau is not None:
         stats = measure(grow(TreeParams(alpha_t=0.5, tau=stats_tau, seed=0)))
@@ -520,23 +520,30 @@ _NAN, _INF = math.nan, math.inf
     (lambda: _network([[0, 2]], [1.0], 2), ValueError, "endpoints out of range"),
     (lambda: _network([[-1, 0]], [1.0], 2), ValueError, "endpoints out of range"),
     (lambda: _network([[0, 1]], [1.0], 3), ValueError, "must be connected"),
-    *[(lambda v=v: _flows_on_link(1, alphas=v), ValueError, "alphas must be positive")
-      for v in (0.0, _NAN)],
+    *[pytest.param(lambda v=v: _network([[0, 1]], [1.0], v), ValueError,
+                   "n_vertices must be an integer", id=f"n_vertices={v}")
+      for v in (2.0, _NAN, True)],
+    *[(lambda v=v: _flows_on_link(1, growth_rates=v), ValueError,
+       "growth_rates must be finite and nonnegative") for v in (-1.0, _NAN, _INF)],
     *[(lambda v=v: _flows_on_link(1, betas=v), ValueError, r"betas must lie in \(0, 1\)")
       for v in (0.0, 1.0, _NAN)],
-    *[(lambda v=v: _flows_on_link(1, rtts=v), ValueError, "rtts must be positive")
-      for v in (0.0, _NAN)],
-    *[(lambda v=v: _flows_on_link(1, packet_sizes=v), ValueError,
-       "packet sizes must be positive") for v in (0.0, _NAN)],
     *[(lambda v=v: _flows_on_link(1, X=v), ValueError, "throughputs must be nonnegative")
       for v in (-1.0, _NAN)],
     *[(lambda v=v: SyncModel(pi=v).propensities(3), ValueError, r"pi must lie in \(0, 1\]")
       for v in (0.0, 1.5, _NAN)],
     *[(lambda v=v: _simulate(epochs=v), ValueError, "epochs must be positive")
-      for v in (0, _NAN)],
+      for v in (0, -1)],
+    *[pytest.param(lambda v=v: _simulate(epochs=v), ValueError,
+                   "epochs must be an integer", id=f"epochs={v}")
+      for v in (10.0, _NAN, True)],
+    *[pytest.param(lambda v=v: uniform_tree_flows(_path_tree(3), v), ValueError,
+                   "n_flows must be an integer", id=f"n_flows={v}")
+      for v in (2.5, _NAN, True)],
+    pytest.param(lambda: uniform_tree_flows(_path_tree(3), -3), ValueError,
+                 "n_flows must be nonnegative", id="n_flows=-3"),
     (lambda: _simulate(X=6.0), ValueError, "initial throughputs already exceed"),
-    # infinite rtts: no flow grows, so no link ever congests
-    (lambda: _simulate(rtts=_INF), StagnationError, "no link accumulates load"),
+    # no flow grows, so no link ever congests
+    (lambda: _simulate(growth_rates=0.0), StagnationError, "no link accumulates load"),
     (lambda: _path_capacities("fastest"), ValueError, "unknown strategy 'fastest'"),
     *[(lambda v=v: _path_capacities("uniform", v), ValueError,
        "mean_capacity must be finite and positive") for v in (0.0, -1.0, _NAN, _INF)],
@@ -551,8 +558,8 @@ def test_aimd_inputs_raise_their_documented_errors(build, error, match):
 
 def test_flowset_routes_are_views_of_the_flat_links():
     # one link shared by two routes is fine; within one route it is not
-    flows = FlowSet(route_ptr=[0, 2, 3, 6], route_links=[3, 0, 3, 1, 2, 0], alphas=1.0,
-                    betas=0.5, rtts=1.0, packet_sizes=1.0, X=0.0)
+    flows = FlowSet(route_ptr=[0, 2, 3, 6], route_links=[3, 0, 3, 1, 2, 0],
+                    growth_rates=1.0, betas=0.5, X=0.0)
     assert flows.n_flows == 3
     assert [r.tolist() for r in flows.routes] == [[3, 0], [3], [1, 2, 0]]
     assert all(r.base is flows.route_links for r in flows.routes)
@@ -594,8 +601,8 @@ def test_max_min_fair_orders_strategies_at_criterion_12_inputs():
 
 
 def test_flowset_broadcasting_and_growth():
-    flows = _flows_on_link(3, alphas=2.0, packet_sizes=3.0, rtts=4.0)
-    assert np.allclose(flows.growth_rates, 1.5)
+    flows = _flows_on_link(3, growth_rates=1.5)
+    assert flows.growth_rates.tolist() == [1.5, 1.5, 1.5]
     with pytest.raises(ValueError):
         _flows_on_link(2, X=np.array([1.0, 2.0, 3.0]))
 
@@ -610,7 +617,7 @@ def test_overloaded_start_rejected():
 def test_route_link_outside_network_rejected():
     # numpy once failed here on operands that could not be broadcast
     net = FluidNetwork(endpoints=[[0, 1], [1, 2]], capacities=[10.0, 4.0], n_vertices=3)
-    flows = FlowSet(route_ptr=[0, 1, 2], route_links=[0, 5], alphas=1.0, betas=0.5,
-                    rtts=1.0, packet_sizes=1.0, X=0.0)
+    flows = FlowSet(route_ptr=[0, 1, 2], route_links=[0, 5], growth_rates=1.0, betas=0.5,
+                    X=0.0)
     with pytest.raises(ValueError, match="flow 1 routes over link 5"):
         run_simulation(net, flows, SyncModel(pi=1.0), 10, seed=0)

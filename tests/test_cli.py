@@ -55,11 +55,12 @@ def _fresh_python(code: str) -> str:
 
 
 def test_import_skips_scipy_stats_and_integrate():
+    # fractions and decimal load only when enumerate_exact runs
     code = (
         "import sys, tcpfluid.cli; "
         "print(sorted(m for m in ('scipy.stats', 'scipy.integrate', "
-        "'concurrent.futures.process', 'multiprocessing', 'scipy.special', 'scipy') "
-        "if m in sys.modules))"
+        "'concurrent.futures.process', 'multiprocessing', 'scipy.special', 'scipy', "
+        "'fractions', 'decimal') if m in sys.modules))"
     )
     out = _fresh_python(code)
     assert out.strip() == "[]"
